@@ -28,10 +28,6 @@ from .errors import (
 )
 
 
-def verify_unitary(m: CycMatrix) -> bool:
-    return m.is_unitary()
-
-
 @dataclass(frozen=True)
 class FiniteMatrixGroup:
     """A finite set of exact unitary matrices, closed under product."""

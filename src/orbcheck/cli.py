@@ -44,6 +44,16 @@ def _read_scenario(target: str):
         return parse_scenario(fh.read())
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="orbcheck", description="Orbifold structure checks")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -51,7 +61,7 @@ def main(argv=None) -> int:
     run = sub.add_parser("run", help="run a scenario file or catalog entry")
     run.add_argument("target", help="scenario file path, or catalog:<name>")
     run.add_argument("--format", choices=("human", "machine"), default="human")
-    run.add_argument("--samples", type=int, default=None, help="override sample counts")
+    run.add_argument("--samples", type=_positive_int, default=None, help="override sample counts")
     run.add_argument("--tol", type=float, default=None, help="override numeric tolerance")
 
     sub.add_parser("list-catalog", help="list built-in scenarios")

@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 
 from .errors import NoKahlerClass
 from .linalg import (
+    TrackedEchelon,
     build_echelon,
     dense_rank,
     dense_solve,
@@ -29,54 +30,12 @@ from .simplicial import (
 Cochain = dict  # Simplex -> Fraction
 
 
-class _CoordEchelon:
-    """Echelon set that remembers coordinates of inserted vectors."""
-
-    def __init__(self):
-        self.pivots: dict[int, tuple[dict, Fraction]] = {}
-        self.coords: dict[int, dict[int, Fraction]] = {}
-        self.count = 0
-
-    def insert(self, v: dict) -> bool:
-        v = dict(v)
-        record: list = []
-        reduce_against(v, self.pivots, record)
-        if not v:
-            return False
-        comb = {self.count: Fraction(1)}
-        for prow, factor in record:
-            for cj, cv in self.coords[prow].items():
-                nv = comb.get(cj, Fraction(0)) - factor * cv
-                if nv:
-                    comb[cj] = nv
-                else:
-                    comb.pop(cj, None)
-        r = max(v)
-        self.pivots[r] = (v, v[r])
-        self.coords[r] = comb
-        self.count += 1
-        return True
-
-    def express(self, v: dict) -> Optional[list[Fraction]]:
-        """Coordinates of v in the inserted basis, or None if outside."""
-        v = dict(v)
-        record: list = []
-        reduce_against(v, self.pivots, record)
-        if v:
-            return None
-        comb: dict[int, Fraction] = {}
-        for prow, factor in record:
-            for cj, cv in self.coords[prow].items():
-                comb[cj] = comb.get(cj, Fraction(0)) + factor * cv
-        return [comb.get(i, Fraction(0)) for i in range(self.count)]
-
-
 @dataclass
 class CohomologyBasis:
     degree: int
     reps: list  # tuple-keyed cocycle representatives
     residues: list  # index-keyed canonical residues mod coboundaries
-    echelon: _CoordEchelon
+    echelon: TrackedEchelon
 
 
 class CochainComplexQ:
@@ -168,7 +127,7 @@ class CochainComplexQ:
         if p in self._basis:
             return self._basis[p]
         b = self.betti(p)
-        basis = CohomologyBasis(p, [], [], _CoordEchelon())
+        basis = CohomologyBasis(p, [], [], TrackedEchelon())
         if b == 0:
             self._basis[p] = basis
             return basis
@@ -284,7 +243,7 @@ class InvariantCohomology:
                     proj[i][j] += mat[i][j]
         proj = [[x / order for x in row] for row in proj]
         # invariant subspace = column space of the projector
-        ech = _CoordEchelon()
+        ech = TrackedEchelon()
         vectors = []
         for j in range(b):
             col = {i: proj[i][j] for i in range(b) if proj[i][j]}

@@ -161,36 +161,15 @@ def gram_matrix(
     m = len(fields)
     d = metric.d
     out = [[sum(vals[k][i] * g[i][j] * vals[l][j] for i in range(d) for j in range(d)) for l in range(m)] for k in range(m)]
-    det = _det(out)
+    det = dense_det(out)
     if (isinstance(det, Fraction) and det == 0) or (isinstance(det, float) and abs(det) < 1e-12):
         raise DegenerateOrbit("Gram matrix is singular: orbit has lower dimension")
     return out
 
 
-def _det(mat: list[list[Number]]) -> Number:
-    if all(isinstance(x, Fraction) for row in mat for x in row):
-        return dense_det(mat)
-    n = len(mat)
-    m = [[float(x) for x in row] for row in mat]
-    det = 1.0
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(m[r][col]))
-        if abs(m[piv][col]) == 0:
-            return 0.0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] / m[col][col]
-            for c in range(col, n):
-                m[r][c] -= f * m[col][c]
-    return det
-
-
 def conformal_factor(m0: list[list[Number]], m: int) -> Number:
     """u0 = det(M0)^(-1/m); exact when the m-th root is rational."""
-    det = _det(m0)
+    det = dense_det(m0)
     if (isinstance(det, Fraction) and det <= 0) or (isinstance(det, float) and det <= 0):
         raise NonPositiveDeterminant(f"det M0 = {det}")
     if isinstance(det, Fraction):
@@ -205,7 +184,7 @@ def rescaled_gram(m0: list[list[Number]], m: int, tol: float = 1e-12):
     """M1 = u0 M0 with the determinant-one verdict."""
     u0 = conformal_factor(m0, m)
     m1 = [[u0 * x for x in row] for row in m0]
-    det = _det(m1)
+    det = dense_det(m1)
     if isinstance(det, Fraction):
         dev = abs(float(det - 1))
         ok = det == 1
@@ -324,7 +303,7 @@ def orbit_volume(
         t = 2 * math.pi * idx / nodes
         moved = action.rotate([t], point)
         m = gram_matrix(metric, fields, moved)
-        det = _det(m)
+        det = dense_det(m)
         det = float(det)
         if det <= 0:
             raise DegenerateOrbit("non-positive Gram determinant along orbit")

@@ -204,19 +204,15 @@ def seifert_fiber_report(atlas: OrbifoldAtlas, chart_id: str, point: CycVector) 
     return s, f"fiber = Gamma_x\\U({chart.n}) with |Gamma_x| = {s}"
 
 
-def sample_frames(chart: Chart, count: int = 10, seed: int = 7) -> list[UnitaryFrame]:
-    """Deterministic exact unitary frames at rational grid basepoints.
-
-    Frames are signed-permutation matrices scaled by powers of zeta_N,
-    which are exactly unitary.
-    """
+def _frames_at(chart: Chart, points: list[CycVector], seed: int) -> list[UnitaryFrame]:
+    """One seeded frame per basepoint: a permutation matrix whose entries
+    are powers of zeta_N, which is exactly unitary."""
     import random
 
     rng = random.Random(seed)
     n, order = chart.n, chart.cyclotomic_order
-    pts = sample_grid(order, chart.domain, count)
     frames = []
-    for i in range(count):
+    for p in points:
         perm = list(range(n))
         rng.shuffle(perm)
         rows = []
@@ -224,28 +220,19 @@ def sample_frames(chart: Chart, count: int = 10, seed: int = 7) -> list[UnitaryF
             row = [CyclotomicNumber.zero(order)] * n
             row[perm[r]] = CyclotomicNumber.zeta(order, rng.randrange(order))
             rows.append(row)
-        frames.append(UnitaryFrame(chart.id, pts[i % len(pts)], CycMatrix(order, rows)))
+        frames.append(UnitaryFrame(chart.id, p, CycMatrix(order, rows)))
     return frames
+
+
+def sample_frames(chart: Chart, count: int = 10, seed: int = 7) -> list[UnitaryFrame]:
+    """Deterministic exact unitary frames at rational grid basepoints."""
+    pts = sample_grid(chart.cyclotomic_order, chart.domain, count)
+    return _frames_at(chart, [pts[i % len(pts)] for i in range(count)], seed)
 
 
 def sample_classes(
     chart: Chart, ball: Ball, count: int = 25, seed: int = 11
 ) -> list[FrameClass]:
     """Deterministic frame classes with basepoints on a grid in the ball."""
-    import random
-
-    rng = random.Random(seed)
-    n, order = chart.n, chart.cyclotomic_order
-    pts = sample_grid(order, ball, count)
-    classes = []
-    for i, p in enumerate(pts[:count]):
-        rows = []
-        perm = list(range(n))
-        rng.shuffle(perm)
-        for r in range(n):
-            row = [CyclotomicNumber.zero(order)] * n
-            row[perm[r]] = CyclotomicNumber.zeta(order, rng.randrange(order))
-            rows.append(row)
-        frame = UnitaryFrame(chart.id, p, CycMatrix(order, rows))
-        classes.append(FrameClass(chart.id, frame, chart.group))
-    return classes
+    pts = sample_grid(chart.cyclotomic_order, ball, count)
+    return [FrameClass(chart.id, f, chart.group) for f in _frames_at(chart, pts, seed)]

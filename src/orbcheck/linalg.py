@@ -1,9 +1,13 @@
-"""Exact rational linear algebra: sparse column echelon and small dense solves.
+"""Exact linear algebra: every elimination in orbcheck runs here.
 
 Sparse vectors are dicts row-index -> Fraction.  Every pivot column
 stores its largest nonzero row as the pivot, so reduction can walk rows
 in decreasing order with a lazy heap and terminates without fill
-surprises.
+surprises.  `reduce_against` is the one sparse reduction: `build_echelon`
+runs it untracked, and `TrackedEchelon` records its steps to write each
+pivot column as a combination of the inserted vectors (coordinates and
+kernel relations).  Small dense matrices go through one forward
+elimination, `_echelon`, read as a rank, a determinant or a solve.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ def reduce_against(
     """Reduce v in place against an echelon set; returns the residue.
 
     Every pivot column has its pivot at its maximum row, so reduction
-    only introduces entries at smaller rows.
+    only introduces entries at smaller rows.  With a `record` list, each
+    step appends (pivot row, factor): v lost factor times that column.
     """
     heap = [-r for r in v]
     heapq.heapify(heap)
@@ -64,158 +69,158 @@ def build_echelon(columns: Iterable[SparseVec]) -> tuple[dict, int]:
     return pivots, rank
 
 
-def echelon_insert(pivots: dict, v: SparseVec) -> bool:
-    """Reduce v against pivots and insert the residue if nonzero."""
-    v = dict(v)
-    reduce_against(v, pivots)
-    if not v:
-        return False
-    r = max(v)
-    pivots[r] = (v, v[r])
-    return True
+class TrackedEchelon:
+    """Echelon set that writes each pivot column as a combination of the
+    vectors inserted so far, keyed by their labels."""
+
+    def __init__(self):
+        self.pivots: dict[int, tuple[SparseVec, Fraction]] = {}
+        self.coords: dict[int, SparseVec] = {}  # pivot row -> combination
+
+    def reduce(self, v: SparseVec, comb: SparseVec) -> tuple[SparseVec, SparseVec]:
+        """Residue of a copy of v, and comb minus the combination removed.
+
+        Started from comb = {label: 1} for a vector labelled `label`, the
+        residue equals the returned combination of the inserted vectors;
+        an empty residue makes that combination a kernel relation.
+        """
+        v = dict(v)
+        record: list = []
+        reduce_against(v, self.pivots, record)
+        for prow, factor in record:
+            for cj, cv in self.coords[prow].items():
+                nv = comb.get(cj, Fraction(0)) - factor * cv
+                if nv:
+                    comb[cj] = nv
+                else:
+                    comb.pop(cj, None)
+        return v, comb
+
+    def add(self, residue: SparseVec, comb: SparseVec) -> None:
+        r = max(residue)
+        self.pivots[r] = (residue, residue[r])
+        self.coords[r] = comb
+
+    def insert(self, v: SparseVec) -> bool:
+        """Insert v as the next basis vector unless it lies in the span."""
+        residue, comb = self.reduce(v, {len(self.coords): Fraction(1)})
+        if residue:
+            self.add(residue, comb)
+        return bool(residue)
+
+    def express(self, v: SparseVec) -> Optional[list[Fraction]]:
+        """Coordinates of v in the inserted basis, or None if outside."""
+        residue, comb = self.reduce(v, {})
+        if residue:
+            return None
+        return [-comb.get(i, Fraction(0)) for i in range(len(self.coords))]
 
 
 def kernel_search(
     columns: list[SparseVec],
     keep: Callable[[SparseVec], bool],
     want: int,
-    on_rank: Optional[Callable[[int], None]] = None,
 ) -> int:
     """Echelonize columns while harvesting kernel combinations.
 
-    Tracks the combination vector of each column; when a column reduces
-    to zero its combination lies in the kernel and is offered to `keep`.
-    Tracking stops once `want` kernel vectors were accepted (the
-    remaining pass still counts rank).  Returns the rank.
+    A column that reduces to zero gives a combination of columns in the
+    kernel, which is offered to `keep`.  Tracking stops once `want`
+    kernel vectors were accepted (the remaining pass still counts rank).
+    Returns the rank.
     """
-    pivots: dict[int, tuple[SparseVec, Fraction]] = {}
-    combos: dict[int, SparseVec] = {}  # pivot row -> combination of its column
-    rank = 0
+    ech = TrackedEchelon()
     found = 0
-    tracking = want > 0
     for j, col in enumerate(columns):
-        v = dict(col)
-        record: Optional[list] = [] if tracking else None
-        reduce_against(v, pivots, record)
-        if v:
-            r = max(v)
-            pivots[r] = (v, v[r])
-            if tracking:
-                comb = {j: Fraction(1)}
-                for prow, factor in record:
-                    for cj, cv in combos[prow].items():
-                        nv = comb.get(cj, Fraction(0)) - factor * cv
-                        if nv:
-                            comb[cj] = nv
-                        else:
-                            comb.pop(cj, None)
-                combos[r] = comb
-            rank += 1
-        elif tracking:
-            comb = {j: Fraction(1)}
-            for prow, factor in record:
-                for cj, cv in combos[prow].items():
-                    nv = comb.get(cj, Fraction(0)) - factor * cv
-                    if nv:
-                        comb[cj] = nv
-                    else:
-                        comb.pop(cj, None)
-            if keep(comb):
+        if found < want:
+            residue, comb = ech.reduce(col, {j: Fraction(1)})
+            if residue:
+                ech.add(residue, comb)
+            elif keep(comb):
                 found += 1
-                if found >= want:
-                    tracking = False
-                    combos = {}
-    if on_rank:
-        on_rank(rank)
-    return rank
+        else:
+            residue = reduce_against(dict(col), ech.pivots)
+            if residue:
+                ech.add(residue, {})
+    return len(ech.pivots)
 
 
-# -- small dense routines -------------------------------------------------
+# -- small dense matrices -------------------------------------------------
+
+
+def _echelon(rows: list[list], ncols: int):
+    """Forward elimination on a copy of rows, largest-magnitude pivots.
+
+    Pivots are sought in the first ncols columns; later columns ride
+    along (the right-hand side of a solve).  Entries become floats if any
+    entry is a float, Fractions otherwise.  Returns (m, cols, sign, num):
+    row i of m holds the pivot of column cols[i], the rows after
+    len(cols) are zero in the first ncols columns, sign is the parity of
+    the row swaps and num the entry type.
+    """
+    num = float if any(isinstance(x, float) for row in rows for x in row) else Fraction
+    m = [list(map(num, row)) for row in rows]
+    nrows = len(m)
+    width = len(m[0]) if m else 0
+    cols: list[int] = []
+    sign = 1
+    for col in range(ncols):
+        rank = len(cols)
+        if rank == nrows:
+            break
+        piv, best = rank, abs(m[rank][col])
+        for r in range(rank + 1, nrows):
+            if abs(m[r][col]) > best:
+                piv, best = r, abs(m[r][col])
+        if not best:
+            continue
+        pv = m[piv][col]
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            sign = -sign
+        prow = m[rank]
+        for r in range(rank + 1, nrows):
+            row = m[r]
+            if row[col]:
+                f = row[col] / pv
+                for c in range(col + 1, width):
+                    row[c] -= f * prow[c]
+        cols.append(col)
+    return m, cols, sign, num
 
 
 def dense_rank(rows: list[list[Fraction]]) -> int:
-    """Rank by plain fraction Gaussian elimination (small matrices)."""
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
-        for r in range(rank + 1, nrows):
-            if m[r][col]:
-                f = m[r][col] / pv
-                for c in range(col, ncols):
-                    m[r][c] -= f * m[rank][c]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    """Rank of a small dense matrix."""
+    return len(_echelon(rows, len(rows[0]) if rows else 0)[1])
 
 
-def dense_det(rows: list[list[Fraction]]) -> Fraction:
-    m = [list(map(Fraction, r)) for r in rows]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        pv = m[col][col]
-        det *= pv
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] / pv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
+def dense_det(rows: list[list]):
+    """Determinant; a float when any entry is a float, else a Fraction.
+
+    A singular matrix gives a zero of the same type.
+    """
+    m, cols, sign, num = _echelon(rows, len(rows))
+    if len(cols) < len(rows):
+        return num(0)
+    det = num(sign)
+    for i in range(len(rows)):
+        det *= m[i][i]
     return det
 
 
 def dense_solve(a: list[list[Fraction]], b: list[Fraction]) -> Optional[list[Fraction]]:
-    """One solution of A x = b over Q, or None when inconsistent."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    m = [list(map(Fraction, a[r])) + [Fraction(b[r])] for r in range(nrows)]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
-        m[rank] = [x / pv for x in m[rank]]
-        for r in range(nrows):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, nrows):
-        if m[r][ncols]:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        x[col] = m[r][ncols]
+    """One solution of A x = b over Q (free variables zero), or None
+    when inconsistent."""
+    ncols = len(a[0]) if a else 0
+    m, cols, _, num = _echelon([list(row) + [rhs] for row, rhs in zip(a, b)], ncols)
+    if any(row[ncols] for row in m[len(cols):]):
+        return None
+    x = [num(0)] * ncols
+    for i in reversed(range(len(cols))):
+        row, col = m[i], cols[i]
+        acc = row[ncols]
+        for c in cols[i + 1 :]:
+            acc -= row[c] * x[c]
+        x[col] = acc / row[col]
     return x
 
 

@@ -324,21 +324,15 @@ def build_quotient(scenario: Scenario) -> QuotientSetup:
         cx = build_simplicial(section)
 
     act_section = scenario.actions[qs.action]
-    if act_section.group == "trivial":
-        action = simp.SimplicialGroupAction.trivial(cx)
-    elif act_section.group.startswith("cyclic:"):
-        k = int(act_section.group.split(":", 1)[1])
-        gen = {v: act_section.maps[v] for v in cx.vertices}
-        action = simp.SimplicialGroupAction.cyclic(cx, k, gen)
-    elif act_section.group == "product":
+    if act_section.group == "product":
         if prod is None:
             raise MissingSection("product action requires a product complex")
         facts = act_section.factors
-        left_act = _build_factor_action(scenario.actions[facts[0]], prod.left)
-        right_act = _build_factor_action(scenario.actions[facts[1]], prod.right)
+        left_act = _build_action(scenario.actions[facts[0]], prod.left)
+        right_act = _build_action(scenario.actions[facts[1]], prod.right)
         action = simp.SimplicialGroupAction.product(prod, left_act, right_act)
     else:
-        raise MissingSection(f"unknown group kind {act_section.group!r}")
+        action = _build_action(act_section, cx)
 
     cq = coh.CochainComplexQ(cx)
     if prod is not None:
@@ -349,14 +343,19 @@ def build_quotient(scenario: Scenario) -> QuotientSetup:
     return QuotientSetup(cx, action, cq, prod, factor_cq, qs.n, qs.kahler)
 
 
-def _build_factor_action(section, cx: simp.SimplicialComplex) -> simp.SimplicialGroupAction:
+def _build_action(section, cx: simp.SimplicialComplex) -> simp.SimplicialGroupAction:
+    """A trivial or cyclic action; `maps` sends vertex v to maps[v]."""
     if section.group == "trivial":
         return simp.SimplicialGroupAction.trivial(cx)
     if section.group.startswith("cyclic:"):
         k = int(section.group.split(":", 1)[1])
-        gen = {v: section.maps[v] for v in cx.vertices}
+        maps = section.maps
+        if len(maps) != len(cx.vertices) or any(m not in cx.position for m in maps):
+            last = len(cx.vertices) - 1
+            raise MissingSection(f"[action {section.id}] maps must list one of 0..{last} per vertex")
+        gen = {v: maps[v] for v in cx.vertices}
         return simp.SimplicialGroupAction.cyclic(cx, k, gen)
-    raise MissingSection(f"unsupported factor action {section.group!r}")
+    raise MissingSection(f"unsupported action group {section.group!r}")
 
 
 def run_quotient_pipeline(scenario: Scenario, report: Report):

@@ -43,7 +43,6 @@ class GeometrySection:
     samples: int = 1000
     orbits: int = 50
     tol: float = 1e-9
-    tol_exact: float = 1e-12
     nodes: int = 256
 
 
@@ -98,6 +97,13 @@ class Scenario:
                 raise MissingSection(f"missing [complex {self.quotient.complex}] block")
             if self.quotient.action not in self.actions:
                 raise MissingSection(f"missing [action {self.quotient.action}] block")
+        chart_ids = {c.id for c in self.charts}
+        for ch in self.changes:
+            for end in (ch.source, ch.target):
+                if end not in chart_ids:
+                    raise MissingSection(
+                        f"[change {ch.source} -> {ch.target}] names undeclared chart {end!r}"
+                    )
 
 
 _RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
@@ -264,6 +270,8 @@ def parse_scenario(text: str) -> Scenario:
             rad = None if radius.strip() == "inf" else parse_rational(radius, ln)
             ln, order = take("cyclotomic_order")
             order = _parse_int(order, ln)
+            if order < 1:
+                raise ParseError(ln, f"cyclotomic_order must be at least 1, got {order}")
             ln, gens = take("generators")
             gen_list = []
             gens = gens.strip()
@@ -329,6 +337,9 @@ def parse_scenario(text: str) -> Scenario:
                     raise ParseError(ln, "factors must name two actions")
                 section.factors = (parts[0], parts[1])
             elif section.group != "trivial":
+                prefix, _, k = section.group.partition(":")
+                if prefix != "cyclic" or not k.isdigit() or int(k) < 1:
+                    raise ParseError(ln, "group must be trivial, product or cyclic:<k> with k >= 1")
                 ln, maps = take("maps")
                 section.maps = [_parse_int(x, ln) for x in maps.split(",")]
             reject_unknown()
@@ -392,7 +403,10 @@ def _build_geometry(kv: dict) -> GeometrySection:
     ):
         if f"taut_{attr}" in kv:
             ln, v = kv.pop(f"taut_{attr}")
-            setattr(geo, attr, conv(v, ln))
+            value = conv(v, ln)
+            if conv is _parse_int and value < 1:
+                raise ParseError(ln, f"{attr} must be at least 1, got {value}")
+            setattr(geo, attr, value)
     if kv:
         ln, _ = next(iter(kv.values()))
         raise ParseError(ln, f"unknown geometry key {next(iter(kv))!r}")

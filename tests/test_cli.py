@@ -70,3 +70,55 @@ def test_human_format_marks_failures(capsys):
     code, out, _ = run_cli(capsys, "run", "catalog:rp2-antipodal")
     assert code == 1
     assert "[!!]" in out
+
+
+def _edit(name, old, new):
+    from orbcheck.catalog import catalog_text
+
+    text = catalog_text(name)
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+@pytest.mark.parametrize(
+    "text, argv, expect",
+    [
+        (None, ("catalog:weighted-hopf:1:2", "--samples", "0"), "--samples"),
+        (None, ("catalog:football:3", "--samples", "-3"), "--samples"),
+        (_edit("weighted-hopf:1:2", "samples = 1000", "samples = 0"), (), "line 14: samples"),
+        (_edit("weighted-hopf:1:2", "orbits = 50", "orbits = 0"), (), "line 15: orbits"),
+        (_edit("weighted-hopf:1:2", "tol = 1e-9", "tol = 1e-9\nnodes = -1"), (), "line 17: nodes"),
+        (_edit("football:2", "[change C -> B]", "[change C -> Q]"), (), "'Q'"),
+        (_edit("football:2", "cyclotomic_order = 2", "cyclotomic_order = 0"), (), "line 9: cyclotomic_order"),
+        (_edit("football:2", "maps = 0, 3, 4, 1, 2, 5", "maps = 0, 3, 4"), (), "maps"),
+        (_edit("football:2", "maps = 0, 3, 4, 1, 2, 5", "maps = 0, 3, 4, 1, 2, 6"), (), "maps"),
+        (_edit("football:2", "group = cyclic:2", "group = cyclic:0"), (), "line 53: group"),
+        (_edit("football:2", "group = cyclic:2", "group = cyclic:x"), (), "line 53: group"),
+    ],
+    ids=[
+        "samples-zero",
+        "samples-negative",
+        "taut-samples-zero",
+        "taut-orbits-zero",
+        "taut-nodes-negative",
+        "change-undeclared-chart",
+        "cyclotomic-order-zero",
+        "maps-short",
+        "maps-out-of-range",
+        "cyclic-order-zero",
+        "cyclic-order-malformed",
+    ],
+)
+def test_malformed_input_exits_two_without_traceback(tmp_path, capsys, text, argv, expect):
+    if text is not None:
+        path = tmp_path / "bad.scn"
+        path.write_text(text)
+        argv = (str(path),) + argv
+    try:
+        code = main(["run", *argv, "--format", "machine"])
+    except SystemExit as exc:  # argparse rejects the option itself
+        code = exc.code
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert expect in out.err and "Traceback" not in out.err

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from helpers import bareiss_rank, modular_rank
 
 from orbcheck.linalg import (
+    TrackedEchelon,
     build_echelon,
     dense_det,
     dense_rank,
@@ -80,6 +83,79 @@ def test_dense_helpers():
     assert sol == [Fraction(1), Fraction(1)]
     singular = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]
     assert dense_solve(singular, [Fraction(0), Fraction(1)]) is None
+
+    rng = random.Random(23)
+    for _ in range(200):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        rank = rng.randint(0, min(rows, cols))
+        # a product of (rows x rank) and (rank x cols) factors is rank-deficient
+        left = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rank)] for _ in range(rows)]
+        right = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rank)]
+        a = [[sum(left[i][k] * right[k][j] for k in range(rank)) for j in range(cols)] for i in range(rows)]
+        assert dense_rank(a) == bareiss_rank(a)
+
+        x0 = [Fraction(rng.randint(-3, 3)) for _ in range(cols)]
+        b = [sum(a[i][j] * x0[j] for j in range(cols)) for i in range(rows)]
+        x = dense_solve(a, b)
+        assert [sum(a[i][j] * x[j] for j in range(cols)) for i in range(rows)] == b
+        b_off = [v + rng.randint(-2, 2) for v in b]
+        augmented = [row + [v] for row, v in zip(a, b_off)]
+        if bareiss_rank(augmented) > bareiss_rank(a):
+            assert dense_solve(a, b_off) is None
+        else:
+            x = dense_solve(a, b_off)
+            assert [sum(a[i][j] * x[j] for j in range(cols)) for i in range(rows)] == b_off
+
+        k = min(rows, cols)
+        square = [row[:k] for row in a[:k]]
+        det = dense_det(square)
+        assert type(det) is Fraction and det == cofactor_det(square)
+
+        n = rng.randint(1, 6)
+        floats = [[rng.uniform(-2.0, 2.0) for _ in range(n)] for _ in range(n)]
+        det = dense_det(floats)
+        assert type(det) is float
+        assert det == pytest.approx(float(np.linalg.det(np.array(floats))), rel=1e-12)
+    singular_float = dense_det([[0.5, 1.0], [1.0, 2.0]])
+    assert type(singular_float) is float and singular_float == 0.0
+    assert type(dense_det([[1, 2], [2, 4]])) is Fraction
+
+
+def cofactor_det(m):
+    if not m:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * m[0][j] * cofactor_det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
+        if m[0][j]
+    )
+
+
+def test_tracked_echelon_coordinates_rebuild_inserted_vectors():
+    def combine(coeffs, vectors):
+        acc = {}
+        for c, v in zip(coeffs, vectors):
+            for i, x in v.items():
+                acc[i] = acc.get(i, Fraction(0)) + c * x
+        return {i: x for i, x in acc.items() if x}
+
+    rng = random.Random(29)
+    gens = [{i: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for i in range(8)} for _ in range(4)]
+    ech = TrackedEchelon()
+    basis = []
+    for _ in range(10):  # vectors of a span of dimension at most 4
+        v = combine([rng.randint(-2, 2) for _ in gens], gens)
+        if ech.insert(v):
+            basis.append(v)
+    assert len(basis) == bareiss_rank([[v.get(i, 0) for i in range(8)] for v in basis])
+    for k, v in enumerate(basis):
+        assert ech.express(v) == [Fraction(int(j == k)) for j in range(len(basis))]
+    for _ in range(10):
+        target = combine([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in basis], basis)
+        assert combine(ech.express(target), basis) == target
+    outside = {i: Fraction(rng.randint(-3, 3)) for i in range(8)}
+    span_rank = bareiss_rank([[v.get(i, 0) for i in range(8)] for v in basis + [outside]])
+    assert (ech.express(outside) is None) == (span_rank > len(basis))
 
 
 def test_rational_root():
