@@ -7,7 +7,7 @@ structural check is decidable in exact cyclotomic arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -26,6 +26,7 @@ from .errors import (
     MultipleWitnesses,
     NonUnitaryGenerator,
 )
+from .verdict import Verdict
 
 
 @dataclass(frozen=True)
@@ -237,41 +238,22 @@ def sample_grid(chart_order: int, ball: Ball, count: int = 25) -> list[CycVector
     return pts
 
 
-@dataclass
-class CheckEntry:
-    check: str
-    verdict: bool
-    detail: str = ""
-
-
-@dataclass
-class ValidationReport:
-    entries: list[CheckEntry] = field(default_factory=list)
-
-    def add(self, check: str, verdict: bool, detail: str = ""):
-        self.entries.append(CheckEntry(check, verdict, detail))
-
-    @property
-    def passed(self) -> bool:
-        return all(e.verdict for e in self.entries)
-
-
-def validate_atlas(atlas: OrbifoldAtlas, samples: int = 25) -> ValidationReport:
+def validate_atlas(atlas: OrbifoldAtlas, samples: int = 25) -> list[tuple[str, Verdict]]:
     """Structural validation of every change of charts.
 
     Checks unitarity of linear parts, image containment at the ball
     center and a rational sample grid, and the witness group element
     whenever two changes share a source domain.
     """
-    report = ValidationReport()
+    out = []
     for ch in sorted(atlas.changes, key=lambda c: (c.source, c.target)):
         tag = f"{ch.source}.{ch.target}"
-        report.add(f"unitary.{tag}", ch.linear.is_unitary())
+        out.append((f"unitary.{tag}", Verdict(ch.linear.is_unitary())))
         target = atlas.chart(ch.target)
         chart_order = target.cyclotomic_order
         pts = [ch.source_domain.center] + sample_grid(chart_order, ch.source_domain, samples)
         contained = all(target.domain.contains(ch.apply(p)) for p in pts)
-        report.add(f"containment.{tag}", contained, f"{len(pts)} points")
+        out.append((f"containment.{tag}", Verdict(contained, f"{len(pts)} points")))
     # witness existence for redundant changes over the same source domain
     changes = list(atlas.changes)
     for i in range(len(changes)):
@@ -281,12 +263,8 @@ def validate_atlas(atlas: OrbifoldAtlas, samples: int = 25) -> ValidationReport:
                 group_j = atlas.chart(a.target).group
                 try:
                     g = equivalent_changes(a, b, group_j)
+                    verdict = Verdict(g is not None, "found" if g is not None else "missing")
                 except MultipleWitnesses as exc:
-                    report.add(f"witness.{a.source}.{a.target}", False, str(exc))
-                    continue
-                report.add(
-                    f"witness.{a.source}.{a.target}",
-                    g is not None,
-                    "found" if g is not None else "missing",
-                )
-    return report
+                    verdict = Verdict(False, str(exc))
+                out.append((f"witness.{a.source}.{a.target}", verdict))
+    return out

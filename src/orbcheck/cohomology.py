@@ -7,9 +7,9 @@ tuples; the linear algebra runs on integer-indexed sparse vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import NoKahlerClass
 from .linalg import (
@@ -26,6 +26,7 @@ from .simplicial import (
     SimplicialGroupAction,
     pair_with_cycle,
 )
+from .verdict import Verdict
 
 Cochain = dict  # Simplex -> Fraction
 
@@ -328,23 +329,10 @@ def kahler_class(
     raise NoKahlerClass("no invariant degree-2 class has nonzero top cup power")
 
 
-@dataclass
-class LefschetzEntry:
-    k: int
-    source_dim: int
-    target_dim: int
-    rank: int
-    matrix: list[list[Fraction]]
-
-    @property
-    def iso(self) -> bool:
-        return self.source_dim == self.target_dim and self.rank == self.source_dim
-
-
 def lefschetz_verify(
     invariant: InvariantCohomology, omega: KahlerClassRep, k: int
-) -> LefschetzEntry:
-    """Matrix of cup with omega^k from invariant H^(n-k) to H^(n+k)."""
+) -> Verdict:
+    """Cup with omega^k from invariant H^(n-k) to H^(n+k) is an isomorphism."""
     n = omega.n
     cq = invariant.cq
     src = invariant.degree(n - k)
@@ -355,26 +343,20 @@ def lefschetz_verify(
         image = cup_product(cq.cx, alpha, n - k, power, pdeg) if k else dict(alpha)
         cols.append(invariant.invariant_coords(image, n + k))
     matrix = [[cols[j][i] for j in range(src.dim)] for i in range(tgt.dim)]
-    rank = dense_rank(matrix) if src.dim and tgt.dim else 0
-    return LefschetzEntry(k, src.dim, tgt.dim, rank, matrix)
+    return _full_rank(matrix, src.dim, tgt.dim)
 
 
-@dataclass
-class PairingEntry:
-    p: int
-    dim_p: int
-    dim_q: int
-    rank: int
-
-    @property
-    def nondegenerate(self) -> bool:
-        return self.dim_p == self.dim_q and self.rank == self.dim_p
+def _full_rank(matrix: list[list[Fraction]], source: int, target: int) -> Verdict:
+    """Passes when the source and target dimensions agree and the matrix
+    between them has full rank."""
+    rank = dense_rank(matrix) if source and target else 0
+    return Verdict(source == target == rank, f"rank={rank} dims={source}x{target}")
 
 
 def poincare_duality_verify(
     invariant: InvariantCohomology, cycle: dict[Simplex, int], n: int
-) -> list[PairingEntry]:
-    """Cup pairing of invariant H^p with H^(2n-p) against the cycle."""
+) -> list[Verdict]:
+    """Cup pairing of invariant H^p with H^(2n-p) against the cycle, p = 0..2n."""
     cq = invariant.cq
     out = []
     for p in range(2 * n + 1):
@@ -387,6 +369,5 @@ def poincare_duality_verify(
                 prod = cup_product(cq.cx, a, p, b, 2 * n - p)
                 row.append(pair_with_cycle(prod, cycle))
             matrix.append(row)
-        rank = dense_rank(matrix) if src.dim and tgt.dim else 0
-        out.append(PairingEntry(p, src.dim, tgt.dim, rank))
+        out.append(_full_rank(matrix, src.dim, tgt.dim))
     return out

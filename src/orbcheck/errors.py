@@ -81,5 +81,9 @@ class MissingSection(OrbcheckError):
     pass
 
 
+class ShapeMismatch(OrbcheckError):
+    """A chart or change whose vectors and matrices do not fit its n."""
+
+
 class UnknownCatalogEntry(OrbcheckError):
     pass

@@ -11,25 +11,15 @@ orbits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import DegenerateOrbit, NonPositiveDeterminant, QuadratureTooCoarse
 from .linalg import dense_det, rational_root
 from .polyform import PolyForm, Polynomial, PolyVectorField
+from .verdict import Verdict
 
 Number = Union[Fraction, float]
-
-
-@dataclass
-class Verdict:
-    passed: bool
-    max_dev: float = 0.0
-    detail: str = ""
-
-    def __bool__(self):
-        return self.passed
 
 
 class CircleAction:
@@ -191,7 +181,7 @@ def rescaled_gram(m0: list[list[Number]], m: int, tol: float = 1e-12):
     else:
         dev = abs(det - 1.0)
         ok = dev <= tol
-    return m1, Verdict(ok, dev, "det M1 = 1")
+    return m1, Verdict(ok, max_dev=dev)
 
 
 def orbit_invariance_check(
@@ -209,7 +199,7 @@ def orbit_invariance_check(
         moved = action.rotate([t] * action.m, point)
         val = field(moved)
         max_dev = max(max_dev, _deviation(base, val))
-    return Verdict(max_dev <= tol, max_dev)
+    return Verdict(max_dev <= tol, max_dev=max_dev)
 
 
 def _deviation(a, b) -> float:
@@ -346,31 +336,20 @@ def split_metric(
     return MetricField(d, evaluator=evaluate, poly_degree=g1.poly_degree)
 
 
-@dataclass
-class TransverseKahlerVerdict:
-    closed: Verdict
-    kernel: Verdict
-    positive: Verdict
-
-    @property
-    def passed(self):
-        return bool(self.closed) and bool(self.kernel) and bool(self.positive)
-
-
 def transverse_kahler_check(
     omega: PolyForm,
     j_matrix: Sequence[Sequence[float]],
     vertical_fields: Sequence[PolyVectorField],
     sample_points: Sequence[Sequence[float]],
     tol: float = 1e-9,
-) -> TransverseKahlerVerdict:
-    """(a) d omega = 0 exactly, (b) vertical contractions vanish exactly,
-    (c) omega(J.,.) positive definite on the normal space at samples."""
+) -> dict[str, Verdict]:
+    """(a) "closed": d omega = 0 exactly, (b) "kernel": vertical
+    contractions vanish exactly, (c) "positive": omega(J.,.) positive
+    definite on the normal space at samples."""
     import numpy as np
 
-    closed = Verdict(omega.exterior_derivative().is_zero(), detail="d omega = 0")
-    kernel_ok = all(omega.contract(v).is_zero() for v in vertical_fields)
-    kernel = Verdict(kernel_ok, detail="vertical contractions vanish")
+    closed = Verdict(omega.exterior_derivative().is_zero())
+    kernel = Verdict(all(omega.contract(v).is_zero() for v in vertical_fields))
 
     d = omega.d
     jm = np.array([[float(x) for x in row] for row in j_matrix])
@@ -393,12 +372,8 @@ def transverse_kahler_check(
         sym_dev = max(sym_dev, float(np.max(np.abs(bmat - bmat.T))))
         eigs = np.linalg.eigvalsh(0.5 * (bmat + bmat.T))
         min_eig = min(min_eig, float(eigs.min()))
-    positive = Verdict(
-        sym_dev <= tol and min_eig > tol,
-        max_dev=sym_dev,
-        detail=f"min eigenvalue {min_eig:.3e}",
-    )
-    return TransverseKahlerVerdict(closed, kernel, positive)
+    positive = Verdict(sym_dev <= tol and min_eig > tol, f"min eigenvalue {min_eig:.3e}", sym_dev)
+    return {"closed": closed, "kernel": kernel, "positive": positive}
 
 
 def basic_form_check(alpha: PolyForm, vertical_fields: Sequence[PolyVectorField]) -> Verdict:
@@ -406,7 +381,7 @@ def basic_form_check(alpha: PolyForm, vertical_fields: Sequence[PolyVectorField]
     da = alpha.exterior_derivative()
     for z in vertical_fields:
         if not alpha.contract(z).is_zero():
-            return Verdict(False, detail="iota_Z alpha != 0")
+            return Verdict(False, "iota_Z alpha != 0")
         if not da.contract(z).is_zero():
-            return Verdict(False, detail="iota_Z d alpha != 0")
-    return Verdict(True, detail="both contractions vanish identically")
+            return Verdict(False, "iota_Z d alpha != 0")
+    return Verdict(True, "both contractions vanish identically")

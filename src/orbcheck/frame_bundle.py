@@ -14,6 +14,7 @@ from typing import Optional
 from .atlas import Ball, ChangeOfChart, Chart, FiniteMatrixGroup, OrbifoldAtlas, sample_grid
 from .cyclotomic import CycMatrix, CyclotomicNumber, CycVector
 from .errors import BasepointOutsideDomain, NoApplicableChange, NonFaithfulGroup
+from .verdict import Verdict
 
 
 @dataclass(frozen=True)
@@ -45,15 +46,6 @@ def lift_change_of_chart(phi: ChangeOfChart, frame: UnitaryFrame) -> UnitaryFram
     return UnitaryFrame(phi.target, phi.apply(frame.basepoint), phi.linear @ frame.frame)
 
 
-@dataclass
-class Verdict:
-    passed: bool
-    detail: str = ""
-
-    def __bool__(self):
-        return self.passed
-
-
 def check_lifted_action_free(group: FiniteMatrixGroup, frames: list[UnitaryFrame]) -> Verdict:
     """Freeness of the lifted action.
 
@@ -70,7 +62,7 @@ def check_lifted_action_free(group: FiniteMatrixGroup, frames: list[UnitaryFrame
         for fr in frames:
             moved = lift_group_action(g, fr)
             if moved == fr:
-                return Verdict(False, f"fixed frame found for non-identity element")
+                return Verdict(False, "fixed frame found for non-identity element")
             # algebraic check: g = (g xi) xi^{-1} must differ from identity
             if (g @ fr.frame) @ fr.frame.inverse_unitary() == ident:
                 return Verdict(False, "algebraic freeness violated")
@@ -81,7 +73,7 @@ def check_equivariance(g: CycMatrix, a: CycMatrix, frame: UnitaryFrame) -> Verdi
     """g(xi A) = (g xi) A, exactly."""
     lhs = lift_group_action(g, right_action(frame, a))
     rhs = right_action(lift_group_action(g, frame), a)
-    return Verdict(lhs == rhs, "left/right actions commute" if lhs == rhs else "mismatch")
+    return Verdict(lhs == rhs)
 
 
 @dataclass(frozen=True)

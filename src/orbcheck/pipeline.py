@@ -28,6 +28,7 @@ from .errors import (
 )
 from .polyform import PolyForm, Polynomial, PolyVectorField
 from .scenario import ChartSection, ComplexSection, Scenario
+from .verdict import Verdict
 
 
 @dataclass
@@ -45,9 +46,9 @@ class Report:
     def add(self, key: str, value: str, ok: Optional[bool]):
         self.entries.append(ReportEntry(key, value, ok))
 
-    def check(self, key: str, ok: bool, extra: str = ""):
-        value = ("PASS" if ok else "FAIL") + ((" " + extra) if extra else "")
-        self.add(key, value, ok)
+    def check(self, key: str, verdict: Verdict):
+        word = "PASS" if verdict.passed else "FAIL"
+        self.add(key, f"{word} {verdict.detail}" if verdict.detail else word, verdict.passed)
 
     def info(self, key: str, value: str):
         self.add(key, value, None)
@@ -108,10 +109,10 @@ def build_atlas(scenario: Scenario, cap: int = 64) -> atlas_mod.OrbifoldAtlas:
 
 
 def run_atlas_pipeline(atlas: atlas_mod.OrbifoldAtlas, report: Report, samples: int = 25):
-    result = atlas_mod.validate_atlas(atlas, samples)
-    for entry in result.entries:
-        report.check(f"atlas.{entry.check}", entry.verdict, entry.detail)
-    report.check("atlas.validate", result.passed)
+    verdicts = atlas_mod.validate_atlas(atlas, samples)
+    for key, verdict in verdicts:
+        report.check(f"atlas.{key}", verdict)
+    report.check("atlas.validate", Verdict(all(v.passed for _, v in verdicts)))
 
 
 # -- Seifert suite --------------------------------------------------------
@@ -139,15 +140,14 @@ def _equivariance_samples(chart: atlas_mod.Chart) -> list[CycMatrix]:
 def run_seifert_pipeline(atlas: atlas_mod.OrbifoldAtlas, report: Report, grid_points: int = 25):
     for chart in sorted(atlas.charts, key=lambda c: c.id):
         frames = fb.sample_frames(chart, 10)
-        free = fb.check_lifted_action_free(chart.group, frames)
-        report.check(f"seifert.free.{chart.id}", free.passed, free.detail)
+        report.check(f"seifert.free.{chart.id}", fb.check_lifted_action_free(chart.group, frames))
         eq_ok = all(
             fb.check_equivariance(g, a, frame).passed
             for g in chart.group
             for a in _equivariance_samples(chart)
             for frame in frames
         )
-        report.check(f"seifert.equivariance.{chart.id}", eq_ok)
+        report.check(f"seifert.equivariance.{chart.id}", Verdict(eq_ok))
         origin = vec(chart.cyclotomic_order, [0] * chart.n)
         s, desc = fb.seifert_fiber_report(atlas, chart.id, origin)
         report.info(f"seifert.fiber.{chart.id}.origin", desc)
@@ -156,9 +156,8 @@ def run_seifert_pipeline(atlas: atlas_mod.OrbifoldAtlas, report: Report, grid_po
         ball = gluing.changes[0].source_domain
         classes = fb.sample_classes(atlas.chart(i), ball, grid_points)
         verdicts = [fb.gluing_well_defined(gluing, cls) for cls in classes]
-        ok = all(v.passed for v in verdicts)
-        detail = verdicts[0].detail if verdicts else ""
-        report.check(f"seifert.well_defined.{i}.{j}", ok, detail)
+        shown = next((v for v in verdicts if not v.passed), verdicts[0])
+        report.check(f"seifert.well_defined.{i}.{j}", shown)
     overlaps = set(atlas.overlaps())
     triples = sorted(
         (i, j, k)
@@ -172,8 +171,7 @@ def run_seifert_pipeline(atlas: atlas_mod.OrbifoldAtlas, report: Report, grid_po
         g_ki = fb.gluing_from_atlas(atlas, i, k)
         ball = g_ki.changes[0].source_domain
         classes = fb.sample_classes(atlas.chart(i), ball, grid_points)
-        verdict = fb.cocycle_check(g_ji, g_kj, g_ki, classes)
-        report.check(f"seifert.cocycle.{i}.{j}.{k}", verdict.passed, verdict.detail)
+        report.check(f"seifert.cocycle.{i}.{j}.{k}", fb.cocycle_check(g_ji, g_kj, g_ki, classes))
 
 
 # -- taut / transverse Kahler suite --------------------------------------
@@ -187,6 +185,10 @@ def _sphere_points(d: int, count: int, seed: int) -> list[list[float]]:
         norm = math.sqrt(sum(x * x for x in v))
         pts.append([x / norm for x in v])
     return pts
+
+
+def _deviation_verdict(ok: bool, max_dev: float) -> Verdict:
+    return Verdict(ok, f"max_dev={max_dev:.3e}")
 
 
 def run_taut_pipeline(scenario: Scenario, report: Report):
@@ -207,7 +209,7 @@ def run_taut_pipeline(scenario: Scenario, report: Report):
         _, verdict = fol.rescaled_gram(m0, action.m, tol=1e-12)
         max_det_dev = max(max_det_dev, verdict.max_dev)
         det_ok = det_ok and verdict.passed
-    report.check("taut.detM1", det_ok, f"max_dev={max_det_dev:.3e}")
+    report.check("taut.detM1", _deviation_verdict(det_ok, max_det_dev))
 
     def g1_eval(point):
         m0 = fol.gram_matrix(g0, fields, point)
@@ -223,7 +225,7 @@ def run_taut_pipeline(scenario: Scenario, report: Report):
         dev = abs(vol - 2 * math.pi)
         vol_dev = max(vol_dev, dev)
         vol_ok = vol_ok and dev <= geo.tol
-    report.check("taut.orbit_volume", vol_ok, f"max_dev={vol_dev:.3e}")
+    report.check("taut.orbit_volume", _deviation_verdict(vol_ok, vol_dev))
 
     def u0_field(point):
         return fol.conformal_factor(fol.gram_matrix(g0, fields, point), action.m)
@@ -238,8 +240,8 @@ def run_taut_pipeline(scenario: Scenario, report: Report):
         v2 = fol.orbit_invariance_check(m0_field, pt, action, samples=16, tol=1e-12)
         inv_dev_u0 = max(inv_dev_u0, v1.max_dev)
         inv_dev_m0 = max(inv_dev_m0, v2.max_dev)
-    report.check("taut.invariance.u0", inv_dev_u0 <= 1e-12, f"max_dev={inv_dev_u0:.3e}")
-    report.check("taut.invariance.M0", inv_dev_m0 <= 1e-12, f"max_dev={inv_dev_m0:.3e}")
+    report.check("taut.invariance.u0", _deviation_verdict(inv_dev_u0 <= 1e-12, inv_dev_u0))
+    report.check("taut.invariance.M0", _deviation_verdict(inv_dev_m0 <= 1e-12, inv_dev_m0))
 
     # chart-level transverse Kahler fixture: (theta, x, y) with the
     # pullback flat Kahler form along the basepoint projection
@@ -247,10 +249,8 @@ def run_taut_pipeline(scenario: Scenario, report: Report):
     j_matrix = [[0, 0, 0], [0, 0, 1], [0, -1, 0]]
     vertical = [PolyVectorField.coordinate(3, 0)]
     samples = [[0.0, 0.3, -0.2], [1.0, 0.1, 0.4], [2.0, -0.5, 0.5]]
-    tk = fol.transverse_kahler_check(omega, j_matrix, vertical, samples)
-    report.check("tk.closed", tk.closed.passed)
-    report.check("tk.kernel", tk.kernel.passed)
-    report.check("tk.positive", tk.positive.passed, tk.positive.detail)
+    for name, verdict in fol.transverse_kahler_check(omega, j_matrix, vertical, samples).items():
+        report.check(f"tk.{name}", verdict)
 
 
 # -- cohomology / HLT / PD suite -----------------------------------------
@@ -360,9 +360,9 @@ def _build_action(section, cx: simp.SimplicialComplex) -> simp.SimplicialGroupAc
 
 def run_quotient_pipeline(scenario: Scenario, report: Report):
     setup = build_quotient(scenario)
-    ok, msg = simp.verify_action(setup.action)
-    report.check("quotient.action", ok, msg)
-    if not ok:
+    action_verdict = simp.verify_action(setup.action)
+    report.check("quotient.action", action_verdict)
+    if not action_verdict.passed:
         return
     cq = setup.cq
     betti = cq.betti_numbers()
@@ -377,9 +377,9 @@ def run_quotient_pipeline(scenario: Scenario, report: Report):
             if setup.action.transform_cycle(e, cycle) != cycle:
                 raise NonOrientable("fundamental cycle is not action-invariant")
     except (NonOrientable, NotPseudomanifold) as exc:
-        report.check("pd.fundamental_cycle", False, type(exc).__name__)
+        report.check("pd.fundamental_cycle", Verdict(False, type(exc).__name__))
         return
-    report.check("pd.fundamental_cycle", True)
+    report.check("pd.fundamental_cycle", Verdict(True))
 
     n = setup.n
     explicit = None
@@ -399,23 +399,14 @@ def run_quotient_pipeline(scenario: Scenario, report: Report):
     try:
         omega = coh.kahler_class(invariant, cycle, n, explicit)
     except OrbcheckError as exc:
-        report.check("kahler.class", False, type(exc).__name__)
+        report.check("kahler.class", Verdict(False, type(exc).__name__))
         return
     report.info("kahler.pairing", str(omega.pairing))
     for k in range(n + 1):
-        entry = coh.lefschetz_verify(invariant, omega, k)
-        report.add(
-            f"hlt.k{k}",
-            ("ISO" if entry.iso else "FAIL")
-            + f" rank={entry.rank} dims={entry.source_dim}x{entry.target_dim}",
-            entry.iso,
-        )
-    for entry in coh.poincare_duality_verify(invariant, cycle, n):
-        report.check(
-            f"pd.p{entry.p}",
-            entry.nondegenerate,
-            f"rank={entry.rank} dims={entry.dim_p}x{entry.dim_q}",
-        )
+        verdict = coh.lefschetz_verify(invariant, omega, k)
+        report.add(f"hlt.k{k}", ("ISO " if verdict.passed else "FAIL ") + verdict.detail, verdict.passed)
+    for p, verdict in enumerate(coh.poincare_duality_verify(invariant, cycle, n)):
+        report.check(f"pd.p{p}", verdict)
 
 
 # -- entry point ----------------------------------------------------------

@@ -8,7 +8,7 @@ the basic-form condition can be tested symbolically.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 Rat = Union[int, Fraction]
 Monomial = tuple  # exponent tuple of length d

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import MissingSection, ParseError, UnknownPipeline
+from .errors import MissingSection, ParseError, ShapeMismatch, UnknownPipeline
 
 KNOWN_PIPELINES = ("atlas", "seifert", "taut", "quotient")
 
@@ -97,13 +97,28 @@ class Scenario:
                 raise MissingSection(f"missing [complex {self.quotient.complex}] block")
             if self.quotient.action not in self.actions:
                 raise MissingSection(f"missing [action {self.quotient.action}] block")
-        chart_ids = {c.id for c in self.charts}
+        n = self.charts[0].n if self.charts else None
+        chart_ids = set()
+        for c in self.charts:
+            if c.id in chart_ids:
+                raise ShapeMismatch(f"[chart {c.id}] is declared twice")
+            chart_ids.add(c.id)
+            if c.n != n:
+                raise ShapeMismatch(f"[chart {c.id}] has n = {c.n} but [chart {self.charts[0].id}] has n = {n}")
         for ch in self.changes:
+            where = f"[change {ch.source} -> {ch.target}]"
             for end in (ch.source, ch.target):
                 if end not in chart_ids:
-                    raise MissingSection(
-                        f"[change {ch.source} -> {ch.target}] names undeclared chart {end!r}"
-                    )
+                    raise MissingSection(f"{where} names undeclared chart {end!r}")
+            if not _is_square(ch.linear, n):
+                raise ShapeMismatch(f"{where} linear must be {n}x{n}")
+            for key, vector in (("offset", ch.offset), ("center", ch.center)):
+                if len(vector) != n:
+                    raise ShapeMismatch(f"{where} {key} must have length {n}, got {len(vector)}")
+
+
+def _is_square(matrix: list, n: int) -> bool:
+    return len(matrix) == n and all(len(row) == n for row in matrix)
 
 
 _RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
@@ -266,6 +281,8 @@ def parse_scenario(text: str) -> Scenario:
                 raise ParseError(head_line, "chart header must be [chart <id>]")
             ln, n = take("n")
             n = _parse_int(n, ln)
+            if n < 1:
+                raise ParseError(ln, f"n must be at least 1, got {n}")
             ln, radius = take("radius")
             rad = None if radius.strip() == "inf" else parse_rational(radius, ln)
             ln, order = take("cyclotomic_order")
@@ -278,6 +295,8 @@ def parse_scenario(text: str) -> Scenario:
             if gens:
                 for g in _split_top_level(gens, ";"):
                     gen_list.append(parse_matrix(g, ln))
+                    if not _is_square(gen_list[-1], n):
+                        raise ParseError(ln, f"generator {len(gen_list)} must be {n}x{n}")
             reject_unknown()
             scenario.charts.append(ChartSection(words[1], n, rad, order, gen_list))
         elif kind == "change":

@@ -10,9 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Hashable, Optional, Sequence
+from typing import Hashable, Sequence
 
 from .errors import DuplicateVertexInFacet, NonOrientable, NotPseudomanifold
+from .verdict import Verdict
 
 Simplex = tuple  # sorted tuple of vertex positions
 
@@ -265,25 +266,25 @@ class SimplicialGroupAction:
         return out
 
 
-def verify_action(action: SimplicialGroupAction) -> tuple[bool, str]:
+def verify_action(action: SimplicialGroupAction) -> Verdict:
     """Homomorphism against the multiplication table plus simpliciality."""
     cx = action.complex
     ident = action.elements[0]
     if action.perms[ident] != list(range(len(cx.vertices))):
-        return False, "first element must act as the identity"
+        return Verdict(False, "first element must act as the identity")
     for a in action.elements:
         pa = action.perms[a]
         if sorted(pa) != list(range(len(cx.vertices))):
-            return False, f"element {a} is not a permutation"
+            return Verdict(False, f"element {a} is not a permutation")
         for b in action.elements:
             ab = action.table[(a, b)]
             composed = [pa[action.perms[b][v]] for v in range(len(cx.vertices))]
             if composed != action.perms[ab]:
-                return False, f"homomorphism fails at ({a}, {b})"
+                return Verdict(False, f"homomorphism fails at ({a}, {b})")
     for p, simplices in cx.simplices.items():
         for s in simplices:
             for e in action.elements:
                 image, _ = action.map_simplex(e, s)
                 if image not in cx.index[p]:
-                    return False, f"image of {s} under {e} is not a simplex"
-    return True, "homomorphism and simpliciality hold"
+                    return Verdict(False, f"image of {s} under {e} is not a simplex")
+    return Verdict(True, "homomorphism and simpliciality hold")

@@ -8,6 +8,7 @@ enumeration) before being compared with the package's answers.
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -140,14 +141,14 @@ def test_acceptance_3_transverse_kahler_and_basic_forms():
     j = [[0, 0, 0], [0, 0, 1], [0, -1, 0]]
     samples = [[0.0, 0.2, 0.3], [1.0, -0.4, 0.1], [2.5, 0.5, -0.5]]
     omega = PolyForm(d, 2, {(1, 2): Polynomial.constant(d, 1)})
-    verdict = transverse_kahler_check(omega, j, vertical, samples, tol=1e-9)
-    assert verdict.closed.passed and verdict.kernel.passed and verdict.positive.passed
+    verdicts = transverse_kahler_check(omega, j, vertical, samples, tol=1e-9)
+    assert [name for name, v in verdicts.items() if v.passed] == ["closed", "kernel", "positive"]
 
     # d(theta) fails the kernel check
     dtheta = PolyForm(d, 1, {(0,): Polynomial.constant(d, 1)})
     bad = dtheta.wedge(PolyForm.dx(d, 1))
     v2 = transverse_kahler_check(bad, j, vertical, samples)
-    assert not v2.kernel.passed
+    assert not v2["kernel"].passed
 
     # the three basic-form fixtures: PASS / FAIL / FAIL
     x = Polynomial.variable(d, 1)
@@ -232,15 +233,15 @@ def test_acceptance_5_hard_lefschetz():
     setup, inv, cycle = hlt_setup("football:3")
     omega = kahler_class(inv, cycle, 1)
     e = lefschetz_verify(inv, omega, 1)
-    assert e.iso and (e.source_dim, e.target_dim) == (1, 1)
+    assert e.passed and e.detail == "rank=1 dims=1x1"
 
     # torus7 -- k = 0 identity on H^1 (2x2) and k = 1 from H^0 to H^2
     setup, inv, cycle = hlt_setup("torus7")
     omega = kahler_class(inv, cycle, 1)
     e0 = lefschetz_verify(inv, omega, 0)
-    assert e0.iso and (e0.source_dim, e0.target_dim) == (2, 2)
+    assert e0.passed and e0.detail == "rank=2 dims=2x2"
     e1 = lefschetz_verify(inv, omega, 1)
-    assert e1.iso and (e1.source_dim, e1.target_dim) == (1, 1)
+    assert e1.passed and e1.detail == "rank=1 dims=1x1"
 
     # T^4 with the trivial group -- k = 1 is 4x4 full rank, k = 2 is 1x1
     setup = build_quotient(t4_trivial_scenario())
@@ -249,18 +250,18 @@ def test_acceptance_5_hard_lefschetz():
     omega = kahler_class(inv, cycle, 2, explicit=_product_sum_omega(setup))
     assert abs(omega.pairing) == 2  # <omega^2, fundamental> = +/-2
     e1 = lefschetz_verify(inv, omega, 1)
-    assert e1.iso and (e1.source_dim, e1.target_dim) == (4, 4) and e1.rank == 4
+    assert e1.passed and e1.detail == "rank=4 dims=4x4"
     e2 = lefschetz_verify(inv, omega, 2)
-    assert e2.iso and (e2.source_dim, e2.target_dim) == (1, 1)
+    assert e2.passed and e2.detail == "rank=1 dims=1x1"
 
     # t4-z2 -- k = 2: 1x1; k = 1: 0x0 vacuous; k = 0: 6x6 identity
     setup, inv, cycle = hlt_setup("t4-z2")
     omega = kahler_class(inv, cycle, 2, explicit=_product_sum_omega(setup))
     assert abs(omega.pairing) == 2
     dims = {k: lefschetz_verify(inv, omega, k) for k in (0, 1, 2)}
-    assert dims[2].iso and (dims[2].source_dim, dims[2].target_dim) == (1, 1)
-    assert dims[1].iso and (dims[1].source_dim, dims[1].target_dim) == (0, 0)
-    assert dims[0].iso and (dims[0].source_dim, dims[0].target_dim) == (6, 6)
+    assert dims[2].passed and dims[2].detail == "rank=1 dims=1x1"
+    assert dims[1].passed and dims[1].detail == "rank=0 dims=0x0"
+    assert dims[0].passed and dims[0].detail == "rank=6 dims=6x6"
 
 
 def _product_sum_omega(setup):
@@ -354,23 +355,27 @@ def test_acceptance_7_property_suites():
         scaled = [[c * x for x in row] for row in base]
         assert conformal_factor(scaled, 2) == u / c
 
-    # Lefschetz ranks invariant under omega -> g.omega for all g (t4-z2)
+    # Lefschetz ranks and dims invariant under omega -> g.omega for all g (t4-z2)
     setup = build_quotient(catalog_scenario("t4-z2"))
     inv = InvariantCohomology(setup.cq, setup.action)
     cycle = fundamental_cycle(setup.cx)
     omega = kahler_class(inv, cycle, 2, explicit=_product_sum_omega(setup))
-    base_ranks = {k: lefschetz_verify(inv, omega, k).rank for k in (0, 1, 2)}
+    base_ranks = {k: lefschetz_verify(inv, omega, k).detail for k in (0, 1, 2)}
     for e in setup.action.elements:
         pulled = setup.action.pullback_cochain(e, omega.cochain, 2)
         power, _ = cup_power(setup.cq.cx, pulled, 2, 2)
         rep = KahlerClassRep(pulled, 2, pair_with_cycle(power, cycle))
-        ranks = {k: lefschetz_verify(inv, rep, k).rank for k in (0, 1, 2)}
+        ranks = {k: lefschetz_verify(inv, rep, k).detail for k in (0, 1, 2)}
         assert ranks == base_ranks, e
 
     assert time.monotonic() - start < 60.0
 
 
 # -- criterion 8: determinism ---------------------------------------------
+
+# The machine format is the behavioural contract: golden/<entry>.machine
+# holds the expected bytes of each catalog entry's report.
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_acceptance_8_determinism():
@@ -388,3 +393,4 @@ def test_acceptance_8_determinism():
         second = run_pipeline(catalog_scenario(name)).to_machine()
         assert first == second, name
         assert first.encode("utf-8") == second.encode("utf-8")
+        assert first.encode("utf-8") == (GOLDEN / f"{name}.machine").read_bytes(), name

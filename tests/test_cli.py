@@ -94,6 +94,15 @@ def _edit(name, old, new):
         (_edit("football:2", "maps = 0, 3, 4, 1, 2, 5", "maps = 0, 3, 4, 1, 2, 6"), (), "maps"),
         (_edit("football:2", "group = cyclic:2", "group = cyclic:0"), (), "line 53: group"),
         (_edit("football:2", "group = cyclic:2", "group = cyclic:x"), (), "line 53: group"),
+        (_edit("football:2", "[chart B]\nn = 1", "[chart B]\nn = 2"), (), "line 16: generator 1 must be 2x2"),
+        (_edit("football:2", "[chart C]\nn = 1", "[chart C]\nn = 2"), (), "[chart C] has n = 2 but [chart A] has n = 1"),
+        (_edit("football:2", "n = 1", "n = 0"), (), "line 7: n must be at least 1"),
+        (_edit("football:2", "[[z]]", "[[z], [1, 0]]"), (), "line 10: generator 1 must be 1x1"),
+        (_edit("football:2", "[[1]]", "[[1, 0], [0, 1]]"), (), "[change A -> C] linear must be 1x1"),
+        (_edit("football:2", "offset = [0]", "offset = [0, 0]"), (), "[change A -> C] offset must have length 1"),
+        (_edit("football:2", "center = [1]", "center = [1, 0]"), (), "[change A -> C] center must have length 1"),
+        (_edit("football:2", "[change A -> C]", "[chart C]\nn = 1\nradius = 2\ncyclotomic_order = 2\ngenerators =\n\n[change A -> C]"), (), "[chart C] is declared twice"),
+        (_edit("quaternion-chart", "[[z, 0], [0, z^3]] ; [[0, 1], [z^2, 0]]", "[[z]]"), (), "line 10: generator 1 must be 2x2"),
     ],
     ids=[
         "samples-zero",
@@ -107,6 +116,15 @@ def _edit(name, old, new):
         "maps-out-of-range",
         "cyclic-order-zero",
         "cyclic-order-malformed",
+        "chart-b-n-2",
+        "chart-n-differs",
+        "chart-n-zero",
+        "generator-ragged",
+        "change-linear-2x2",
+        "change-offset-length-2",
+        "change-center-length-2",
+        "chart-id-duplicate",
+        "n2-chart-1x1-generator",
     ],
 )
 def test_malformed_input_exits_two_without_traceback(tmp_path, capsys, text, argv, expect):

@@ -124,11 +124,12 @@ def test_kahler_class_and_hlt_torus():
     cycle = fundamental_cycle(cx)
     omega = kahler_class(inv, cycle, 1)
     assert omega.pairing != 0
-    for k in (0, 1):
+    for k, detail in ((0, "rank=2 dims=2x2"), (1, "rank=1 dims=1x1")):
         entry = lefschetz_verify(inv, omega, k)
-        assert entry.iso
-    for entry in poincare_duality_verify(inv, cycle, 1):
-        assert entry.nondegenerate
+        assert entry.passed and entry.detail == detail
+    pd = poincare_duality_verify(inv, cycle, 1)
+    assert all(entry.passed for entry in pd)
+    assert [entry.detail for entry in pd] == ["rank=1 dims=1x1", "rank=2 dims=2x2", "rank=1 dims=1x1"]
 
 
 def test_no_kahler_class_when_pairing_vanishes():

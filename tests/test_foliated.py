@@ -132,24 +132,24 @@ def tk_fixture():
 
 def test_transverse_kahler_pullback_form_passes():
     omega, j, vertical, samples = tk_fixture()
-    verdict = transverse_kahler_check(omega, j, vertical, samples)
-    assert verdict.closed.passed and verdict.kernel.passed and verdict.positive.passed
+    verdicts = transverse_kahler_check(omega, j, vertical, samples)
+    assert [name for name, v in verdicts.items() if v.passed] == ["closed", "kernel", "positive"]
 
 
 def test_transverse_kahler_dtheta_wedge_dx_fails_kernel():
     _, j, vertical, samples = tk_fixture()
     bad = PolyForm(3, 2, {(0, 1): Polynomial.constant(3, 1)})  # dtheta ^ dx
-    verdict = transverse_kahler_check(bad, j, vertical, samples)
-    assert verdict.closed.passed
-    assert not verdict.kernel.passed
+    verdicts = transverse_kahler_check(bad, j, vertical, samples)
+    assert verdicts["closed"].passed
+    assert not verdicts["kernel"].passed
 
 
 def test_transverse_kahler_exact_perturbation():
     omega, j, vertical, samples = tk_fixture()
     x = Polynomial.variable(3, 1)
     perturbation = PolyForm(3, 1, {(2,): x * x}).exterior_derivative()  # d(x^2 dy)
-    verdict = transverse_kahler_check(omega + perturbation, j, vertical, samples)
-    assert verdict.closed.passed and verdict.kernel.passed
+    verdicts = transverse_kahler_check(omega + perturbation, j, vertical, samples)
+    assert verdicts["closed"].passed and verdicts["kernel"].passed
 
 
 def test_basic_form_fixtures_pass_fail_fail():

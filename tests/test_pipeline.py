@@ -1,16 +1,20 @@
+import dataclasses
+
 import pytest
 
+from orbcheck import frame_bundle as fb
 from orbcheck.catalog import catalog_scenario
 from orbcheck.errors import MissingSection
 from orbcheck.pipeline import Report, build_quotient, run_pipeline
 from orbcheck.scenario import parse_scenario
+from orbcheck.verdict import Verdict
 
 
 def test_report_formats():
     r = Report("demo")
-    r.check("alpha", True, "fine")
+    r.check("alpha", Verdict(True, "fine"))
     r.info("beta", "42")
-    r.check("gamma", False)
+    r.check("gamma", Verdict(False))
     machine = r.to_machine()
     assert machine.splitlines() == [
         "[report demo]",
@@ -53,6 +57,25 @@ kind = round
 """
     with pytest.raises(MissingSection):
         run_pipeline(parse_scenario(text))
+
+
+def test_well_defined_fail_shows_the_failing_sample(monkeypatch):
+    original = fb.gluing_well_defined
+    calls = []
+
+    def second_sample_fails(gluing, cls):
+        calls.append(cls)
+        verdict = original(gluing, cls)
+        if len(calls) == 2:
+            return dataclasses.replace(verdict, passed=False, detail="outputs differ")
+        return verdict
+
+    monkeypatch.setattr(fb, "gluing_well_defined", second_sample_fails)
+    report = run_pipeline(catalog_scenario("football:2"))
+    values = {e.key: e.value for e in report.entries}
+    assert values["seifert.well_defined.A.B"] == "FAIL outputs differ"
+    assert values["seifert.well_defined.A.C"].startswith("PASS")
+    assert not report.overall
 
 
 def test_rp2_skips_hlt_after_orientation_failure():

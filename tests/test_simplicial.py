@@ -95,8 +95,9 @@ def test_cyclic_action_verifies_on_torus():
     t = torus7()
     inv = {v: (7 - v) % 7 for v in range(7)}
     action = SimplicialGroupAction.cyclic(t, 2, inv)
-    ok, msg = verify_action(action)
-    assert ok, msg
+    verdict = verify_action(action)
+    assert verdict.passed, verdict.detail
+    assert verdict.detail == "homomorphism and simpliciality hold"
 
 
 def test_product_action_needs_order_reversing_vertex_order():
@@ -106,15 +107,16 @@ def test_product_action_needs_order_reversing_vertex_order():
     inv = {v: (7 - v) % 7 for v in range(7)}
     factor = SimplicialGroupAction.cyclic(t, 2, inv)
     action = SimplicialGroupAction.product(prod, factor, factor)
-    ok, msg = verify_action(action)
-    assert ok, msg
+    verdict = verify_action(action)
+    assert verdict.passed, verdict.detail
     # with the natural order the same involution is not simplicial
     t_bad = torus7()
     prod_bad = product_complex(t_bad, t_bad)
     factor_bad = SimplicialGroupAction.cyclic(t_bad, 2, inv)
     action_bad = SimplicialGroupAction.product(prod_bad, factor_bad, factor_bad)
-    ok, _ = verify_action(action_bad)
-    assert not ok
+    verdict = verify_action(action_bad)
+    assert not verdict.passed
+    assert verdict.detail.endswith("is not a simplex")
 
 
 def test_pullback_respects_signs():
