@@ -7,6 +7,7 @@ Machine output is line oriented and deterministic.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .catalog import CATALOG_NAMES, catalog_scenario
@@ -54,6 +55,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number of at least 0, got {text!r}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="orbcheck", description="Orbifold structure checks")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -62,7 +73,7 @@ def main(argv=None) -> int:
     run.add_argument("target", help="scenario file path, or catalog:<name>")
     run.add_argument("--format", choices=("human", "machine"), default="human")
     run.add_argument("--samples", type=_positive_int, default=None, help="override sample counts")
-    run.add_argument("--tol", type=float, default=None, help="override numeric tolerance")
+    run.add_argument("--tol", type=_tolerance, default=None, help="override numeric tolerance")
 
     sub.add_parser("list-catalog", help="list built-in scenarios")
 

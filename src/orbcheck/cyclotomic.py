@@ -1,85 +1,152 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_N).
 
-Numbers are stored in canonical form: a polynomial in zeta of degree
-< phi(N), reduced modulo the N-th cyclotomic polynomial.  Equality,
-conjugation and unitarity checks are therefore exact and decidable.
+An element is stored as ``num / den``: ``num`` holds phi(N) integers,
+the coordinates in the power basis 1, zeta, ..., zeta^(phi-1) modulo
+the N-th cyclotomic polynomial Phi_N, and ``den`` is a positive integer
+with gcd(den, *num) = 1 (zero is num = 0, den = 1).  The form is
+canonical, so equality, conjugation and unitarity checks are exact and
+decidable.
+
+Phi_N is monic with integer coefficients, so every zeta^k reduces to an
+integer vector.  ``_zeta_powers(N)`` holds those vectors, built lazily
+once per order, for every exponent that folding (k < N), products
+(k < 2 phi - 1) and conjugation (N - k) need.  Products, matrix
+products and matrix-vector products all go through ``_dot``: one integer
+convolution over a common denominator, reduced through the table and
+put in lowest terms once at the end.  This is the representation of
+FLINT/Antic (Hart, "ANTIC: Algebraic Number Theory In C", 2015).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Rat = Union[int, Fraction]
 
 
-def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Division of coefficient lists (low degree first); den must be monic."""
-    num = list(num)
-    dd = len(den) - 1
-    if dd < 0 or den[-1] != 1:
-        raise ValueError("denominator must be monic")
-    quot = [Fraction(0)] * max(len(num) - dd, 0)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c:
-            quot[i - dd] = c
-            for j in range(dd + 1):
-                num[i - dd + j] -= c * den[j]
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients (low first) of the n-th cyclotomic polynomial."""
     if n < 1:
         raise ValueError("n must be positive")
-    # Phi_n = (z^n - 1) / prod_{d | n, d < n} Phi_d
-    poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    # Phi_n = (z^n - 1) / prod_{d | n, d < n} Phi_d; each divisor is monic
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            poly, rem = _poly_divmod(poly, list(cyclotomic_polynomial(d)))
-            if rem:
+            div = cyclotomic_polynomial(d)
+            dd = len(div) - 1
+            quot = [0] * (len(poly) - dd)
+            for i in range(len(poly) - 1, dd - 1, -1):
+                c = poly[i]
+                if c:
+                    quot[i - dd] = c
+                    for j in range(dd + 1):
+                        poly[i - dd + j] -= c * div[j]
+            if any(poly):
                 raise AssertionError("cyclotomic division must be exact")
+            poly = quot
     return tuple(poly)
+
+
+@lru_cache(maxsize=None)
+def _zeta_powers(order: int) -> tuple[tuple[int, ...], ...]:
+    """zeta^k reduced mod Phi_N as integer vectors, k < max(N, 2 phi - 1)."""
+    if order < 1:
+        raise ValueError("cyclotomic order must be positive")
+    poly = cyclotomic_polynomial(order)
+    phi = len(poly) - 1
+    row = [1] + [0] * (phi - 1)
+    table = []
+    for _ in range(max(order, 2 * phi - 1)):
+        table.append(tuple(row))
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:  # zeta^phi = -(Phi_N - zeta^phi)
+            row = [r - top * p for r, p in zip(row, poly)]
+    return tuple(table)
+
+
+def _fold(order: int, acc: list[int], den: int) -> "CyclotomicNumber":
+    """sum_k acc[k] zeta^k / den in lowest terms, for den > 0 and at
+    least phi(N) but at most len(_zeta_powers(N)) entries in acc."""
+    table = _zeta_powers(order)
+    phi = len(table[0])
+    num = acc[:phi]
+    for k in range(phi, len(acc)):
+        c = acc[k]
+        if c:
+            for j, t in enumerate(table[k]):
+                num[j] += c * t
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return CyclotomicNumber._make(order, tuple(num), den)
+
+
+def _dot(order: int, xs: Iterable["CyclotomicNumber"], ys: Iterable["CyclotomicNumber"]) -> "CyclotomicNumber":
+    """sum_k xs[k] * ys[k]: one integer convolution over the lcm of the
+    denominators, reduced and put in lowest terms once at the end."""
+    phi = len(_zeta_powers(order)[0])
+    acc = [0] * (2 * phi - 1)
+    den = 1
+    for x, y in zip(xs, ys):
+        if x.order != order or y.order != order:
+            raise ValueError("mixed cyclotomic orders")
+        d = x.den * y.den
+        scale = 1
+        if d != den:
+            common = lcm(den, d)
+            if common != den:
+                acc = [c * (common // den) for c in acc]
+                den = common
+            scale = den // d
+        yn = y.num
+        for i, a in enumerate(x.num):
+            if a:
+                a *= scale
+                for j, b in enumerate(yn):
+                    if b:
+                        acc[i + j] += a * b
+    return _fold(order, acc, den)
 
 
 class CyclotomicNumber:
     """An element of Q(zeta_N) with exact rational coordinates."""
 
-    __slots__ = ("order", "coeffs", "_hash")
+    __slots__ = ("order", "num", "den", "_hash")
 
-    def __init__(self, order: int, coeffs: Iterable[Rat], _canonical: bool = False):
+    def __init__(self, order: int, coeffs: Iterable[Rat]):
+        """The number sum_k coeffs[k] zeta^k; any length, any exponents."""
         if order < 1:
             raise ValueError("cyclotomic order must be positive")
-        self.order = order
         cs = [Fraction(c) for c in coeffs]
-        if not _canonical:
-            cs = self._reduce(order, cs)
-        phi = len(cyclotomic_polynomial(order)) - 1
-        cs += [Fraction(0)] * (phi - len(cs))
-        self.coeffs = tuple(cs)
-        self._hash = None
-
-    @staticmethod
-    def _reduce(order: int, cs: list[Fraction]) -> list[Fraction]:
-        # first fold exponents mod N (zeta^N = 1), then reduce mod Phi_N
-        folded = [Fraction(0)] * order
+        den = lcm(*(c.denominator for c in cs))
+        acc = [0] * order
         for k, c in enumerate(cs):
-            folded[k % order] += c
-        _, rem = _poly_divmod(folded, list(cyclotomic_polynomial(order)))
-        return rem
+            acc[k % order] += c.numerator * (den // c.denominator)
+        x = _fold(order, acc, den)
+        self.order, self.num, self.den, self._hash = order, x.num, x.den, None
+
+    @classmethod
+    def _make(cls, order: int, num: tuple[int, ...], den: int) -> "CyclotomicNumber":
+        """Wrap a canonical num/den without checking it."""
+        self = object.__new__(cls)
+        self.order, self.num, self.den, self._hash = order, num, den, None
+        return self
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, order: int) -> "CyclotomicNumber":
-        return cls(order, [])
+        return cls.from_rational(order, 0)
 
     @classmethod
     def one(cls, order: int) -> "CyclotomicNumber":
@@ -87,12 +154,20 @@ class CyclotomicNumber:
 
     @classmethod
     def from_rational(cls, order: int, value: Rat) -> "CyclotomicNumber":
-        return cls(order, [Fraction(value)])
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        num, den = value.as_integer_ratio()
+        phi = len(_zeta_powers(order)[0])
+        return cls._make(order, (num,) + (0,) * (phi - 1), den)
 
     @classmethod
     def zeta(cls, order: int, power: int = 1) -> "CyclotomicNumber":
-        cs = [Fraction(0)] * (power % order) + [Fraction(1)]
-        return cls(order, cs)
+        return cls._make(order, _zeta_powers(order)[power % order], 1)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -109,16 +184,14 @@ class CyclotomicNumber:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return CyclotomicNumber(
-            self.order,
-            [a + b for a, b in zip(self.coeffs, other.coeffs)],
-            _canonical=True,
-        )
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        return _fold(self.order, [s * a + t * b for a, b in zip(self.num, other.num)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.order, [-a for a in self.coeffs], _canonical=True)
+        return CyclotomicNumber._make(self.order, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -133,32 +206,25 @@ class CyclotomicNumber:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        prod = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    prod[i + j] += a * b
-        return CyclotomicNumber(self.order, prod)
+        return _dot(self.order, (self,), (other,))
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "CyclotomicNumber":
         """Complex conjugation, the field map zeta -> zeta^(N-1)."""
         n = self.order
-        out = [Fraction(0)] * n
-        for k, c in enumerate(self.coeffs):
-            out[(k * (n - 1)) % n] += c
-        return CyclotomicNumber(n, out)
+        acc = [0] * n
+        for k, c in enumerate(self.num):
+            acc[-k % n] = c
+        return _fold(n, acc, self.den)
 
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def is_real(self) -> bool:
         return self.conjugate() == self
@@ -166,11 +232,11 @@ class CyclotomicNumber:
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.num[0], self.den)
 
     def to_complex(self) -> complex:
         z = cmath.exp(2j * math.pi / self.order)
-        return sum(float(c) * z**k for k, c in enumerate(self.coeffs))
+        return sum(c / self.den * z**k for k, c in enumerate(self.num))
 
     # -- dunder plumbing ----------------------------------------------
 
@@ -179,11 +245,11 @@ class CyclotomicNumber:
             other = CyclotomicNumber.from_rational(self.order, other)
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return self.order == other.order and self.den == other.den and self.num == other.num
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.order, self.coeffs))
+            self._hash = hash((self.order, self.num, self.den))
         return self._hash
 
     def __repr__(self):
@@ -226,10 +292,7 @@ def vec_norm_sq(u: CycVector) -> CyclotomicNumber:
     """|u|^2 = sum u_i conj(u_i); a real cyclotomic number."""
     if not u:
         raise ValueError("empty vector")
-    acc = CyclotomicNumber.zero(u[0].order)
-    for a in u:
-        acc = acc + a * a.conjugate()
-    return acc
+    return _dot(u[0].order, u, [a.conjugate() for a in u])
 
 
 class CycMatrix:
@@ -249,39 +312,34 @@ class CycMatrix:
         self._hash = None
 
     @classmethod
-    def identity(cls, order: int, n: int) -> "CycMatrix":
-        return cls(order, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+    def _make(cls, order: int, rows: tuple[CycVector, ...]) -> "CycMatrix":
+        """Wrap square rows of CyclotomicNumbers without checking them."""
+        self = object.__new__(cls)
+        self.order, self.n, self.rows, self._hash = order, len(rows), rows, None
+        return self
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def identity(order: int, n: int) -> "CycMatrix":
+        return CycMatrix(order, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     def __matmul__(self, other: "CycMatrix") -> "CycMatrix":
         if self.n != other.n or self.order != other.order:
             raise ValueError("incompatible matrices")
-        n = self.n
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = CyclotomicNumber.zero(self.order)
-                for k in range(n):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            rows.append(row)
-        return CycMatrix(self.order, rows)
+        cols = tuple(zip(*other.rows))
+        order = self.order
+        return CycMatrix._make(
+            order, tuple(tuple(_dot(order, row, col) for col in cols) for row in self.rows)
+        )
 
     def apply(self, v: CycVector) -> CycVector:
         if len(v) != self.n:
             raise ValueError("dimension mismatch")
-        out = []
-        for i in range(self.n):
-            acc = CyclotomicNumber.zero(self.order)
-            for k in range(self.n):
-                acc = acc + self.rows[i][k] * v[k]
-            out.append(acc)
-        return tuple(out)
+        return tuple(_dot(self.order, row, v) for row in self.rows)
 
     def conjugate_transpose(self) -> "CycMatrix":
-        return CycMatrix(
-            self.order,
-            [[self.rows[j][i].conjugate() for j in range(self.n)] for i in range(self.n)],
+        return CycMatrix._make(
+            self.order, tuple(tuple(a.conjugate() for a in col) for col in zip(*self.rows))
         )
 
     def is_unitary(self) -> bool:
@@ -311,18 +369,71 @@ class CycMatrix:
         return f"CycMatrix({self.order}, {[list(r) for r in self.rows]})"
 
 
-def compare_real(x: CyclotomicNumber, bound: Rat) -> int:
-    """Sign of (x - bound) for a real cyclotomic x.
+@lru_cache(maxsize=None)
+def _float_cosines(order: int) -> tuple[float, ...]:
+    phi = len(_zeta_powers(order)[0])
+    return tuple(math.cos(2 * math.pi * k / order) for k in range(phi))
 
-    Exact when x is rational; otherwise decided through the complex
-    embedding (entries at desk scale, well away from float noise).
+
+def _decimal_cosines(order: int, digits: int) -> list[Decimal]:
+    """cos(2 pi k / N) for k < phi(N), each to within 10^-digits."""
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+        # pi by the series in the decimal module's documentation
+        last, t, pi, n, na, d, da = 0, Decimal(3), Decimal(3), 1, 0, 0, 24
+        while pi != last:
+            last = pi
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            pi += t
+        out = []
+        for k in range(len(_zeta_powers(order)[0])):
+            x2 = (2 * pi * k / order) ** 2
+            last, term, total, i = None, Decimal(1), Decimal(1), 0
+            while total != last:
+                last = total
+                i += 2
+                term = -term * x2 / (i * (i - 1))
+                total += term
+            out.append(total)
+        return out
+
+
+def compare_real(x: CyclotomicNumber, bound: Rat) -> int:
+    """Sign of (x - bound) for a real cyclotomic x, certified.
+
+    Zero is decided exactly: x - bound is zero only for rational x, which
+    is compared as a Fraction.  Otherwise d = x - bound is
+    the real number sum_k (num_k / den) cos(2 pi k / N), and its sign is
+    taken from a float evaluation only when |d| exceeds an explicit bound
+    on that evaluation's rounding error (about (phi + 32) units in the
+    last place of sum_k |num_k| / den).  Failing that, d is evaluated in
+    ``decimal`` at doubling precision, each time with the radius
+    sum_k |num_k| / den * 10^-digits, until the radius excludes zero
+    (midpoint-radius evaluation, as in Johansson, "Arb", IEEE TC 2017).
     """
+    if x.is_rational():
+        q = x.as_fraction() - Fraction(bound)
+        return (q > 0) - (q < 0)
     if not x.is_real():
         raise ValueError("comparison requires a real cyclotomic number")
-    if x.is_rational():
-        d = x.as_fraction() - Fraction(bound)
-        return (d > 0) - (d < 0)
-    d = x.to_complex().real - float(Fraction(bound))
-    if abs(d) < 1e-9:
-        return 0
-    return 1 if d > 0 else -1
+    d = x - bound  # irrational, so not zero
+    try:
+        terms = [c / d.den for c in d.num]
+    except OverflowError:  # beyond float range: decimal alone decides
+        terms = []
+    mid = sum(t * c for t, c in zip(terms, _float_cosines(d.order)))
+    radius = (len(terms) + 32) * 2.0**-52 * sum(abs(t) for t in terms) + 1e-300
+    if abs(mid) > radius:
+        return 1 if mid > 0 else -1
+    digits = 30
+    while True:
+        with localcontext() as ctx:
+            ctx.prec = digits + 10
+            cosines = _decimal_cosines(d.order, digits)
+            mid = sum(Decimal(c) * cos for c, cos in zip(d.num, cosines)) / d.den
+            radius = sum(abs(Decimal(c)) for c in d.num) / d.den * Decimal(10) ** -digits
+        if abs(mid) > radius:
+            return 1 if mid > 0 else -1
+        digits *= 2

@@ -6,6 +6,7 @@ unknown keys, so golden scenario texts stay unambiguous.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -425,6 +426,8 @@ def _build_geometry(kv: dict) -> GeometrySection:
             value = conv(v, ln)
             if conv is _parse_int and value < 1:
                 raise ParseError(ln, f"{attr} must be at least 1, got {value}")
+            if conv is _parse_float and not 0 <= value < math.inf:
+                raise ParseError(ln, f"{attr} must be a finite number of at least 0, got {v.strip()!r}")
             setattr(geo, attr, value)
     if kv:
         ln, _ = next(iter(kv.values()))

@@ -1,13 +1,15 @@
 """Independent oracles used by the test suite.
 
-These deliberately avoid the package's own elimination code: a dense
-fraction-free (Bareiss) rank for small matrices and a modular
-elimination rank for large sparse coboundaries.
+These deliberately avoid the package's own elimination and cyclotomic
+code: a dense fraction-free (Bareiss) rank for small matrices, a modular
+elimination rank for large sparse coboundaries, and Fraction-polynomial
+arithmetic modulo a cyclotomic polynomial built by its Mobius product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,3 +83,76 @@ def modular_rank(columns: list[dict], nrows: int, p: int = 1_000_003) -> int:
         if row == nrows:
             break
     return rank
+
+
+def poly_mul(a, b) -> list[Fraction]:
+    """Product of Fraction polynomials (coefficients low degree first)."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def poly_add(a, b) -> list[Fraction]:
+    size = max(len(a), len(b))
+    a = list(a) + [Fraction(0)] * (size - len(a))
+    b = list(b) + [Fraction(0)] * (size - len(b))
+    return [x + y for x, y in zip(a, b)]
+
+
+def poly_divmod(a, b) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder (padded to len(b) - 1 entries) of a by b."""
+    a = [Fraction(x) for x in a] + [Fraction(0)] * len(b)
+    while len(a) > len(b) - 1 and a[-1] == 0:
+        a.pop()
+    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(a) - len(b), -1, -1):
+        c = a[i + len(b) - 1] / b[-1]
+        quot[i] = c
+        for j, y in enumerate(b):
+            a[i + j] -= c * y
+    rem = a[: len(b) - 1] + [Fraction(0)] * (len(b) - 1 - len(a))
+    return quot, rem
+
+
+def _mobius(n: int) -> int:
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
+
+
+@lru_cache(maxsize=None)
+def mobius_cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
+    """Phi_n = prod_{d | n} (z^d - 1)^mu(n/d), by exact division."""
+    num, den = [Fraction(1)], [Fraction(1)]
+    for d in range(1, n + 1):
+        if n % d == 0:
+            factor = [Fraction(-1)] + [Fraction(0)] * (d - 1) + [Fraction(1)]
+            mu = _mobius(n // d)
+            if mu == 1:
+                num = poly_mul(num, factor)
+            elif mu == -1:
+                den = poly_mul(den, factor)
+    quot, rem = poly_divmod(num, den)
+    assert not any(rem)
+    return tuple(quot)
+
+
+def cyclotomic_reduce(coeffs, n: int) -> tuple[Fraction, ...]:
+    """sum_k coeffs[k] z^k as its phi(n) coordinates modulo Phi_n."""
+    return tuple(poly_divmod(coeffs, mobius_cyclotomic_polynomial(n))[1])
+
+
+def cyclotomic_conjugate(coeffs, n: int) -> tuple[Fraction, ...]:
+    """The image of sum_k coeffs[k] z^k under z -> z^(n-1), reduced."""
+    out = [Fraction(0)] * (len(coeffs) * (n - 1) + 1)
+    for k, c in enumerate(coeffs):
+        out[k * (n - 1)] += c
+    return cyclotomic_reduce(out, n)

@@ -88,6 +88,8 @@ def _edit(name, old, new):
         (_edit("weighted-hopf:1:2", "samples = 1000", "samples = 0"), (), "line 14: samples"),
         (_edit("weighted-hopf:1:2", "orbits = 50", "orbits = 0"), (), "line 15: orbits"),
         (_edit("weighted-hopf:1:2", "tol = 1e-9", "tol = 1e-9\nnodes = -1"), (), "line 17: nodes"),
+        (None, ("catalog:weighted-hopf:1:2", "--tol", "-1"), "--tol"),
+        (_edit("weighted-hopf:1:2", "tol = 1e-9", "tol = nan"), (), "line 16: tol"),
         (_edit("football:2", "[change C -> B]", "[change C -> Q]"), (), "'Q'"),
         (_edit("football:2", "cyclotomic_order = 2", "cyclotomic_order = 0"), (), "line 9: cyclotomic_order"),
         (_edit("football:2", "maps = 0, 3, 4, 1, 2, 5", "maps = 0, 3, 4"), (), "maps"),
@@ -110,6 +112,8 @@ def _edit(name, old, new):
         "taut-samples-zero",
         "taut-orbits-zero",
         "taut-nodes-negative",
+        "tol-negative",
+        "taut-tol-nan",
         "change-undeclared-chart",
         "cyclotomic-order-zero",
         "maps-short",

@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from helpers import cyclotomic_conjugate, cyclotomic_reduce, poly_add, poly_mul
+from orbcheck.atlas import group_closure
 from orbcheck.cyclotomic import (
     CycMatrix,
     CyclotomicNumber,
@@ -80,5 +83,95 @@ def test_compare_real_exact_and_embedded():
     assert s.is_real() and not s.is_rational()
     assert compare_real(s, 1) > 0
     assert compare_real(s, 2) < 0
+    # convergents of sqrt(2) within 1e-11 of it, above and below
+    assert compare_real(s, Fraction(665857, 470832)) < 0
+    assert compare_real(s, Fraction(275807, 195025)) > 0
     with pytest.raises(ValueError):
         compare_real(CyclotomicNumber.zeta(4), 0)
+
+
+def test_compare_real_certifies_signs_below_float_resolution():
+    # Pell solutions p^2 - 2 q^2 = +-1 put p/q on alternating sides of
+    # sqrt(2) at distance about 1/(2 sqrt(2) q^2), down to 1e-60
+    s = CyclotomicNumber.zeta(8) + CyclotomicNumber.zeta(8, 7)
+    p, q = 1, 1
+    for _ in range(80):
+        assert compare_real(s, Fraction(p, q)) == (1 if p * p < 2 * q * q else -1)
+        p, q = p + 2 * q, p + q
+    # coordinates beyond float range
+    assert compare_real(s * 10**400, 14142135623730950488 * 10**381) == 1
+    assert compare_real(s * 10**400, 14142135623730950489 * 10**381) == -1
+    # c = cos(2 pi / 5) = (sqrt(5) - 1) / 4 in Q(zeta_5), with 4c^2 + 2c = 1
+    c = (CyclotomicNumber.zeta(5) + CyclotomicNumber.zeta(5, 4)) * Fraction(1, 2)
+    assert compare_real(c * c * 4 + c * 2, 1) == 0
+    p, q = 2, 1
+    for _ in range(60):
+        assert compare_real(c * 4 + 1, Fraction(p, q)) == (1 if p * p < 5 * q * q else -1)
+        p, q = 2 * p + 5 * q, p + 2 * q
+
+
+ORACLE_ORDERS = list(range(1, 13)) + [15, 16, 24]
+
+
+def _random_coeffs(rng, n):
+    """A random rational polynomial in zeta_n, any length up to 2n."""
+    return [
+        Fraction(rng.randint(-9, 9), rng.choice((1, 1, 1, 2, 3, 4, 6)))
+        for _ in range(rng.randint(0, 2 * n))
+    ]
+
+
+@pytest.mark.parametrize("n", ORACLE_ORDERS)
+def test_arithmetic_matches_the_fraction_polynomial_oracle(n):
+    rng = random.Random(1000 + n)
+    for _ in range(25):
+        a, b = _random_coeffs(rng, n), _random_coeffs(rng, n)
+        x, y = CyclotomicNumber(n, a), CyclotomicNumber(n, b)
+        assert x.coeffs == cyclotomic_reduce(a, n)
+        cases = [
+            (x * y, poly_mul(a, b)),
+            (x + y, poly_add(a, b)),
+            (x - y, poly_add(a, [-c for c in b])),
+        ]
+        for got, want in cases:
+            assert got.coeffs == cyclotomic_reduce(want, n)
+            assert got == CyclotomicNumber(n, want)
+            assert hash(got) == hash(CyclotomicNumber(n, want))
+        assert x.conjugate().coeffs == cyclotomic_conjugate(a, n)
+
+
+@pytest.mark.parametrize("n", ORACLE_ORDERS)
+def test_matrix_products_match_the_oracle_with_mixed_denominators(n):
+    rng = random.Random(2000 + n)
+    for size in (1, 2, 3):
+        polys_a = [[_random_coeffs(rng, n) for _ in range(size)] for _ in range(size)]
+        polys_b = [[_random_coeffs(rng, n) for _ in range(size)] for _ in range(size)]
+        polys_v = [_random_coeffs(rng, n) for _ in range(size)]
+        ma = CycMatrix(n, [[CyclotomicNumber(n, p) for p in row] for row in polys_a])
+        mb = CycMatrix(n, [[CyclotomicNumber(n, p) for p in row] for row in polys_b])
+        v = tuple(CyclotomicNumber(n, p) for p in polys_v)
+        prod = ma @ mb
+        image = ma.apply(v)
+        for i in range(size):
+            want = []
+            for k in range(size):
+                want = poly_add(want, poly_mul(polys_a[i][k], polys_v[k]))
+            assert image[i].coeffs == cyclotomic_reduce(want, n)
+            for j in range(size):
+                want = []
+                for k in range(size):
+                    want = poly_add(want, poly_mul(polys_a[i][k], polys_b[k][j]))
+                assert prod.rows[i][j].coeffs == cyclotomic_reduce(want, n)
+                assert prod.rows[i][j] == CyclotomicNumber(n, want)
+
+
+def test_group_closure_sorts_by_fraction_coefficients():
+    z = CyclotomicNumber.zeta(4)
+    quaternion = group_closure(
+        [CycMatrix(4, [[z, 0], [0, z * z * z]]), CycMatrix(4, [[0, 1], [z * z, 0]])]
+    )
+    keys = [tuple(tuple(c.coeffs for c in row) for row in m.rows) for m in quaternion]
+    assert len(keys) == 8
+    assert all(type(c) is Fraction for key in keys for row in key for cs in row for c in cs)
+    assert keys == sorted(keys)
+    assert quaternion.elements[0] == CycMatrix(4, [[-1, 0], [0, -1]])
