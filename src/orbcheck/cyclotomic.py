@@ -370,12 +370,7 @@ class CycMatrix:
 
 
 @lru_cache(maxsize=None)
-def _float_cosines(order: int) -> tuple[float, ...]:
-    phi = len(_zeta_powers(order)[0])
-    return tuple(math.cos(2 * math.pi * k / order) for k in range(phi))
-
-
-def _decimal_cosines(order: int, digits: int) -> list[Decimal]:
+def _decimal_cosines(order: int, digits: int) -> tuple[Decimal, ...]:
     """cos(2 pi k / N) for k < phi(N), each to within 10^-digits."""
     with localcontext() as ctx:
         ctx.prec = digits + 10
@@ -397,21 +392,19 @@ def _decimal_cosines(order: int, digits: int) -> list[Decimal]:
                 term = -term * x2 / (i * (i - 1))
                 total += term
             out.append(total)
-        return out
+        return tuple(out)
 
 
 def compare_real(x: CyclotomicNumber, bound: Rat) -> int:
     """Sign of (x - bound) for a real cyclotomic x, certified.
 
     Zero is decided exactly: x - bound is zero only for rational x, which
-    is compared as a Fraction.  Otherwise d = x - bound is
-    the real number sum_k (num_k / den) cos(2 pi k / N), and its sign is
-    taken from a float evaluation only when |d| exceeds an explicit bound
-    on that evaluation's rounding error (about (phi + 32) units in the
-    last place of sum_k |num_k| / den).  Failing that, d is evaluated in
-    ``decimal`` at doubling precision, each time with the radius
-    sum_k |num_k| / den * 10^-digits, until the radius excludes zero
-    (midpoint-radius evaluation, as in Johansson, "Arb", IEEE TC 2017).
+    is compared as a Fraction.  Otherwise d = x - bound is the nonzero
+    real number sum_k (num_k / den) cos(2 pi k / N), evaluated in
+    ``decimal`` from 20 digits at doubling precision, each time with the
+    radius sum_k |num_k| / den * 10^-digits, until the radius excludes
+    zero (midpoint-radius evaluation, as in Johansson, "Arb", IEEE TC
+    2017).
     """
     if x.is_rational():
         q = x.as_fraction() - Fraction(bound)
@@ -419,15 +412,7 @@ def compare_real(x: CyclotomicNumber, bound: Rat) -> int:
     if not x.is_real():
         raise ValueError("comparison requires a real cyclotomic number")
     d = x - bound  # irrational, so not zero
-    try:
-        terms = [c / d.den for c in d.num]
-    except OverflowError:  # beyond float range: decimal alone decides
-        terms = []
-    mid = sum(t * c for t, c in zip(terms, _float_cosines(d.order)))
-    radius = (len(terms) + 32) * 2.0**-52 * sum(abs(t) for t in terms) + 1e-300
-    if abs(mid) > radius:
-        return 1 if mid > 0 else -1
-    digits = 30
+    digits = 20
     while True:
         with localcontext() as ctx:
             ctx.prec = digits + 10
