@@ -62,21 +62,15 @@ class FiniteMatrixGroup:
 
 
 def group_closure(generators: list[CycMatrix], cap: int = 256) -> FiniteMatrixGroup:
-    """Multiplicative closure of the generators, with a size cap.
+    """Multiplicative closure of nonempty generators of one shape and order.
 
     Raises ClosureExceedsCap when enumeration passes the cap (an
     infinite or too-large group) and NonUnitaryGenerator when a
     generator is not exactly unitary.
     """
-    if not generators:
-        raise ValueError("generators must be nonempty")
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
     n = generators[0].n
     order = generators[0].order
     for g in generators:
-        if g.n != n or g.order != order:
-            raise ValueError("generators must share dimension and cyclotomic order")
         if not g.is_unitary():
             raise NonUnitaryGenerator(f"generator {g!r} is not unitary")
     ident = CycMatrix.identity(order, n)
@@ -167,18 +161,6 @@ class ChangeOfChart:
 class OrbifoldAtlas:
     charts: list[Chart]
     changes: list[ChangeOfChart]
-
-    def __post_init__(self):
-        dims = {c.n for c in self.charts}
-        if len(dims) > 1:
-            raise ValueError("all charts must share complex dimension")
-        ids = [c.id for c in self.charts]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate chart ids")
-        known = set(ids)
-        for ch in self.changes:
-            if ch.source not in known or ch.target not in known:
-                raise ValueError(f"change references unknown chart {ch.source}->{ch.target}")
 
     def chart(self, cid: str) -> Chart:
         for c in self.charts:

@@ -280,10 +280,6 @@ def vec(order: int, entries: Sequence) -> CycVector:
     return tuple(out)
 
 
-def vec_add(u: CycVector, v: CycVector) -> CycVector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u: CycVector, v: CycVector) -> CycVector:
     return tuple(a - b for a, b in zip(u, v))
 
@@ -324,8 +320,6 @@ class CycMatrix:
         return CycMatrix(order, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     def __matmul__(self, other: "CycMatrix") -> "CycMatrix":
-        if self.n != other.n or self.order != other.order:
-            raise ValueError("incompatible matrices")
         cols = tuple(zip(*other.rows))
         order = self.order
         return CycMatrix._make(
@@ -333,8 +327,6 @@ class CycMatrix:
         )
 
     def apply(self, v: CycVector) -> CycVector:
-        if len(v) != self.n:
-            raise ValueError("dimension mismatch")
         return tuple(_dot(self.order, row, v) for row in self.rows)
 
     def conjugate_transpose(self) -> "CycMatrix":
@@ -351,9 +343,6 @@ class CycMatrix:
     def inverse_unitary(self) -> "CycMatrix":
         """Inverse of a unitary matrix (conjugate transpose)."""
         return self.conjugate_transpose()
-
-    def column(self, j: int) -> CycVector:
-        return tuple(self.rows[i][j] for i in range(self.n))
 
     def __eq__(self, other):
         if not isinstance(other, CycMatrix):

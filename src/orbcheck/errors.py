@@ -82,7 +82,7 @@ class MissingSection(OrbcheckError):
 
 
 class ShapeMismatch(OrbcheckError):
-    """A chart or change whose vectors and matrices do not fit its n."""
+    """Declared sizes or orders that do not fit each other across blocks."""
 
 
 class UnknownCatalogEntry(OrbcheckError):

@@ -20,14 +20,9 @@ from . import foliated as fol
 from . import frame_bundle as fb
 from . import simplicial as simp
 from .cyclotomic import CycMatrix, CyclotomicNumber, vec
-from .errors import (
-    MissingSection,
-    NonOrientable,
-    NotPseudomanifold,
-    OrbcheckError,
-)
+from .errors import NonOrientable, NotPseudomanifold, OrbcheckError
 from .polyform import PolyForm, Polynomial, PolyVectorField
-from .scenario import ChartSection, ComplexSection, Scenario
+from .scenario import ActionSection, ChartSection, ComplexSection, Scenario
 from .verdict import Verdict
 
 
@@ -75,22 +70,24 @@ class Report:
 
 # -- atlas construction ---------------------------------------------------
 
+CLOSURE_CAP = 64  # largest chart group a scenario may generate
 
-def build_chart(section: ChartSection, cap: int = 64) -> atlas_mod.Chart:
+
+def build_chart(section: ChartSection) -> atlas_mod.Chart:
     order = section.cyclotomic_order
     gens = []
     for mat in section.generators:
         rows = [[CyclotomicNumber(order, coeffs) for coeffs in row] for row in mat]
         gens.append(CycMatrix(order, rows))
     if gens:
-        group = atlas_mod.group_closure(gens, cap)
+        group = atlas_mod.group_closure(gens, CLOSURE_CAP)
     else:
         group = atlas_mod.FiniteMatrixGroup.trivial(order, section.n)
     return atlas_mod.Chart(section.id, section.n, order, section.radius, group)
 
 
-def build_atlas(scenario: Scenario, cap: int = 64) -> atlas_mod.OrbifoldAtlas:
-    charts = [build_chart(c, cap) for c in scenario.charts]
+def build_atlas(scenario: Scenario) -> atlas_mod.OrbifoldAtlas:
+    charts = [build_chart(c) for c in scenario.charts]
     by_id = {c.id: c for c in charts}
     changes = []
     for ch in scenario.changes:
@@ -151,12 +148,18 @@ def run_seifert_pipeline(atlas: atlas_mod.OrbifoldAtlas, report: Report, grid_po
         origin = vec(chart.cyclotomic_order, [0] * chart.n)
         s, desc = fb.seifert_fiber_report(atlas, chart.id, origin)
         report.info(f"seifert.fiber.{chart.id}.origin", desc)
+    # a non-unitary change moves frames off the frame bundle, so every
+    # gluing through its overlap fails without being sampled
+    broken = {(c.source, c.target): Verdict(False, f"change {c.source}->{c.target} is not unitary")
+              for c in atlas.changes if not c.linear.is_unitary()}
     for (i, j) in atlas.overlaps():
-        gluing = fb.gluing_from_atlas(atlas, i, j)
-        ball = gluing.changes[0].source_domain
-        classes = fb.sample_classes(atlas.chart(i), ball, grid_points)
-        verdicts = [fb.gluing_well_defined(gluing, cls) for cls in classes]
-        shown = next((v for v in verdicts if not v.passed), verdicts[0])
+        shown = broken.get((i, j))
+        if shown is None:
+            gluing = fb.gluing_from_atlas(atlas, i, j)
+            ball = gluing.changes[0].source_domain
+            classes = fb.sample_classes(atlas.chart(i), ball, grid_points)
+            verdicts = [fb.gluing_well_defined(gluing, cls) for cls in classes]
+            shown = next((v for v in verdicts if not v.passed), verdicts[0])
         report.check(f"seifert.well_defined.{i}.{j}", shown)
     overlaps = set(atlas.overlaps())
     triples = sorted(
@@ -166,12 +169,15 @@ def run_seifert_pipeline(atlas: atlas_mod.OrbifoldAtlas, report: Report, grid_po
         if j2 == j and (i, k) in overlaps
     )
     for (i, j, k) in triples:
-        g_ji = fb.gluing_from_atlas(atlas, i, j)
-        g_kj = fb.gluing_from_atlas(atlas, j, k)
-        g_ki = fb.gluing_from_atlas(atlas, i, k)
-        ball = g_ki.changes[0].source_domain
-        classes = fb.sample_classes(atlas.chart(i), ball, grid_points)
-        report.check(f"seifert.cocycle.{i}.{j}.{k}", fb.cocycle_check(g_ji, g_kj, g_ki, classes))
+        shown = next((broken[o] for o in ((i, j), (j, k), (i, k)) if o in broken), None)
+        if shown is None:
+            g_ji = fb.gluing_from_atlas(atlas, i, j)
+            g_kj = fb.gluing_from_atlas(atlas, j, k)
+            g_ki = fb.gluing_from_atlas(atlas, i, k)
+            ball = g_ki.changes[0].source_domain
+            classes = fb.sample_classes(atlas.chart(i), ball, grid_points)
+            shown = fb.cocycle_check(g_ji, g_kj, g_ki, classes)
+        report.check(f"seifert.cocycle.{i}.{j}.{k}", shown)
 
 
 # -- taut / transverse Kahler suite --------------------------------------
@@ -193,8 +199,6 @@ def _deviation_verdict(ok: bool, max_dev: float) -> Verdict:
 
 def run_taut_pipeline(scenario: Scenario, report: Report):
     geo = scenario.geometry
-    if geo.action_type != "circle":
-        raise MissingSection("taut pipeline currently handles circle actions")
     action = fol.CircleAction.circle(geo.weights)
     d = action.d
     g0 = fol.MetricField.euclidean(d)
@@ -257,10 +261,7 @@ def run_taut_pipeline(scenario: Scenario, report: Report):
 
 
 def build_simplicial(section: ComplexSection) -> simp.SimplicialComplex:
-    order = section.vertex_order or list(range(section.vertices))
-    if sorted(order) != list(range(section.vertices)):
-        raise MissingSection(f"vertex_order must permute 0..{section.vertices - 1}")
-    return simp.SimplicialComplex(order, section.facets)
+    return simp.SimplicialComplex(section.vertex_order or range(section.vertices), section.facets)
 
 
 @dataclass
@@ -271,7 +272,7 @@ class QuotientSetup:
     product: Optional[simp.ProductComplex]
     factor_cq: Optional[tuple[coh.CochainComplexQ, coh.CochainComplexQ]]
     n: int
-    kahler_mode: Optional[str]
+    product_sum: bool
 
 
 def seed_product_bases(
@@ -312,24 +313,17 @@ def build_quotient(scenario: Scenario) -> QuotientSetup:
     prod = None
     factor_cq = None
     if section.product:
-        lsec = scenario.complexes.get(section.product[0])
-        rsec = scenario.complexes.get(section.product[1])
-        if lsec is None or rsec is None:
-            raise MissingSection("product factors must be declared complexes")
-        left = build_simplicial(lsec)
-        right = build_simplicial(rsec)
+        left, right = (build_simplicial(scenario.complexes[c]) for c in section.product)
         prod = simp.product_complex(left, right)
         cx = prod.complex
     else:
         cx = build_simplicial(section)
 
     act_section = scenario.actions[qs.action]
-    if act_section.group == "product":
-        if prod is None:
-            raise MissingSection("product action requires a product complex")
-        facts = act_section.factors
-        left_act = _build_action(scenario.actions[facts[0]], prod.left)
-        right_act = _build_action(scenario.actions[facts[1]], prod.right)
+    if act_section.factors:
+        left_act, right_act = (
+            _build_action(scenario.actions[a], f) for a, f in zip(act_section.factors, (prod.left, prod.right))
+        )
         action = simp.SimplicialGroupAction.product(prod, left_act, right_act)
     else:
         action = _build_action(act_section, cx)
@@ -340,22 +334,14 @@ def build_quotient(scenario: Scenario) -> QuotientSetup:
         right_cq = coh.CochainComplexQ(prod.right)
         seed_product_bases(cq, prod, left_cq, right_cq)
         factor_cq = (left_cq, right_cq)
-    return QuotientSetup(cx, action, cq, prod, factor_cq, qs.n, qs.kahler)
+    return QuotientSetup(cx, action, cq, prod, factor_cq, qs.n, qs.product_sum)
 
 
-def _build_action(section, cx: simp.SimplicialComplex) -> simp.SimplicialGroupAction:
+def _build_action(section: ActionSection, cx: simp.SimplicialComplex) -> simp.SimplicialGroupAction:
     """A trivial or cyclic action; `maps` sends vertex v to maps[v]."""
-    if section.group == "trivial":
+    if section.maps is None:
         return simp.SimplicialGroupAction.trivial(cx)
-    if section.group.startswith("cyclic:"):
-        k = int(section.group.split(":", 1)[1])
-        maps = section.maps
-        if len(maps) != len(cx.vertices) or any(m not in cx.position for m in maps):
-            last = len(cx.vertices) - 1
-            raise MissingSection(f"[action {section.id}] maps must list one of 0..{last} per vertex")
-        gen = {v: maps[v] for v in cx.vertices}
-        return simp.SimplicialGroupAction.cyclic(cx, k, gen)
-    raise MissingSection(f"unsupported action group {section.group!r}")
+    return simp.SimplicialGroupAction.cyclic(cx, section.order, dict(enumerate(section.maps)))
 
 
 def run_quotient_pipeline(scenario: Scenario, report: Report):
@@ -383,7 +369,7 @@ def run_quotient_pipeline(scenario: Scenario, report: Report):
 
     n = setup.n
     explicit = None
-    if setup.kahler_mode == "product-sum":
+    if setup.product_sum:
         left_cq, right_cq = setup.factor_cq
         wl = _factor_kahler(left_cq)
         wr = _factor_kahler(right_cq)

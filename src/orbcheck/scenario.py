@@ -1,7 +1,9 @@
 """Line-oriented scenario files: named blocks of key = value entries.
 
-The parser reports malformed input with line numbers and rejects
-unknown keys, so golden scenario texts stay unambiguous.
+This module owns the scenario contract.  The parser checks single values,
+reports malformed input with line numbers and rejects unknown keys, so
+golden scenario texts stay unambiguous; ``Scenario.validate`` checks every
+rule that spans blocks.  The builders in ``pipeline`` check nothing again.
 """
 
 from __future__ import annotations
@@ -38,9 +40,7 @@ class ChangeSection:
 
 @dataclass
 class GeometrySection:
-    action_type: str
     weights: list[int]
-    metric_kind: str
     samples: int = 1000
     orbits: int = 50
     tol: float = 1e-9
@@ -60,6 +60,7 @@ class ComplexSection:
 class ActionSection:
     id: str
     group: str  # "trivial", "cyclic:<k>", "product"
+    order: int = 1  # k of cyclic:<k>
     maps: Optional[list[int]] = None
     factors: Optional[tuple[str, str]] = None
 
@@ -69,7 +70,7 @@ class QuotientSection:
     complex: str
     action: str
     n: int
-    kahler: Optional[str] = None  # "product-sum" or explicit cocycle text
+    product_sum: bool = False  # kahler = product-sum
 
 
 @dataclass
@@ -94,18 +95,17 @@ class Scenario:
         if "quotient" in self.pipelines:
             if self.quotient is None:
                 raise MissingSection("quotient presentation required")
-            if self.quotient.complex not in self.complexes:
-                raise MissingSection(f"missing [complex {self.quotient.complex}] block")
-            if self.quotient.action not in self.actions:
-                raise MissingSection(f"missing [action {self.quotient.action}] block")
+            self._validate_quotient()
         n = self.charts[0].n if self.charts else None
         chart_ids = set()
         for c in self.charts:
             if c.id in chart_ids:
                 raise ShapeMismatch(f"[chart {c.id}] is declared twice")
             chart_ids.add(c.id)
-            if c.n != n:
-                raise ShapeMismatch(f"[chart {c.id}] has n = {c.n} but [chart {self.charts[0].id}] has n = {n}")
+            for key in ("n", "cyclotomic_order"):
+                mine, first = getattr(c, key), getattr(self.charts[0], key)
+                if mine != first:
+                    raise ShapeMismatch(f"[chart {c.id}] has {key} = {mine} but [chart {self.charts[0].id}] has {key} = {first}")
         for ch in self.changes:
             where = f"[change {ch.source} -> {ch.target}]"
             for end in (ch.source, ch.target):
@@ -117,12 +117,44 @@ class Scenario:
                 if len(vector) != n:
                     raise ShapeMismatch(f"{where} {key} must have length {n}, got {len(vector)}")
 
+    def _validate_quotient(self):
+        qs = self.quotient
+        if qs.complex not in self.complexes:
+            raise MissingSection(f"missing [complex {qs.complex}] block")
+        if qs.action not in self.actions:
+            raise MissingSection(f"missing [action {qs.action}] block")
+        section = self.complexes[qs.complex]
+        parts = [self.complexes.get(f) for f in section.product or ()]  # the factors of a product
+        if None in parts:
+            raise MissingSection("product factors must be declared complexes")
+        if any(f.product for f in parts):
+            raise MissingSection("product factors must be plain complexes, not products")
+        dim = sum(max(map(len, f.facets)) - 1 for f in parts or [section])
+        if 2 * qs.n != dim:
+            raise ShapeMismatch(f"[quotient] complex_dim_n = {qs.n} needs dimension {2 * qs.n}, [complex {section.id}] has {dim}")
+        if qs.product_sum and not parts:
+            raise MissingSection("kahler = product-sum requires a product complex")
+        action = self.actions[qs.action]
+        acts = [self.actions.get(a) for a in action.factors or ()]
+        if action.factors:
+            if not parts:
+                raise MissingSection("product action requires a product complex")
+            if None in acts or any(a.factors for a in acts):
+                raise MissingSection(f"[action {action.id}] factors must be declared non-product actions")
+            if acts[0].order != acts[1].order:
+                raise ShapeMismatch(f"[action {action.id}] factors must act by one group: {acts[0].group}, {acts[1].group}")
+        elif parts and action.maps:
+            raise MissingSection(f"[action {action.id}] on a product complex must be trivial or a product action")
+        for act, cx in zip(acts, parts) if action.factors else [(action, section)]:
+            if act.maps and (len(act.maps) != cx.vertices or min(act.maps) < 0 or max(act.maps) >= cx.vertices):
+                raise MissingSection(f"[action {act.id}] maps must list one of 0..{cx.vertices - 1} per vertex")
+
 
 def _is_square(matrix: list, n: int) -> bool:
     return len(matrix) == n and all(len(row) == n for row in matrix)
 
 
-_RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL = re.compile(r"^-?\d+(/\d*[1-9]\d*)?$")  # no zero denominator
 
 
 def parse_rational(text: str, line: int) -> Fraction:
@@ -285,7 +317,7 @@ def parse_scenario(text: str) -> Scenario:
             if n < 1:
                 raise ParseError(ln, f"n must be at least 1, got {n}")
             ln, radius = take("radius")
-            rad = None if radius.strip() == "inf" else parse_rational(radius, ln)
+            rad = None if radius.strip() == "inf" else _parse_radius(radius, ln)
             ln, order = take("cyclotomic_order")
             order = _parse_int(order, ln)
             if order < 1:
@@ -311,7 +343,7 @@ def parse_scenario(text: str) -> Scenario:
             ln, center = take("center")
             center = parse_vector(center, ln)
             ln, radius = take("radius")
-            radius = parse_rational(radius, ln)
+            radius = _parse_radius(radius, ln)
             reject_unknown()
             scenario.changes.append(
                 ChangeSection(m.group(1), m.group(2), linear, offset, center, radius)
@@ -341,9 +373,14 @@ def parse_scenario(text: str) -> Scenario:
                 section.vertices = _parse_int(v, ln)
                 ln, facets = take("facets")
                 section.facets = _parse_facets(facets, ln)
+                outside = [f for f in section.facets if min(f) < 0 or max(f) >= section.vertices]
+                if outside:
+                    raise ParseError(ln, f"facet {outside[0]} has a vertex outside 0..{section.vertices - 1}")
                 if "vertex_order" in kv:
                     ln, vo = take("vertex_order")
                     section.vertex_order = [_parse_int(x, ln) for x in vo.split(",")]
+                    if sorted(section.vertex_order) != list(range(section.vertices)):
+                        raise ParseError(ln, f"vertex_order must permute 0..{section.vertices - 1}")
             reject_unknown()
             scenario.complexes[section.id] = section
         elif kind == "action" and len(words) == 2:
@@ -360,6 +397,7 @@ def parse_scenario(text: str) -> Scenario:
                 prefix, _, k = section.group.partition(":")
                 if prefix != "cyclic" or not k.isdigit() or int(k) < 1:
                     raise ParseError(ln, "group must be trivial, product or cyclic:<k> with k >= 1")
+                section.order = int(k)
                 ln, maps = take("maps")
                 section.maps = [_parse_int(x, ln) for x in maps.split(",")]
             reject_unknown()
@@ -369,11 +407,11 @@ def parse_scenario(text: str) -> Scenario:
             ln, act = take("action")
             ln, n = take("complex_dim_n")
             n = _parse_int(n, ln)
-            kahler = None
-            if "kahler" in kv:
-                ln, kahler = take("kahler")
+            ln, kahler = take("kahler", required=False)
+            if kahler not in (None, "product-sum"):
+                raise ParseError(ln, f"kahler must be product-sum, got {kahler!r}")
             reject_unknown()
-            scenario.quotient = QuotientSection(cx.strip(), act.strip(), n, kahler)
+            scenario.quotient = QuotientSection(cx.strip(), act.strip(), n, kahler is not None)
         else:
             raise ParseError(head_line, f"unknown block [{header}]")
 
@@ -383,6 +421,13 @@ def parse_scenario(text: str) -> Scenario:
         raise ParseError(1, "missing [scenario] block with a name")
     scenario.validate()
     return scenario
+
+
+def _parse_radius(text: str, line: int) -> Fraction:
+    radius = parse_rational(text, line)
+    if radius <= 0:
+        raise ParseError(line, f"radius must be greater than 0, got {text.strip()!r}")
+    return radius
 
 
 def _parse_facets(text: str, line: int) -> list[tuple[int, ...]]:
@@ -403,6 +448,8 @@ def _build_geometry(kv: dict) -> GeometrySection:
     atype = atype.strip()
     if atype not in ("circle", "torus"):
         raise ParseError(ln, f"unsupported action type {atype!r}")
+    if atype != "circle":
+        raise ParseError(ln, "taut pipeline currently handles circle actions")
     if "weights" not in kv:
         raise MissingSection("[action] requires weights")
     ln, weights = kv.pop("weights")
@@ -410,11 +457,11 @@ def _build_geometry(kv: dict) -> GeometrySection:
         weights = [int(x) for x in weights.split(",")]
     except ValueError:
         raise ParseError(ln, f"malformed weights {weights!r}")
-    _, metric_kind = kv.pop("metric_kind", (0, "round"))
-    metric_kind = metric_kind.strip()
-    if metric_kind not in ("round", "flat"):
-        raise MissingSection(f"unsupported metric kind {metric_kind!r}")
-    geo = GeometrySection(action_type=atype, weights=weights, metric_kind=metric_kind)
+    # round and flat give one Gram matrix at the unit-sphere sample points
+    ln, metric_kind = kv.pop("metric_kind", (0, "round"))
+    if metric_kind.strip() not in ("round", "flat"):
+        raise ParseError(ln, f"unsupported metric kind {metric_kind.strip()!r}")
+    geo = GeometrySection(weights=weights)
     for attr, conv in (
         ("samples", _parse_int),
         ("orbits", _parse_int),

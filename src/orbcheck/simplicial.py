@@ -22,12 +22,8 @@ class SimplicialComplex:
     """Downward closure of a facet list over an ordered vertex set."""
 
     def __init__(self, vertices: Sequence[Hashable], facets: Sequence[Sequence[Hashable]]):
-        if not facets:
-            raise ValueError("facets must be nonempty")
         self.vertices = list(vertices)
         self.position = {v: i for i, v in enumerate(self.vertices)}
-        if len(self.position) != len(self.vertices):
-            raise ValueError("duplicate vertices in order")
         self.facets = []
         for f in facets:
             if len(set(f)) != len(f):
@@ -224,8 +220,6 @@ class SimplicialGroupAction:
         cls, product: ProductComplex, left: "SimplicialGroupAction", right: "SimplicialGroupAction"
     ) -> "SimplicialGroupAction":
         """Diagonal-style product action (e, e) for matching element lists."""
-        if left.elements != right.elements:
-            raise ValueError("factor actions must share element lists")
         elements = left.elements
         table = left.table
         maps = {}

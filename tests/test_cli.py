@@ -1,6 +1,8 @@
 import pytest
 
 from orbcheck.cli import main
+from orbcheck.errors import MissingSection, ParseError
+from orbcheck.scenario import parse_scenario
 
 
 def run_cli(capsys, *argv):
@@ -105,6 +107,28 @@ def _edit(name, old, new):
         (_edit("football:2", "center = [1]", "center = [1, 0]"), (), "[change A -> C] center must have length 1"),
         (_edit("football:2", "[change A -> C]", "[chart C]\nn = 1\nradius = 2\ncyclotomic_order = 2\ngenerators =\n\n[change A -> C]"), (), "[chart C] is declared twice"),
         (_edit("quaternion-chart", "[[z, 0], [0, z^3]] ; [[0, 1], [z^2, 0]]", "[[z]]"), (), "line 10: generator 1 must be 2x2"),
+        (_edit("torus7", "complex_dim_n = 1", "complex_dim_n = -1"), (), "complex_dim_n = -1 needs dimension -2, [complex T] has 2"),
+        (_edit("torus7", "complex_dim_n = 1", "complex_dim_n = 0"), (), "complex_dim_n = 0 needs dimension 0, [complex T] has 2"),
+        (_edit("torus7", "complex_dim_n = 1", "complex_dim_n = 2"), (), "complex_dim_n = 2 needs dimension 4, [complex T] has 2"),
+        (_edit("t4-z2", "complex_dim_n = 2", "complex_dim_n = 1"), (), "complex_dim_n = 1 needs dimension 2, [complex T4] has 4"),
+        (_edit("torus7", "facets = (0,1,3)", "facets = (0,1,9)"), (), "line 8: facet (0, 1, 9) has a vertex outside 0..6"),
+        (_edit("octahedron", "(0,1,2) (0,2,4) (0,4,5) (0,5,1) (3,1,2) (3,2,4) (3,4,5) (3,5,1)", "none"), (), "line 8: no facets given"),
+        (_edit("football:2", "[chart B]\nn = 1\nradius = 2\ncyclotomic_order = 2", "[chart B]\nn = 1\nradius = 2\ncyclotomic_order = 4"), (), "[chart B] has cyclotomic_order = 4 but [chart A] has cyclotomic_order = 2"),
+        (_edit("t4-z2", "product = T * T", "product = T * T4"), (), "product factors must be plain complexes, not products"),
+        (_edit("t4-z2", "product = T * T", "product = T * Q"), (), "product factors must be declared complexes"),
+        (_edit("t4-z2", "factors = F, F", "factors = F, X"), (), "[action D] factors must be declared non-product actions"),
+        (_edit("t4-z2", "factors = F, F", "factors = F, D"), (), "[action D] factors must be declared non-product actions"),
+        (_edit("t4-z2", "factors = F, F", "factors = F, G\n\n[action G]\ngroup = cyclic:3\nmaps = 0, 1, 2, 3, 4, 5, 6"), (), "[action D] factors must act by one group: cyclic:2, cyclic:3"),
+        (_edit("t4-z2", "action = D", "action = F"), (), "[action F] on a product complex must be trivial or a product action"),
+        (_edit("torus7", "group = trivial", "group = product\nfactors = I, I"), (), "product action requires a product complex"),
+        (_edit("t4-z2", "kahler = product-sum", "kahler = hello"), (), "line 26: kahler must be product-sum, got 'hello'"),
+        (_edit("torus7", "complex_dim_n = 1", "complex_dim_n = 1\nkahler = product-sum"), (), "kahler = product-sum requires a product complex"),
+        (_edit("football:2", "radius = 2", "radius = -1"), (), "line 8: radius must be greater than 0, got '-1'"),
+        (_edit("football:2", "radius = 1/4", "radius = 0"), (), "line 28: radius must be greater than 0, got '0'"),
+        (_edit("football:2", "radius = 1/4", "radius = 1/0"), (), "line 28: malformed rational '1/0'"),
+        (_edit("weighted-hopf:1:2", "type = circle", "type = torus"), (), "line 7: taut pipeline currently handles circle actions"),
+        (_edit("weighted-hopf:1:2", "kind = round", "kind = hello"), (), "line 11: unsupported metric kind 'hello'"),
+        (_edit("torus7", "vertex_order = 1, 2, 3, 0, 4, 5, 6", "vertex_order = 1, 2, 3"), (), "line 9: vertex_order must permute 0..6"),
     ],
     ids=[
         "samples-zero",
@@ -129,6 +153,28 @@ def _edit(name, old, new):
         "change-center-length-2",
         "chart-id-duplicate",
         "n2-chart-1x1-generator",
+        "dim-n-negative",
+        "dim-n-zero",
+        "dim-n-above-complex",
+        "dim-n-below-product",
+        "facet-vertex-out-of-range",
+        "facets-none",
+        "cyclotomic-orders-differ",
+        "product-factor-is-product",
+        "product-factor-undeclared",
+        "product-action-factor-undeclared",
+        "product-action-factor-is-product",
+        "product-action-factor-groups-differ",
+        "cyclic-action-on-product",
+        "product-action-on-plain-complex",
+        "kahler-unknown",
+        "kahler-on-plain-complex",
+        "chart-radius-negative",
+        "change-radius-zero",
+        "rational-zero-denominator",
+        "taut-torus-type",
+        "metric-kind-unknown",
+        "vertex-order-short",
     ],
 )
 def test_malformed_input_exits_two_without_traceback(tmp_path, capsys, text, argv, expect):
@@ -144,3 +190,32 @@ def test_malformed_input_exits_two_without_traceback(tmp_path, capsys, text, arg
     assert code == 2
     assert out.out == ""
     assert expect in out.err and "Traceback" not in out.err
+
+
+def test_non_unitary_change_fails_its_gluings(tmp_path, capsys):
+    path = tmp_path / "stretched.scn"
+    path.write_text(_edit("football:3", "[change A -> C]\nlinear = [[1]]", "[change A -> C]\nlinear = [[2]]"))
+    code, out, err = run_cli(capsys, "run", str(path), "--format", "machine")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert "atlas.unitary.A.C = FAIL" in lines
+    assert "seifert.well_defined.A.C = FAIL change A->C is not unitary" in lines
+    assert "seifert.cocycle.A.C.B = FAIL change A->C is not unitary" in lines
+    assert "seifert.well_defined.A.B = PASS 2 choices agree; 1 nontrivial witnesses" in lines
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        (_edit("weighted-hopf:1:2", "type = circle", "type = torus"), ParseError, "line 7: taut pipeline currently handles circle actions"),
+        (_edit("torus7", "vertex_order = 1, 2, 3, 0, 4, 5, 6", "vertex_order = 1, 1, 2, 3, 4, 5, 6"), ParseError, "line 9: vertex_order must permute 0..6"),
+        (_edit("t4-z2", "product = T * T", "product = T * Q"), MissingSection, "product factors must be declared complexes"),
+        (_edit("torus7", "group = trivial", "group = product\nfactors = I, I"), MissingSection, "product action requires a product complex"),
+        (_edit("pillowcase", "maps = 0, 6, 5, 4, 3, 2, 1", "maps = 0, 6, 5"), MissingSection, r"\[action F\] maps must list one of 0..6 per vertex"),
+        (_edit("t4-z2", "maps = 0, 6, 5, 4, 3, 2, 1", "maps = 0, 6, 5, 4, 3, 2, 7"), MissingSection, r"\[action F\] maps must list one of 0..6 per vertex"),
+    ],
+    ids=["torus-type", "vertex-order", "product-factor", "product-action", "maps-short", "product-factor-maps"],
+)
+def test_contract_rejects_at_parse_time(text, error, message):
+    with pytest.raises(error, match=message):
+        parse_scenario(text)

@@ -1,10 +1,11 @@
 import dataclasses
+from pathlib import Path
 
 import pytest
 
 from orbcheck import frame_bundle as fb
-from orbcheck.catalog import catalog_scenario
-from orbcheck.errors import MissingSection
+from orbcheck.catalog import catalog_scenario, catalog_text
+from orbcheck.errors import MissingSection, ParseError
 from orbcheck.pipeline import Report, build_quotient, run_pipeline
 from orbcheck.scenario import parse_scenario
 from orbcheck.verdict import Verdict
@@ -55,8 +56,17 @@ weights = 1, 1
 [metric]
 kind = round
 """
-    with pytest.raises(MissingSection):
+    with pytest.raises(ParseError, match="line 7: taut pipeline currently handles circle actions"):
         run_pipeline(parse_scenario(text))
+
+
+def test_metric_kinds_round_and_flat_give_the_golden_report():
+    # both kinds give one Gram matrix on the fundamental fields at the
+    # unit-sphere sample points, so the report does not depend on the kind
+    golden = Path(__file__).parent / "golden" / "weighted-hopf:1:2.machine"
+    text = catalog_text("weighted-hopf:1:2").replace("kind = round", "kind = flat")
+    assert "kind = flat" in text
+    assert run_pipeline(parse_scenario(text)).to_machine() == golden.read_text()
 
 
 def test_well_defined_fail_shows_the_failing_sample(monkeypatch):
