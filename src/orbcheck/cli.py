@@ -22,7 +22,7 @@ EXPLANATIONS = {
     "seifert.free": "The lifted action on frames has no fixed points off the identity.",
     "seifert.equivariance": "Lifted left action commutes with the right frame action.",
     "seifert.well_defined": "Gluing output is independent of representative and change.",
-    "seifert.cocycle": "Composite gluings satisfy f_ki = f_kj . f_ji on classes.",
+    "seifert.cocycle": "Composite gluings satisfy f_ki = f_kj . f_ji on the sampled classes in the triple overlap.",
     "seifert.fiber": "Stabilizer order at the basepoint (Seifert fiber descriptor).",
     "taut.detM1": "Rescaled Gram matrices of fundamental fields have determinant one.",
     "taut.orbit_volume": "Orbit volumes in the rescaled metric equal 2*pi.",

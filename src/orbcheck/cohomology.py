@@ -35,7 +35,6 @@ Cochain = dict  # Simplex -> Fraction
 class CohomologyBasis:
     degree: int
     reps: list  # tuple-keyed cocycle representatives
-    residues: list  # index-keyed canonical residues mod coboundaries
     echelon: TrackedEchelon
 
 
@@ -128,7 +127,7 @@ class CochainComplexQ:
         if p in self._basis:
             return self._basis[p]
         b = self.betti(p)
-        basis = CohomologyBasis(p, [], [], TrackedEchelon())
+        basis = CohomologyBasis(p, [], TrackedEchelon())
         if b == 0:
             self._basis[p] = basis
             return basis
@@ -139,7 +138,6 @@ class CochainComplexQ:
                 res = self.residue(self.to_indexed(cand, p), p)
                 if basis.echelon.insert(res):
                     basis.reps.append(dict(cand))
-                    basis.residues.append(res)
             if len(basis.reps) != b:
                 raise ValueError(
                     f"candidates span {len(basis.reps)} of {b} dimensions in degree {p}"
@@ -152,7 +150,6 @@ class CochainComplexQ:
                 res = self.residue(self.to_indexed(cocycle, p), p)
                 if basis.echelon.insert(res):
                     basis.reps.append(cocycle)
-                    basis.residues.append(res)
                     return True
                 return False
 

@@ -27,10 +27,6 @@ class NonFaithfulGroup(OrbcheckError):
     pass
 
 
-class BasepointOutsideDomain(OrbcheckError):
-    pass
-
-
 class NoApplicableChange(OrbcheckError):
     pass
 

@@ -92,10 +92,6 @@ class FiniteOrthogonalAction:
         self.d = len(self.matrices[0])
         self.m = 0  # no continuous directions
 
-    def transform(self, g: int, point: Sequence) -> list:
-        mat = self.matrices[g]
-        return [sum(mat[i][k] * point[k] for k in range(self.d)) for i in range(self.d)]
-
 
 class MetricField:
     """Symmetric metric on R^d, polynomial entries or a plain evaluator."""

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .atlas import Ball, ChangeOfChart, Chart, FiniteMatrixGroup, OrbifoldAtlas, sample_grid
+from .atlas import Chart, FiniteMatrixGroup, OrbifoldAtlas, sample_grid
 from .cyclotomic import CycMatrix, CyclotomicNumber, CycVector
-from .errors import BasepointOutsideDomain, NoApplicableChange, NonFaithfulGroup
+from .errors import NoApplicableChange, NonFaithfulGroup
 from .verdict import Verdict
 
 
@@ -36,14 +36,6 @@ def lift_group_action(g: CycMatrix, frame: UnitaryFrame) -> UnitaryFrame:
 def right_action(frame: UnitaryFrame, a: CycMatrix) -> UnitaryFrame:
     """Right U(n)-action: basepoint fixed, frame part xi A."""
     return UnitaryFrame(frame.chart, frame.basepoint, frame.frame @ a)
-
-
-def lift_change_of_chart(phi: ChangeOfChart, frame: UnitaryFrame) -> UnitaryFrame:
-    if not phi.source_domain.contains(frame.basepoint):
-        raise BasepointOutsideDomain(
-            f"basepoint not in source domain of {phi.source}->{phi.target}"
-        )
-    return UnitaryFrame(phi.target, phi.apply(frame.basepoint), phi.linear @ frame.frame)
 
 
 def check_lifted_action_free(group: FiniteMatrixGroup, frames: list[UnitaryFrame]) -> Verdict:
@@ -94,97 +86,56 @@ class FrameClass:
         return None
 
 
-@dataclass
-class SeifertGluing:
-    """Gluing data over a chart overlap: all declared changes i -> j."""
+def gluing_images(atlas: OrbifoldAtlas, cls: FrameClass, target: str):
+    """The image class over ``target`` for every applicable choice, lazily.
 
-    source: str
-    target: str
-    changes: list[ChangeOfChart]
-    source_group: FiniteMatrixGroup
-    target_group: FiniteMatrixGroup
-
-
-def gluing_from_atlas(atlas: OrbifoldAtlas, source: str, target: str) -> SeifertGluing:
-    changes = atlas.changes_between(source, target)
-    if not changes:
-        raise NoApplicableChange(f"no change of charts declared for {source}->{target}")
-    return SeifertGluing(
-        source,
-        target,
-        changes,
-        atlas.chart(source).group,
-        atlas.chart(target).group,
-    )
-
-
-def gluing_choices(gluing: SeifertGluing, cls: FrameClass):
-    """All (group element, change) pairs applicable to the class."""
-    out = []
-    for g in gluing.source_group:
+    Choices run through g in the class's group in group order, then each
+    declared change to ``target``, in declaration order, whose source
+    domain holds g.x; the first image is the gluing's default choice.
+    """
+    changes = atlas.changes_between(cls.chart, target)
+    group = atlas.chart(target).group
+    for g in cls.group:
         moved = lift_group_action(g, cls.representative)
-        for phi in gluing.changes:
+        for phi in changes:
             if phi.source_domain.contains(moved.basepoint):
-                out.append((g, phi))
-    return out
+                image = UnitaryFrame(target, phi.apply(moved.basepoint), phi.linear @ moved.frame)
+                yield FrameClass(target, image, group)
 
 
-def gluing_apply(
-    gluing: SeifertGluing,
-    cls: FrameClass,
-    choice: Optional[tuple[CycMatrix, ChangeOfChart]] = None,
-) -> FrameClass:
-    """Apply the gluing with an explicit or first applicable choice."""
-    if choice is None:
-        choices = gluing_choices(gluing, cls)
-        if not choices:
-            raise NoApplicableChange(
-                f"no change of charts covers the representative for {gluing.source}->{gluing.target}"
-            )
-        choice = choices[0]
-    g, phi = choice
-    moved = lift_group_action(g, cls.representative)
-    if not phi.source_domain.contains(moved.basepoint):
-        raise NoApplicableChange("chosen representative lies outside the chosen change's domain")
-    image = lift_change_of_chart(phi, moved)
-    return FrameClass(gluing.target, image, gluing.target_group)
-
-
-def gluing_well_defined(gluing: SeifertGluing, cls: FrameClass) -> Verdict:
+def gluing_well_defined(atlas: OrbifoldAtlas, cls: FrameClass, target: str) -> Verdict:
     """Agreement of the gluing across all valid representative/change choices.
 
-    Records the target-group element identifying each pair of outputs.
+    Records the target-group element identifying each output with the first.
     """
-    choices = gluing_choices(gluing, cls)
-    if not choices:
+    images = list(gluing_images(atlas, cls, target))
+    if not images:
         raise NoApplicableChange("class is not over the overlap")
-    outputs = [gluing_apply(gluing, cls, ch) for ch in choices]
-    witnesses = []
-    base = outputs[0]
-    for out in outputs[1:]:
-        w = base.same_class(out)
+    nontrivial = 0
+    for out in images[1:]:
+        w = images[0].same_class(out)
         if w is None:
             return Verdict(False, "outputs differ as target-group classes")
-        witnesses.append(w)
-    nontrivial = sum(1 for w in witnesses if not w.is_identity())
-    return Verdict(True, f"{len(choices)} choices agree; {nontrivial} nontrivial witnesses")
+        nontrivial += not w.is_identity()
+    return Verdict(True, f"{len(images)} choices agree; {nontrivial} nontrivial witnesses")
 
 
-def cocycle_check(
-    gluing_ji: SeifertGluing,
-    gluing_kj: SeifertGluing,
-    gluing_ki: SeifertGluing,
-    classes: list[FrameClass],
-) -> Verdict:
-    """f_ki = f_kj . f_ji on the sampled classes, as target-group classes."""
-    if not classes:
-        raise ValueError("sample class set must be nonempty")
+def cocycle_check(atlas: OrbifoldAtlas, j: str, k: str, classes: list[FrameClass]) -> Verdict:
+    """f_ki = f_kj . f_ji, as target-group classes, on the sampled classes
+    over chart i that lie in the triple overlap (each gluing's first choice)."""
+    agree = 0
     for cls in classes:
-        direct = gluing_apply(gluing_ki, cls)
-        via = gluing_apply(gluing_kj, gluing_apply(gluing_ji, cls))
+        over_j = next(gluing_images(atlas, cls, j), None)
+        via = None if over_j is None else next(gluing_images(atlas, over_j, k), None)
+        direct = None if via is None else next(gluing_images(atlas, cls, k), None)
+        if direct is None:
+            continue
         if direct.same_class(via) is None:
-            return Verdict(False, f"cocycle identity fails over {gluing_ki.source}")
-    return Verdict(True, f"{len(classes)} sampled classes agree")
+            return Verdict(False, f"cocycle identity fails over {cls.chart}")
+        agree += 1
+    if not agree:
+        return Verdict(False, "no sampled class lies in the triple overlap")
+    return Verdict(True, f"{agree} sampled classes agree")
 
 
 def seifert_fiber_report(atlas: OrbifoldAtlas, chart_id: str, point: CycVector) -> tuple[int, str]:
@@ -223,8 +174,11 @@ def sample_frames(chart: Chart, count: int = 10, seed: int = 7) -> list[UnitaryF
 
 
 def sample_classes(
-    chart: Chart, ball: Ball, count: int = 25, seed: int = 11
+    atlas: OrbifoldAtlas, source: str, target: str, count: int = 25, seed: int = 11
 ) -> list[FrameClass]:
-    """Deterministic frame classes with basepoints on a grid in the ball."""
+    """Deterministic frame classes over chart ``source`` with basepoints on
+    a grid in the source domain of the first declared change to ``target``."""
+    chart = atlas.chart(source)
+    ball = atlas.changes_between(source, target)[0].source_domain
     pts = sample_grid(chart.cyclotomic_order, ball, count)
     return [FrameClass(chart.id, f, chart.group) for f in _frames_at(chart, pts, seed)]

@@ -20,7 +20,7 @@ from . import foliated as fol
 from . import frame_bundle as fb
 from . import simplicial as simp
 from .cyclotomic import CycMatrix, CyclotomicNumber, vec
-from .errors import NonOrientable, NotPseudomanifold, OrbcheckError
+from .errors import NoKahlerClass, NonOrientable, NotPseudomanifold, OrbcheckError
 from .polyform import PolyForm, Polynomial, PolyVectorField
 from .scenario import ActionSection, ChartSection, ComplexSection, Scenario
 from .verdict import Verdict
@@ -117,21 +117,13 @@ def run_atlas_pipeline(atlas: atlas_mod.OrbifoldAtlas, report: Report, samples: 
 
 def _equivariance_samples(chart: atlas_mod.Chart) -> list[CycMatrix]:
     order, n = chart.cyclotomic_order, chart.n
-    out = [CycMatrix.identity(order, n)]
-    diag = [
-        [CyclotomicNumber.zeta(order) if i == j == 0 else (CyclotomicNumber.one(order) if i == j else CyclotomicNumber.zero(order)) for j in range(n)]
-        for i in range(n)
-    ]
-    out.append(CycMatrix(order, diag))
+    diag = [[int(i == j) for j in range(n)] for i in range(n)]
+    diag[0][0] = CyclotomicNumber.zeta(order)
     if n >= 2:
-        swap = [
-            [CyclotomicNumber.one(order) if (i, j) in ((0, 1), (1, 0)) or (i == j and i > 1) else CyclotomicNumber.zero(order) for j in range(n)]
-            for i in range(n)
-        ]
-        out.append(CycMatrix(order, swap))
+        swap = [[int((i, j) in ((0, 1), (1, 0)) or i == j > 1) for j in range(n)] for i in range(n)]
     else:
-        out.append(CycMatrix(order, [[CyclotomicNumber.zeta(order, 2)]]))
-    return out
+        swap = [[CyclotomicNumber.zeta(order, 2)]]
+    return [CycMatrix.identity(order, n), CycMatrix(order, diag), CycMatrix(order, swap)]
 
 
 def run_seifert_pipeline(atlas: atlas_mod.OrbifoldAtlas, report: Report, grid_points: int = 25):
@@ -155,10 +147,8 @@ def run_seifert_pipeline(atlas: atlas_mod.OrbifoldAtlas, report: Report, grid_po
     for (i, j) in atlas.overlaps():
         shown = broken.get((i, j))
         if shown is None:
-            gluing = fb.gluing_from_atlas(atlas, i, j)
-            ball = gluing.changes[0].source_domain
-            classes = fb.sample_classes(atlas.chart(i), ball, grid_points)
-            verdicts = [fb.gluing_well_defined(gluing, cls) for cls in classes]
+            classes = fb.sample_classes(atlas, i, j, grid_points)
+            verdicts = [fb.gluing_well_defined(atlas, cls, j) for cls in classes]
             shown = next((v for v in verdicts if not v.passed), verdicts[0])
         report.check(f"seifert.well_defined.{i}.{j}", shown)
     overlaps = set(atlas.overlaps())
@@ -171,12 +161,7 @@ def run_seifert_pipeline(atlas: atlas_mod.OrbifoldAtlas, report: Report, grid_po
     for (i, j, k) in triples:
         shown = next((broken[o] for o in ((i, j), (j, k), (i, k)) if o in broken), None)
         if shown is None:
-            g_ji = fb.gluing_from_atlas(atlas, i, j)
-            g_kj = fb.gluing_from_atlas(atlas, j, k)
-            g_ki = fb.gluing_from_atlas(atlas, i, k)
-            ball = g_ki.changes[0].source_domain
-            classes = fb.sample_classes(atlas.chart(i), ball, grid_points)
-            shown = fb.cocycle_check(g_ji, g_kj, g_ki, classes)
+            shown = fb.cocycle_check(atlas, j, k, fb.sample_classes(atlas, i, k, grid_points))
         report.check(f"seifert.cocycle.{i}.{j}.{k}", shown)
 
 
@@ -297,14 +282,27 @@ def seed_product_bases(
         cq.cohomology_basis(r, candidates=cands)
 
 
-def _factor_kahler(cq: coh.CochainComplexQ) -> dict:
-    """A degree-2 cocycle of a closed oriented factor with pairing 1."""
-    cycle = simp.fundamental_cycle(cq.cx)
-    for rep in cq.cohomology_basis(2).reps:
-        pairing = simp.pair_with_cycle(rep, cycle)
-        if pairing:
-            return {s: v / pairing for s, v in rep.items()}
-    raise OrbcheckError("factor has no degree-2 class pairing with its cycle")
+def product_sum_kahler(setup: QuotientSetup) -> dict:
+    """The pullback of w_L + w_R, where w_L and w_R are degree-2 classes of
+    the two factors, each pairing 1 with its factor's fundamental cycle."""
+    forms = []
+    for cq in setup.factor_cq:
+        cycle = simp.fundamental_cycle(cq.cx)
+        for rep in cq.cohomology_basis(2).reps:
+            pairing = simp.pair_with_cycle(rep, cycle)
+            if pairing:
+                forms.append({s: v / pairing for s, v in rep.items()})
+                break
+        else:
+            raise NoKahlerClass("factor has no degree-2 class pairing with its cycle")
+    omega = dict(setup.product.pullback_left(forms[0], 2))
+    for s, v in setup.product.pullback_right(forms[1], 2).items():
+        nv = omega.get(s, Fraction(0)) + v
+        if nv:
+            omega[s] = nv
+        else:
+            omega.pop(s, None)
+    return omega
 
 
 def build_quotient(scenario: Scenario) -> QuotientSetup:
@@ -368,21 +366,8 @@ def run_quotient_pipeline(scenario: Scenario, report: Report):
     report.check("pd.fundamental_cycle", Verdict(True))
 
     n = setup.n
-    explicit = None
-    if setup.product_sum:
-        left_cq, right_cq = setup.factor_cq
-        wl = _factor_kahler(left_cq)
-        wr = _factor_kahler(right_cq)
-        pa = setup.product.pullback_left(wl, 2)
-        pb = setup.product.pullback_right(wr, 2)
-        explicit = dict(pa)
-        for s, v in pb.items():
-            nv = explicit.get(s, Fraction(0)) + v
-            if nv:
-                explicit[s] = nv
-            else:
-                explicit.pop(s, None)
     try:
+        explicit = product_sum_kahler(setup) if setup.product_sum else None
         omega = coh.kahler_class(invariant, cycle, n, explicit)
     except OrbcheckError as exc:
         report.check("kahler.class", Verdict(False, type(exc).__name__))

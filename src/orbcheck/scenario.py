@@ -372,10 +372,7 @@ def parse_scenario(text: str) -> Scenario:
                 ln, v = take("vertices")
                 section.vertices = _parse_int(v, ln)
                 ln, facets = take("facets")
-                section.facets = _parse_facets(facets, ln)
-                outside = [f for f in section.facets if min(f) < 0 or max(f) >= section.vertices]
-                if outside:
-                    raise ParseError(ln, f"facet {outside[0]} has a vertex outside 0..{section.vertices - 1}")
+                section.facets = _parse_facets(facets, ln, section.vertices)
                 if "vertex_order" in kv:
                     ln, vo = take("vertex_order")
                     section.vertex_order = [_parse_int(x, ln) for x in vo.split(",")]
@@ -430,7 +427,8 @@ def _parse_radius(text: str, line: int) -> Fraction:
     return radius
 
 
-def _parse_facets(text: str, line: int) -> list[tuple[int, ...]]:
+def _parse_facets(text: str, line: int, vertices: int) -> list[tuple[int, ...]]:
+    """Facets of distinct vertices in 0..vertices-1 that together use every vertex."""
     facets = []
     for part in re.findall(r"\(([^)]*)\)", text):
         try:
@@ -439,6 +437,14 @@ def _parse_facets(text: str, line: int) -> list[tuple[int, ...]]:
             raise ParseError(line, f"malformed facet ({part})")
     if not facets:
         raise ParseError(line, "no facets given")
+    for f in facets:
+        if min(f) < 0 or max(f) >= vertices:
+            raise ParseError(line, f"facet {f} has a vertex outside 0..{vertices - 1}")
+        if len(set(f)) != len(f):
+            raise ParseError(line, f"facet {f} repeats a vertex")
+    unused = sorted(set(range(vertices)).difference(*facets))
+    if unused:
+        raise ParseError(line, f"vertex {unused[0]} lies in no facet")
     return facets
 
 

@@ -25,7 +25,7 @@ from orbcheck.cohomology import (
     lefschetz_verify,
 )
 from orbcheck.foliated import conformal_factor
-from orbcheck.pipeline import build_atlas, build_quotient, run_pipeline
+from orbcheck.pipeline import build_atlas, build_quotient, product_sum_kahler, run_pipeline
 from orbcheck.scenario import parse_scenario
 from orbcheck.simplicial import (
     SimplicialComplex,
@@ -247,7 +247,7 @@ def test_acceptance_5_hard_lefschetz():
     setup = build_quotient(t4_trivial_scenario())
     inv = InvariantCohomology(setup.cq, setup.action)
     cycle = fundamental_cycle(setup.cx)
-    omega = kahler_class(inv, cycle, 2, explicit=_product_sum_omega(setup))
+    omega = kahler_class(inv, cycle, 2, explicit=product_sum_kahler(setup))
     assert abs(omega.pairing) == 2  # <omega^2, fundamental> = +/-2
     e1 = lefschetz_verify(inv, omega, 1)
     assert e1.passed and e1.detail == "rank=4 dims=4x4"
@@ -256,30 +256,12 @@ def test_acceptance_5_hard_lefschetz():
 
     # t4-z2 -- k = 2: 1x1; k = 1: 0x0 vacuous; k = 0: 6x6 identity
     setup, inv, cycle = hlt_setup("t4-z2")
-    omega = kahler_class(inv, cycle, 2, explicit=_product_sum_omega(setup))
+    omega = kahler_class(inv, cycle, 2, explicit=product_sum_kahler(setup))
     assert abs(omega.pairing) == 2
     dims = {k: lefschetz_verify(inv, omega, k) for k in (0, 1, 2)}
     assert dims[2].passed and dims[2].detail == "rank=1 dims=1x1"
     assert dims[1].passed and dims[1].detail == "rank=0 dims=0x0"
     assert dims[0].passed and dims[0].detail == "rank=6 dims=6x6"
-
-
-def _product_sum_omega(setup):
-    from orbcheck.pipeline import _factor_kahler
-
-    left_cq, right_cq = setup.factor_cq
-    wl = _factor_kahler(left_cq)
-    wr = _factor_kahler(right_cq)
-    pa = setup.product.pullback_left(wl, 2)
-    pb = setup.product.pullback_right(wr, 2)
-    out = dict(pa)
-    for s, v in pb.items():
-        nv = out.get(s, Fraction(0)) + v
-        if nv:
-            out[s] = nv
-        else:
-            out.pop(s, None)
-    return out
 
 
 # -- criterion 6: Poincare duality suite ----------------------------------
@@ -359,7 +341,7 @@ def test_acceptance_7_property_suites():
     setup = build_quotient(catalog_scenario("t4-z2"))
     inv = InvariantCohomology(setup.cq, setup.action)
     cycle = fundamental_cycle(setup.cx)
-    omega = kahler_class(inv, cycle, 2, explicit=_product_sum_omega(setup))
+    omega = kahler_class(inv, cycle, 2, explicit=product_sum_kahler(setup))
     base_ranks = {k: lefschetz_verify(inv, omega, k).detail for k in (0, 1, 2)}
     for e in setup.action.elements:
         pulled = setup.action.pullback_cochain(e, omega.cochain, 2)

@@ -129,6 +129,8 @@ def _edit(name, old, new):
         (_edit("weighted-hopf:1:2", "type = circle", "type = torus"), (), "line 7: taut pipeline currently handles circle actions"),
         (_edit("weighted-hopf:1:2", "kind = round", "kind = hello"), (), "line 11: unsupported metric kind 'hello'"),
         (_edit("torus7", "vertex_order = 1, 2, 3, 0, 4, 5, 6", "vertex_order = 1, 2, 3"), (), "line 9: vertex_order must permute 0..6"),
+        (_edit("octahedron", "vertices = 6", "vertices = 9"), (), "line 8: vertex 6 lies in no facet"),
+        (_edit("torus7", "facets = (0,1,3)", "facets = (0,0,3)"), (), "line 8: facet (0, 0, 3) repeats a vertex"),
     ],
     ids=[
         "samples-zero",
@@ -175,6 +177,8 @@ def _edit(name, old, new):
         "taut-torus-type",
         "metric-kind-unknown",
         "vertex-order-short",
+        "vertex-in-no-facet",
+        "facet-repeats-vertex",
     ],
 )
 def test_malformed_input_exits_two_without_traceback(tmp_path, capsys, text, argv, expect):
@@ -202,6 +206,62 @@ def test_non_unitary_change_fails_its_gluings(tmp_path, capsys):
     assert "seifert.well_defined.A.C = FAIL change A->C is not unitary" in lines
     assert "seifert.cocycle.A.C.B = FAIL change A->C is not unitary" in lines
     assert "seifert.well_defined.A.B = PASS 2 choices agree; 1 nontrivial witnesses" in lines
+
+
+def test_cocycle_checks_the_sampled_classes_in_the_triple_overlap(tmp_path, capsys):
+    # a smaller A -> C ball holds only some of the classes sampled on the A -> B ball
+    path = tmp_path / "narrow.scn"
+    path.write_text(_edit("football:3", "center = [1]\nradius = 1/4", "center = [1]\nradius = 1/32"))
+    code, out, err = run_cli(capsys, "run", str(path), "--format", "machine")
+    assert code == 0 and err == ""
+    assert "seifert.cocycle.A.C.B = PASS 7 sampled classes agree" in out.splitlines()
+
+
+def test_cocycle_fails_when_no_sampled_class_lies_in_the_triple_overlap(tmp_path, capsys):
+    # an A -> C ball about -1 misses every Gamma_A-orbit of the A -> B ball about 1
+    path = tmp_path / "apart.scn"
+    path.write_text(_edit("football:3", "[change A -> C]\nlinear = [[1]]\noffset = [0]\ncenter = [1]",
+                          "[change A -> C]\nlinear = [[1]]\noffset = [0]\ncenter = [-1]"))
+    code, out, err = run_cli(capsys, "run", str(path), "--format", "machine")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert "seifert.cocycle.A.C.B = FAIL no sampled class lies in the triple overlap" in lines
+    assert "seifert.well_defined.A.C = PASS 1 choices agree; 0 nontrivial witnesses" in lines
+
+
+S1_X_S3 = """
+[scenario]
+name = s1-x-s3
+pipelines = quotient
+
+[complex C]
+vertices = 3
+facets = (0,1) (1,2) (0,2)
+
+[complex S]
+vertices = 5
+facets = (0,1,2,3) (0,1,2,4) (0,1,3,4) (0,2,3,4) (1,2,3,4)
+
+[complex P]
+product = C * S
+
+[action I]
+group = trivial
+
+[quotient]
+complex = P
+action = I
+complex_dim_n = 2
+"""
+
+
+@pytest.mark.parametrize("kahler", ["", "kahler = product-sum\n"], ids=["default", "product-sum"])
+def test_product_without_degree_two_class_fails_kahler_class(tmp_path, capsys, kahler):
+    path = tmp_path / "s1s3.scn"
+    path.write_text(S1_X_S3 + kahler)
+    code, out, err = run_cli(capsys, "run", str(path), "--format", "machine")
+    assert code == 1 and err == ""
+    assert out.splitlines()[-2:] == ["kahler.class = FAIL NoKahlerClass", "overall = FAIL"]
 
 
 @pytest.mark.parametrize(

@@ -1,22 +1,20 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from orbcheck.atlas import Ball
+from orbcheck.atlas import Ball, ChangeOfChart, OrbifoldAtlas
 from orbcheck.catalog import catalog_scenario
 from orbcheck.cyclotomic import CycMatrix, CyclotomicNumber, vec
-from orbcheck.errors import BasepointOutsideDomain, NoApplicableChange
+from orbcheck.errors import NoApplicableChange
 from orbcheck.frame_bundle import (
     FrameClass,
     UnitaryFrame,
     check_equivariance,
     check_lifted_action_free,
     cocycle_check,
-    gluing_apply,
-    gluing_choices,
-    gluing_from_atlas,
+    gluing_images,
     gluing_well_defined,
-    lift_change_of_chart,
     lift_group_action,
     right_action,
     sample_classes,
@@ -61,64 +59,76 @@ def test_free_and_equivariant_on_catalog(football3, quaternion):
                     assert check_equivariance(g, a, fr).passed
 
 
-def test_lift_change_requires_basepoint_in_domain(football3):
-    change = football3.changes_between("A", "B")[0]
-    chart = football3.chart("A")
+def _class_at(atlas, chart_id, point):
+    chart = atlas.chart(chart_id)
     order = chart.cyclotomic_order
-    far = UnitaryFrame("A", vec(order, [Fraction(7, 4)]), CycMatrix.identity(order, 1))
-    with pytest.raises(BasepointOutsideDomain):
-        lift_change_of_chart(change, far)
+    frame = UnitaryFrame(chart_id, vec(order, point), CycMatrix.identity(order, chart.n))
+    return FrameClass(chart_id, frame, chart.group)
+
+
+def test_change_applies_only_inside_its_source_domain(football3):
+    # A -> C is declared on the ball of radius 1/4 about 1; Gamma_A is Z/3
+    inside = list(gluing_images(football3, _class_at(football3, "A", [Fraction(9, 8)]), "C"))
+    assert len(inside) == 1  # only the identity keeps 9/8 in the ball
+    image = inside[0].representative
+    assert image.chart == "C" and image.basepoint == vec(3, [Fraction(9, 8)])
+    far = _class_at(football3, "A", [Fraction(7, 4)])
+    assert list(gluing_images(football3, far, "C")) == []
 
 
 def test_gluing_well_defined_sees_redundant_change(football3):
-    gluing = gluing_from_atlas(football3, "A", "B")
-    assert len(gluing.changes) == 2
-    cls = sample_classes(football3.chart("A"), gluing.changes[0].source_domain, 1)[0]
-    choices = gluing_choices(gluing, cls)
-    assert len(choices) == 2  # both declared changes, identity representative
-    verdict = gluing_well_defined(gluing, cls)
+    assert len(football3.changes_between("A", "B")) == 2
+    cls = sample_classes(football3, "A", "B", 1)[0]
+    images = list(gluing_images(football3, cls, "B"))
+    assert len(images) == 2  # both declared changes, identity representative
+    verdict = gluing_well_defined(football3, cls, "B")
     assert verdict.passed
-    assert "nontrivial" in verdict.detail
+    assert verdict.detail == "2 choices agree; 1 nontrivial witnesses"
 
 
-def test_gluing_apply_requires_applicable_choice(football3):
-    gluing = gluing_from_atlas(football3, "A", "B")
-    order = football3.chart("A").cyclotomic_order
-    frame = UnitaryFrame("A", vec(order, [0]), CycMatrix.identity(order, 1))
-    off_overlap = FrameClass("A", frame, football3.chart("A").group)
+def test_off_overlap_class_raises_no_applicable_change(football3):
+    off_overlap = _class_at(football3, "A", [0])
     with pytest.raises(NoApplicableChange):
-        gluing_apply(gluing, off_overlap)
+        gluing_well_defined(football3, off_overlap, "B")
 
 
 def test_cocycle_holds_on_football_triple(football3):
-    g_ji = gluing_from_atlas(football3, "A", "C")
-    g_kj = gluing_from_atlas(football3, "C", "B")
-    g_ki = gluing_from_atlas(football3, "A", "B")
-    classes = sample_classes(
-        football3.chart("A"), g_ki.changes[0].source_domain, 25
-    )
-    assert cocycle_check(g_ji, g_kj, g_ki, classes).passed
+    classes = sample_classes(football3, "A", "B", 25)
+    verdict = cocycle_check(football3, "C", "B", classes)
+    assert verdict.passed and verdict.detail == "25 sampled classes agree"
 
 
 def test_cocycle_detects_broken_gluing(football3):
-    g_ji = gluing_from_atlas(football3, "A", "C")
-    g_kj = gluing_from_atlas(football3, "C", "B")
-    g_ki = gluing_from_atlas(football3, "A", "B")
-    # sabotage the direct gluing with a translation
-    from orbcheck.atlas import ChangeOfChart
-
+    # sabotage the direct gluing A -> B with a translation
+    direct = football3.changes_between("A", "B")[0]
     order = football3.chart("A").cyclotomic_order
-    broken = ChangeOfChart(
-        "A",
-        "B",
-        g_ki.changes[0].linear,
-        vec(order, [Fraction(1, 8)]),
-        g_ki.changes[0].source_domain,
-    )
-    g_ki_bad = gluing_from_atlas(football3, "A", "B")
-    g_ki_bad.changes = [broken]
-    classes = sample_classes(football3.chart("A"), broken.source_domain, 5)
-    assert not cocycle_check(g_ji, g_kj, g_ki_bad, classes).passed
+    broken = ChangeOfChart("A", "B", direct.linear, vec(order, [Fraction(1, 8)]), direct.source_domain)
+    kept = [c for c in football3.changes if (c.source, c.target) != ("A", "B")]
+    sabotaged = OrbifoldAtlas(football3.charts, kept + [broken])
+    classes = sample_classes(sabotaged, "A", "B", 5)
+    assert cocycle_check(football3, "C", "B", classes).passed
+    verdict = cocycle_check(sabotaged, "C", "B", classes)
+    assert not verdict.passed and verdict.detail == "cocycle identity fails over A"
+
+
+def test_cocycle_skips_classes_off_the_triple_overlap(football3):
+    # shrink the A -> C ball to radius 1/32: a 9/8 class is still over
+    # A -> B but no longer over A -> C, a 65/64 class is over both
+    narrowed = OrbifoldAtlas(football3.charts, [
+        dataclasses.replace(c, source_domain=Ball(c.source_domain.center, Fraction(1, 32)))
+        if (c.source, c.target) == ("A", "C") else c
+        for c in football3.changes
+    ])
+    inside = _class_at(narrowed, "A", [Fraction(65, 64)])
+    outside = _class_at(narrowed, "A", [Fraction(9, 8)])
+    assert list(gluing_images(narrowed, outside, "B"))
+    assert not list(gluing_images(narrowed, outside, "C"))
+    verdict = cocycle_check(narrowed, "C", "B", [outside, inside, outside])
+    assert verdict.passed and verdict.detail == "1 sampled classes agree"
+    verdict = cocycle_check(narrowed, "C", "B", [outside])
+    assert not verdict.passed
+    assert verdict.detail == "no sampled class lies in the triple overlap"
+    assert not cocycle_check(narrowed, "C", "B", []).passed
 
 
 def test_seifert_fiber_orders(football3, quaternion):

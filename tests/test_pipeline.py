@@ -73,9 +73,9 @@ def test_well_defined_fail_shows_the_failing_sample(monkeypatch):
     original = fb.gluing_well_defined
     calls = []
 
-    def second_sample_fails(gluing, cls):
+    def second_sample_fails(atlas, cls, target):
         calls.append(cls)
-        verdict = original(gluing, cls)
+        verdict = original(atlas, cls, target)
         if len(calls) == 2:
             return dataclasses.replace(verdict, passed=False, detail="outputs differ")
         return verdict
