@@ -24,7 +24,11 @@ EXPLANATIONS = {
     "seifert.well_defined": "Gluing output is independent of representative and change.",
     "seifert.cocycle": "Composite gluings satisfy f_ki = f_kj . f_ji on the sampled classes in the triple overlap.",
     "seifert.fiber": "Stabilizer order at the basepoint (Seifert fiber descriptor).",
-    "taut.detM1": "Rescaled Gram matrices of fundamental fields have determinant one.",
+    "taut.detM1": (
+        "Rescaled Gram matrices of fundamental fields have determinant one. "
+        "Local freeness is decided exactly first: det M0 = sum w_k^2 |z_k|^2 >= min w_k^2 "
+        "on the unit sphere, so a zero weight fails, naming the fixed set."
+    ),
     "taut.orbit_volume": "Orbit volumes in the rescaled metric equal 2*pi.",
     "taut.invariance": "u0 and M0 are constant along each sampled orbit.",
     "tk.closed": "The transverse form is closed: d omega = 0 exactly.",

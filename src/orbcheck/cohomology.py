@@ -3,6 +3,9 @@ Alexander-Whitney cup products, and the Lefschetz / duality verdicts.
 
 Cochains exposed to callers are dicts keyed by sorted vertex-position
 tuples; the linear algebra runs on integer-indexed sparse vectors.
+Coboundary entries are the ints +-1, and cochain values stay ints until
+a non-unit pivot or a rational input (an averaged class, a normalized
+Kahler form) brings in a Fraction.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ class CochainComplexQ:
                         face = tau[:i] + tau[i + 1 :]
                         j = idx_p.get(face)
                         if j is not None:
-                            cols[j][row] = Fraction(-1 if i % 2 else 1)
+                            cols[j][row] = -1 if i % 2 else 1
             self._delta_cols[p] = cols
         self._image_echelon: dict[int, dict] = {}
         self._rank: dict[int, int] = {}
@@ -64,7 +67,7 @@ class CochainComplexQ:
 
     def to_indexed(self, cochain: Cochain, p: int) -> dict:
         idx = self.cx.index[p]
-        return {idx[s]: Fraction(v) for s, v in cochain.items() if v}
+        return {idx[s]: v for s, v in cochain.items() if v}
 
     def to_tuple_keyed(self, vec: dict, p: int) -> Cochain:
         simplices = self.cx.simplices[p]
@@ -76,7 +79,7 @@ class CochainComplexQ:
         for s, v in cochain.items():
             j = self.cx.index[p][s]
             for row, c in cols[j].items():
-                nv = out.get(row, Fraction(0)) + v * c
+                nv = out.get(row, 0) + v * c
                 if nv:
                     out[row] = nv
                 else:
@@ -254,7 +257,7 @@ class InvariantCohomology:
                 if not coeff:
                     continue
                 for s, v in rep.items():
-                    nv = acc.get(s, Fraction(0)) + coeff * v
+                    nv = acc.get(s, 0) + coeff * v
                     if nv:
                         acc[s] = nv
                     else:

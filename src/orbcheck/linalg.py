@@ -1,13 +1,17 @@
 """Exact linear algebra: every elimination in orbcheck runs here.
 
-Sparse vectors are dicts row-index -> Fraction.  Every pivot column
-stores its largest nonzero row as the pivot, so reduction can walk rows
-in decreasing order with a lazy heap and terminates without fill
-surprises.  `reduce_against` is the one sparse reduction: `build_echelon`
-runs it untracked, and `TrackedEchelon` records its steps to write each
-pivot column as a combination of the inserted vectors (coordinates and
-kernel relations).  Small dense matrices go through one forward
-elimination, `_echelon`, read as a rank, a determinant or a solve.
+Sparse vectors are dicts row-index -> int or Fraction.  Coboundary
+columns arrive as ints (+-1), and a unit pivot reduces with integer
+multiples only, so their echelons stay integer; a Fraction appears only
+where a non-unit pivot or a rational input needs one.  Every pivot
+column stores its largest nonzero row as the pivot, so reduction can
+walk rows in decreasing order with a lazy heap and terminates without
+fill surprises.  `reduce_against` is the one sparse reduction:
+`build_echelon` runs it untracked, and `TrackedEchelon` records its
+steps to write each pivot column as a combination of the inserted
+vectors (coordinates and kernel relations).  Small dense matrices go
+through one forward elimination, `_echelon`, read as a rank, a
+determinant or a solve.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import heapq
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
-SparseVec = dict  # row index -> Fraction
+SparseVec = dict  # row index -> int or Fraction
 
 
 def reduce_against(
@@ -27,29 +31,35 @@ def reduce_against(
     """Reduce v in place against an echelon set; returns the residue.
 
     Every pivot column has its pivot at its maximum row, so reduction
-    only introduces entries at smaller rows.  With a `record` list, each
+    only introduces entries at smaller rows.  The factor c / pivot is
+    c * pivot on a +-1 pivot, which keeps integer entries integer; any
+    other pivot takes the exact Fraction.  With a `record` list, each
     step appends (pivot row, factor): v lost factor times that column.
     """
     heap = [-r for r in v]
     heapq.heapify(heap)
+    get, push = v.get, heapq.heappush
     while heap:
         r = -heapq.heappop(heap)
-        c = v.get(r)
+        c = get(r)
         if not c:
             continue
         piv = pivots.get(r)
         if piv is None:
             continue
         pcol, pcoeff = piv
-        factor = c / pcoeff
+        factor = c * pcoeff if pcoeff == 1 or pcoeff == -1 else Fraction(c) / pcoeff
         for row, val in pcol.items():
-            nv = v.get(row, Fraction(0)) - factor * val
-            if nv:
-                if row not in v:
-                    heapq.heappush(heap, -row)
-                v[row] = nv
+            old = get(row)
+            if old is None:
+                push(heap, -row)
+                v[row] = -factor * val
             else:
-                v.pop(row, None)
+                nv = old - factor * val
+                if nv:
+                    v[row] = nv
+                else:
+                    del v[row]
         if record is not None:
             record.append((r, factor))
     return v
@@ -89,7 +99,7 @@ class TrackedEchelon:
         reduce_against(v, self.pivots, record)
         for prow, factor in record:
             for cj, cv in self.coords[prow].items():
-                nv = comb.get(cj, Fraction(0)) - factor * cv
+                nv = comb.get(cj, 0) - factor * cv
                 if nv:
                     comb[cj] = nv
                 else:
@@ -103,7 +113,7 @@ class TrackedEchelon:
 
     def insert(self, v: SparseVec) -> bool:
         """Insert v as the next basis vector unless it lies in the span."""
-        residue, comb = self.reduce(v, {len(self.coords): Fraction(1)})
+        residue, comb = self.reduce(v, {len(self.coords): 1})
         if residue:
             self.add(residue, comb)
         return bool(residue)
@@ -113,7 +123,7 @@ class TrackedEchelon:
         residue, comb = self.reduce(v, {})
         if residue:
             return None
-        return [-comb.get(i, Fraction(0)) for i in range(len(self.coords))]
+        return [-comb.get(i, 0) for i in range(len(self.coords))]
 
 
 def kernel_search(
@@ -132,7 +142,7 @@ def kernel_search(
     found = 0
     for j, col in enumerate(columns):
         if found < want:
-            residue, comb = ech.reduce(col, {j: Fraction(1)})
+            residue, comb = ech.reduce(col, {j: 1})
             if residue:
                 ech.add(residue, comb)
             elif keep(comb):

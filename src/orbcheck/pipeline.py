@@ -20,7 +20,7 @@ from . import foliated as fol
 from . import frame_bundle as fb
 from . import simplicial as simp
 from .cyclotomic import CycMatrix, CyclotomicNumber, vec
-from .errors import NoKahlerClass, NonOrientable, NotPseudomanifold, OrbcheckError
+from .errors import DegenerateOrbit, NoKahlerClass, NonOrientable, NotPseudomanifold, OrbcheckError
 from .polyform import PolyForm, Polynomial, PolyVectorField
 from .scenario import ActionSection, ChartSection, ComplexSection, Scenario
 from .verdict import Verdict
@@ -182,8 +182,41 @@ def _deviation_verdict(ok: bool, max_dev: float) -> Verdict:
     return Verdict(ok, f"max_dev={max_dev:.3e}")
 
 
+def _fixed_set(weights: list[int]) -> Optional[str]:
+    """Where the circle fixes points of the unit sphere, or None.
+
+    For the Euclidean metric det M0 = sum_k w_k^2 |z_k|^2 >= min_k w_k^2
+    on the unit sphere, so the action is locally free exactly when no
+    weight is zero.  Otherwise it fixes the points with z_k = 0 for
+    every nonzero weight w_k, and det M0 = 0 there.
+    """
+    if all(weights):
+        return None
+    moved = [f"z{k + 1}" for k, w in enumerate(weights) if w]
+    where = " = ".join(moved) + " = 0" if moved else "the whole sphere"
+    return f"zero weight: the circle fixes {where}, where det M0 = 0"
+
+
+_TAUT_KEYS = ("taut.detM1", "taut.orbit_volume", "taut.invariance.u0", "taut.invariance.M0")
+
+
 def run_taut_pipeline(scenario: Scenario, report: Report):
+    """The taut suite.  A zero weight fails `taut.detM1` exactly; a
+    DegenerateOrbit fails the check being computed.  Either stops it."""
+    try:
+        _taut_checks(scenario, report)
+    except DegenerateOrbit:
+        done = {e.key for e in report.entries}
+        key = next(k for k in _TAUT_KEYS if k not in done)
+        report.check(key, Verdict(False, "DegenerateOrbit"))
+
+
+def _taut_checks(scenario: Scenario, report: Report):
     geo = scenario.geometry
+    fixed = _fixed_set(geo.weights)
+    if fixed is not None:
+        report.check("taut.detM1", Verdict(False, fixed))
+        return
     action = fol.CircleAction.circle(geo.weights)
     d = action.d
     g0 = fol.MetricField.euclidean(d)

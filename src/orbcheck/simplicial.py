@@ -7,7 +7,7 @@ staircase product triangulation are all taken relative to that order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Hashable, Sequence
@@ -108,8 +108,8 @@ def fundamental_cycle(complex_: SimplicialComplex) -> dict[Simplex, int]:
 
 
 def pair_with_cycle(cochain: dict[Simplex, Fraction], cycle: dict[Simplex, int]) -> Fraction:
-    """<cochain, signed facet sum>, exact."""
-    return sum((Fraction(s) * cochain.get(f, Fraction(0)) for f, s in cycle.items()), Fraction(0))
+    """<cochain, signed facet sum>, exact: a sum over the shared support."""
+    return Fraction(sum(v * cycle[f] for f, v in cochain.items() if f in cycle))
 
 
 @dataclass
@@ -119,6 +119,7 @@ class ProductComplex:
     complex: SimplicialComplex
     left: SimplicialComplex
     right: SimplicialComplex
+    _projections: dict = field(default_factory=dict, repr=False)
 
     def pullback_left(self, cochain: dict[Simplex, Fraction], degree: int) -> dict[Simplex, Fraction]:
         return self._pullback(cochain, degree, 0, self.left)
@@ -126,15 +127,25 @@ class ProductComplex:
     def pullback_right(self, cochain: dict[Simplex, Fraction], degree: int) -> dict[Simplex, Fraction]:
         return self._pullback(cochain, degree, 1, self.right)
 
+    def _projection(self, degree, side, factor) -> list[tuple[Simplex, Simplex]]:
+        """(simplex, its projection) for every simplex of the degree whose
+        projection to the factor is nondegenerate; built once per side and
+        degree."""
+        table = self._projections.get((side, degree))
+        if table is None:
+            table = []
+            for s in self.complex.simplices[degree]:
+                proj = tuple(factor.position[self.complex.vertices[i][side]] for i in s)
+                # product order is lexicographic in factor positions, so the
+                # projected tuple is already weakly increasing
+                if len(set(proj)) == len(proj):
+                    table.append((s, proj))
+            self._projections[(side, degree)] = table
+        return table
+
     def _pullback(self, cochain, degree, side, factor):
         out: dict[Simplex, Fraction] = {}
-        for s in self.complex.simplices[degree]:
-            labels = [self.complex.vertices[i] for i in s]
-            proj = tuple(factor.position[lab[side]] for lab in labels)
-            if len(set(proj)) != len(proj):
-                continue  # degenerate projection
-            # product order is lexicographic in factor positions, so the
-            # projected tuple is already weakly increasing
+        for s, proj in self._projection(degree, side, factor):
             val = cochain.get(proj)
             if val:
                 out[s] = val
@@ -197,6 +208,7 @@ class SimplicialGroupAction:
             vm = vertex_maps[e]
             perm = [complex_.position[vm[v]] for v in complex_.vertices]
             self.perms[e] = perm
+        self._tables: dict[tuple[str, int], list[tuple[Simplex, int]]] = {}
 
     @classmethod
     def cyclic(cls, complex_: SimplicialComplex, k: int, generator_map: dict) -> "SimplicialGroupAction":
@@ -242,12 +254,20 @@ class SimplicialGroupAction:
                     sign = -sign
         return tuple(arr), sign
 
+    def simplex_table(self, e: str, p: int) -> list[tuple[Simplex, int]]:
+        """map_simplex of every p-simplex under e, in simplex order; built once."""
+        table = self._tables.get((e, p))
+        if table is None:
+            table = [self.map_simplex(e, s) for s in self.complex.simplices[p]]
+            self._tables[(e, p)] = table
+        return table
+
     def pullback_cochain(self, e: str, cochain: dict[Simplex, Fraction], degree: int) -> dict[Simplex, Fraction]:
         """(e* a)(s) = sign(e, s) * a(e . s)."""
         out: dict[Simplex, Fraction] = {}
-        for s in self.complex.simplices[degree]:
-            image, sign = self.map_simplex(e, s)
-            val = cochain.get(image)
+        get = cochain.get
+        for s, (image, sign) in zip(self.complex.simplices[degree], self.simplex_table(e, degree)):
+            val = get(image)
             if val:
                 out[s] = sign * val
         return out
@@ -255,7 +275,8 @@ class SimplicialGroupAction:
     def transform_cycle(self, e: str, cycle: dict[Simplex, int]) -> dict[Simplex, int]:
         out: dict[Simplex, int] = {}
         for s, c in cycle.items():
-            image, sign = self.map_simplex(e, s)
+            p = len(s) - 1
+            image, sign = self.simplex_table(e, p)[self.complex.index[p][s]]
             out[image] = out.get(image, 0) + sign * c
         return out
 
@@ -276,9 +297,10 @@ def verify_action(action: SimplicialGroupAction) -> Verdict:
             if composed != action.perms[ab]:
                 return Verdict(False, f"homomorphism fails at ({a}, {b})")
     for p, simplices in cx.simplices.items():
-        for s in simplices:
-            for e in action.elements:
-                image, _ = action.map_simplex(e, s)
-                if image not in cx.index[p]:
+        index = cx.index[p]
+        tables = [(e, action.simplex_table(e, p)) for e in action.elements]
+        for i, s in enumerate(simplices):
+            for e, table in tables:
+                if table[i][0] not in index:
                     return Verdict(False, f"image of {s} under {e} is not a simplex")
     return Verdict(True, "homomorphism and simpliciality hold")

@@ -1,9 +1,11 @@
 """Independent oracles used by the test suite.
 
-These deliberately avoid the package's own elimination and cyclotomic
-code: a dense fraction-free (Bareiss) rank for small matrices, a modular
-elimination rank for large sparse coboundaries, and Fraction-polynomial
-arithmetic modulo a cyclotomic polynomial built by its Mobius product.
+These deliberately avoid the package's own elimination, cochain and
+cyclotomic code: a dense fraction-free (Bareiss) rank for small
+matrices, a modular elimination rank for large sparse coboundaries, the
+invariant Betti numbers from orbit sums of simplices (the transfer), and
+Fraction-polynomial arithmetic modulo a cyclotomic polynomial built by
+its Mobius product.
 """
 
 from __future__ import annotations
@@ -83,6 +85,72 @@ def modular_rank(columns: list[dict], nrows: int, p: int = 1_000_003) -> int:
         if row == nrows:
             break
     return rank
+
+
+def invariant_betti(simplices: dict[int, list[tuple]], perms: list[list[int]]) -> list[int]:
+    """Betti numbers of the invariant cochain complex C^G over Q.
+
+    `simplices[p]` lists the p-simplices as sorted tuples of vertex
+    positions and `perms` the group's vertex permutations on positions.
+    C^G_p is spanned by the orbit sums u_s = sum_g sign(g, s) e_(g.s),
+    where sign(g, s) is the parity of the permutation that sorts g.s.
+    An invariant cochain is fixed by its values on one simplex per orbit,
+    so the coboundary of each orbit sum is read in those coordinates and
+    ranked mod p.  By the transfer, H(C^G) = H(C)^G over Q (Bredon,
+    Introduction to Compact Transformation Groups, 1972, ch. III), so
+    these are the dimensions of the invariant cohomology.
+    """
+    top = max(simplices)
+
+    def act(perm, s):
+        image = [perm[v] for v in s]
+        order = sorted(range(len(image)), key=image.__getitem__)
+        parity, seen = 0, set()
+        for start in range(len(order)):  # parity from the cycle lengths
+            length, k = 0, start
+            while k not in seen:
+                seen.add(k)
+                k = order[k]
+                length += 1
+            parity ^= max(length - 1, 0) & 1
+        return tuple(sorted(image)), -1 if parity else 1
+
+    orbit_sums, rep_row = {}, {}
+    for p in range(top + 1):
+        sums, rows = [], {}
+        for s in simplices[p]:
+            if s in rows:
+                continue
+            u = {}
+            for perm in perms:
+                image, sign = act(perm, s)
+                u[image] = u.get(image, 0) + sign
+                rows[image] = None
+            rows[s] = len(sums)
+            sums.append({t: c for t, c in u.items() if c})
+        # orbit members other than the representative carry no row
+        rep_row[p] = {t: r for t, r in rows.items() if r is not None}
+        orbit_sums[p] = sums
+    ranks = {}
+    for p in range(top):
+        cofaces = {}
+        for tau in simplices[p + 1]:
+            for i in range(len(tau)):
+                cofaces.setdefault(tau[:i] + tau[i + 1 :], []).append((tau, -1 if i % 2 else 1))
+        columns = []
+        for u in orbit_sums[p]:
+            col = {}
+            for t, c in u.items():
+                for tau, sign in cofaces.get(t, ()):
+                    row = rep_row[p + 1].get(tau)
+                    if row is not None:
+                        col[row] = col.get(row, 0) + sign * c
+            columns.append({r: c for r, c in col.items() if c})
+        ranks[p] = modular_rank(columns, len(orbit_sums[p + 1]))
+    return [
+        sum(1 for u in orbit_sums[p] if u) - ranks.get(p, 0) - ranks.get(p - 1, 0)
+        for p in range(top + 1)
+    ]
 
 
 def poly_mul(a, b) -> list[Fraction]:

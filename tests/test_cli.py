@@ -229,6 +229,24 @@ def test_cocycle_fails_when_no_sampled_class_lies_in_the_triple_overlap(tmp_path
     assert "seifert.well_defined.A.C = PASS 1 choices agree; 0 nontrivial witnesses" in lines
 
 
+@pytest.mark.parametrize(
+    "weights, fixed",
+    [("0, 2", "z2 = 0"), ("0, 0", "the whole sphere")],
+    ids=["one-zero-weight", "all-weights-zero"],
+)
+def test_zero_weight_fails_det_m1_naming_the_fixed_set(tmp_path, capsys, weights, fixed):
+    # det M0 = sum w_k^2 |z_k|^2 vanishes where the circle fixes the sphere;
+    # the unit-sphere samples miss that set, so the check is decided exactly
+    path = tmp_path / "zero.scn"
+    path.write_text(_edit("weighted-hopf:1:2", "weights = 1, 2", f"weights = {weights}"))
+    code, out, err = run_cli(capsys, "run", str(path), "--format", "machine")
+    assert code == 1 and err == ""
+    assert out.splitlines()[1:] == [
+        f"taut.detM1 = FAIL zero weight: the circle fixes {fixed}, where det M0 = 0",
+        "overall = FAIL",
+    ]
+
+
 S1_X_S3 = """
 [scenario]
 name = s1-x-s3

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import bareiss_rank, modular_rank
+from helpers import bareiss_rank, invariant_betti, modular_rank
 
+from orbcheck.catalog import catalog_scenario
 from orbcheck.cohomology import (
     CochainComplexQ,
     InvariantCohomology,
@@ -15,6 +16,7 @@ from orbcheck.cohomology import (
     poincare_duality_verify,
 )
 from orbcheck.errors import NoKahlerClass
+from orbcheck.pipeline import build_quotient, run_pipeline
 from orbcheck.simplicial import (
     SimplicialComplex,
     SimplicialGroupAction,
@@ -141,3 +143,37 @@ def test_no_kahler_class_when_pairing_vanishes():
     zero_cycle = {s: 0 for s in cx.simplices[2]}
     with pytest.raises(NoKahlerClass):
         kahler_class(inv, zero_cycle, 1)
+
+
+QUOTIENT_CATALOG = ("pillowcase", "torus7", "t4-z2", "octahedron", "rp2-antipodal")
+
+
+def raw_element_perms(scenario, cx):
+    """Each group element's vertex permutation on positions, composed from
+    the scenario's own `maps` lines (powers of the generator, factorwise
+    on a product), without the package's action code."""
+    section = scenario.actions[scenario.quotient.action]
+    factors = [scenario.actions[f] for f in section.factors] if section.factors else [section]
+
+    def power(sec, i, v):
+        for _ in range(i if sec.maps else 0):
+            v = sec.maps[v]
+        return v
+
+    perms = []
+    for i in range(factors[0].order):
+        if section.factors:
+            images = [tuple(power(f, i, x) for f, x in zip(factors, v)) for v in cx.vertices]
+        else:
+            images = [power(section, i, v) for v in cx.vertices]
+        perms.append([cx.position[w] for w in images])
+    return perms
+
+
+@pytest.mark.parametrize("name", QUOTIENT_CATALOG)
+def test_betti_inv_matches_the_transfer_oracle(name):
+    scenario = catalog_scenario(name)
+    cx = build_quotient(scenario).cx
+    expect = invariant_betti(cx.simplices, raw_element_perms(scenario, cx))
+    lines = dict(line.split(" = ", 1) for line in run_pipeline(scenario).to_machine().splitlines()[1:])
+    assert lines["betti.inv"] == ",".join(map(str, expect))

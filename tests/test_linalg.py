@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import bareiss_rank, modular_rank
 
+from orbcheck.catalog import catalog_scenario
+from orbcheck.cohomology import InvariantCohomology, kahler_class
 from orbcheck.linalg import (
     TrackedEchelon,
     build_echelon,
@@ -15,6 +18,9 @@ from orbcheck.linalg import (
     rational_root,
     reduce_against,
 )
+from orbcheck.pipeline import build_quotient, product_sum_kahler, run_pipeline
+from orbcheck.scenario import parse_scenario
+from orbcheck.simplicial import fundamental_cycle
 
 
 def sparse_cols(matrix):
@@ -36,6 +42,81 @@ def test_build_echelon_rank_matches_oracles():
         _, rank = build_echelon(sc)
         assert rank == bareiss_rank(m)
         assert rank == modular_rank(sc, nrows)
+
+
+def int_cols(matrix):
+    return [{i: row[j] for i, row in enumerate(matrix) if row[j]} for j in range(len(matrix[0]))]
+
+
+def test_integer_echelon_with_non_unit_pivots_matches_oracles():
+    # coboundaries only ever give +-1 pivots; these matrices reach the
+    # exact Fraction factor of a non-unit pivot as well
+    rng = random.Random(31)
+    non_unit = 0
+    for _ in range(60):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        m = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        sc = int_cols(m)
+        pivots, rank = build_echelon(sc)
+        assert rank == bareiss_rank(m) == modular_rank(sc, rows)
+        for r, (col, pcoeff) in pivots.items():
+            assert max(col) == r and col[r] == pcoeff and all(col.values())
+            assert all(type(x) in (int, Fraction) for x in col.values())
+        non_unit += sum(1 for _, pcoeff in pivots.values() if abs(pcoeff) != 1)
+    assert non_unit > 0
+
+
+def test_residue_of_a_fraction_vector_against_an_integer_echelon():
+    rng = random.Random(37)
+    for _ in range(40):
+        rows, cols = rng.randint(2, 7), rng.randint(1, 6)
+        m = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        pivots, rank = build_echelon(int_cols(m))
+        v = {i: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for i in range(rows)}
+        v = {i: x for i, x in v.items() if x}
+        res = reduce_against(dict(v), pivots)
+        assert not any(r in res for r in pivots)
+        # v - residue lies in the column span
+        diff = [v.get(i, 0) - res.get(i, 0) for i in range(rows)]
+        assert bareiss_rank([row + [d] for row, d in zip(m, diff)]) == bareiss_rank(m) == rank
+
+
+@pytest.mark.parametrize("name", ("pillowcase", "torus7", "t4-z2", "octahedron", "rp2-antipodal"))
+def test_quotient_arithmetic_never_turns_float(name):
+    # an int / int slipped into the cochain code would give a float here
+    exact = (int, Fraction)
+    setup = build_quotient(catalog_scenario(name))
+    cq = setup.cq
+    inv = InvariantCohomology(cq, setup.action)
+    for p in range(cq.dim + 1):
+        for rep in cq.cohomology_basis(p).reps:
+            assert all(type(v) in exact for v in rep.values())
+            assert all(type(x) in exact for x in cq.coords(rep, p))
+        data = inv.degree(p)
+        assert all(type(x) in exact for vec in data.vectors for x in vec)
+        assert all(type(v) in exact for c in data.cochains for v in c.values())
+    cycle = fundamental_cycle(setup.cx)
+    if any(setup.action.transform_cycle(e, cycle) != cycle for e in setup.action.elements):
+        assert name == "rp2-antipodal"  # the antipodal map reverses orientation
+        return
+    explicit = product_sum_kahler(setup) if setup.product_sum else None
+    assert type(kahler_class(inv, cycle, setup.n, explicit).pairing) is Fraction
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_t9xt9_golden_runs_on_integer_echelons():
+    scenario = parse_scenario((GOLDEN / "t9xt9.scn").read_text())
+    assert run_pipeline(scenario).to_machine() == (GOLDEN / "t9xt9.machine").read_text()
+    cq = build_quotient(scenario).cq
+    echelons = [cq.image_echelon(p) for p in range(1, cq.dim + 1)]
+    pivots = [piv for ech in echelons for piv in ech.values()]
+    assert all(pcoeff in (1, -1) for _, pcoeff in pivots)
+    assert all(type(x) is int for col, _ in pivots for x in col.values())
+    # fill-in leaves +-2 entries below some pivots (14 columns here), and
+    # they stay ints
+    assert any(abs(x) == 2 for col, _ in pivots for x in col.values())
 
 
 def test_reduce_against_residue_is_zero_for_span_members():

@@ -3,9 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from orbcheck import foliated as fol
 from orbcheck import frame_bundle as fb
 from orbcheck.catalog import catalog_scenario, catalog_text
-from orbcheck.errors import MissingSection, ParseError
+from orbcheck.errors import DegenerateOrbit, MissingSection, ParseError
 from orbcheck.pipeline import Report, build_quotient, run_pipeline
 from orbcheck.scenario import parse_scenario
 from orbcheck.verdict import Verdict
@@ -86,6 +87,17 @@ def test_well_defined_fail_shows_the_failing_sample(monkeypatch):
     assert values["seifert.well_defined.A.B"] == "FAIL outputs differ"
     assert values["seifert.well_defined.A.C"].startswith("PASS")
     assert not report.overall
+
+
+def test_degenerate_orbit_fails_the_check_being_computed(monkeypatch):
+    def degenerate(*args, **kwargs):
+        raise DegenerateOrbit("non-positive Gram determinant along orbit")
+
+    monkeypatch.setattr(fol, "orbit_volume", degenerate)
+    report = run_pipeline(catalog_scenario("weighted-hopf:1:2"), samples=20)
+    lines = report.to_machine().splitlines()
+    assert lines[1].startswith("taut.detM1 = PASS")
+    assert lines[2:] == ["taut.orbit_volume = FAIL DegenerateOrbit", "overall = FAIL"]
 
 
 def test_rp2_skips_hlt_after_orientation_failure():
