@@ -27,13 +27,29 @@ EXPLANATIONS = {
     "taut.detM1": (
         "Rescaled Gram matrices of fundamental fields have determinant one. "
         "Local freeness is decided exactly first: det M0 = sum w_k^2 |z_k|^2 >= min w_k^2 "
-        "on the unit sphere, so a zero weight fails, naming the fixed set."
+        "on the unit sphere, so a zero weight fails, naming the fixed set. "
+        "Once M0 > 0, det M1 = 1 is an identity of u0 = det(M0)^(-1/m): the float "
+        "deviation on the samples measures rounding only. The load-bearing facts are "
+        "exact local freeness and the invariance of M0 (taut.invariance)."
     ),
-    "taut.orbit_volume": "Orbit volumes in the rescaled metric equal 2*pi.",
+    "taut.orbit_volume": (
+        "Orbit volumes in the rescaled metric equal 2*pi. Once M0 > 0 this is an "
+        "identity (det M1 = 1 along the orbit), so the deviation measures rounding "
+        "only; see taut.detM1 for the load-bearing facts."
+    ),
     "taut.invariance": "u0 and M0 are constant along each sampled orbit.",
-    "tk.closed": "The transverse form is closed: d omega = 0 exactly.",
-    "tk.kernel": "Vertical contractions of the transverse form vanish exactly.",
-    "tk.positive": "omega(J.,.) is positive definite transversally at samples.",
+    "tk.closed": (
+        "The transverse form is closed: d omega = 0 exactly. Checked on a chart-level "
+        "local model (theta, x, y) that does not depend on the scenario."
+    ),
+    "tk.kernel": (
+        "Vertical contractions of the transverse form vanish exactly. Checked on a "
+        "chart-level local model (theta, x, y) that does not depend on the scenario."
+    ),
+    "tk.positive": (
+        "omega(J.,.) is positive definite transversally at samples. Checked on a "
+        "chart-level local model (theta, x, y) that does not depend on the scenario."
+    ),
     "betti.full": "Rational Betti numbers of the covering complex.",
     "betti.inv": "Dimensions of the group-invariant cohomology.",
     "kahler.pairing": "Top cup power of the chosen class against the cycle.",

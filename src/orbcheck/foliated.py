@@ -6,6 +6,14 @@ fields, the conformal factor u0 = det(M0)^(-1/m), orbit volumes and
 the transverse Kahler conditions are computed exactly on rational
 input and in floating point (with declared tolerances) on sampled
 orbits.
+
+The float checks run one orbit (or one sample set) at a time on a
+coordinate-major batch: a list of d numpy arrays, one per coordinate.
+Polynomial, field, metric and Gram evaluation take such a batch
+unchanged and do the same IEEE operations, in the same order, as on
+each point alone; for m = 1 the determinant is the 1x1 entry itself.
+numpy is imported inside the functions that use it, so importing the
+package does not load it.
 """
 
 from __future__ import annotations
@@ -57,13 +65,17 @@ class CircleAction:
     def fundamental_fields(self) -> list[PolyVectorField]:
         return [self.fundamental_field(g) for g in range(self.m)]
 
-    def rotate(self, angles: Sequence[float], point: Sequence[float]) -> list[float]:
+    def orbit(self, point: Sequence[float], angles: Sequence[float]) -> list:
+        """The point turned by every generator through each angle t, as a
+        coordinate-major batch with one entry per angle."""
+        import numpy as np
+
         out = list(map(float, point))
-        for g, t in enumerate(angles):
-            w = self.weight_rows[g]
+        for w in self.weight_rows:
             nxt = []
             for k in range(self.n):
-                c, s = math.cos(w[k] * t), math.sin(w[k] * t)
+                c = np.array([math.cos(w[k] * t) for t in angles])
+                s = np.array([math.sin(w[k] * t) for t in angles])
                 x, y = out[2 * k], out[2 * k + 1]
                 nxt.extend([c * x - s * y, s * x + c * y])
             out = nxt
@@ -133,50 +145,85 @@ class MetricField:
         return [[p.evaluate(point) for p in row] for row in self.entries]
 
 
-def fundamental_field(action: CircleAction, generator: int, point: Sequence) -> list:
-    """Value of the generator's fundamental vector field at a point."""
-    return action.fundamental_field(generator).evaluate(point)
+def coordinate_major(points: Sequence[Sequence[float]]) -> list:
+    """A list of points as one batch: one numpy array per coordinate."""
+    import numpy as np
+
+    return [np.array(column, dtype=float) for column in zip(*points)]
+
+
+def _values(x) -> list:
+    """The per-point values of a scalar, or of a batch entry."""
+    return [x] if isinstance(x, (int, float, Fraction)) else x.tolist()
+
+
+def _det(mat: list[list]):
+    """Determinant of a Gram matrix: for m = 1 the entry itself (an int
+    as a Fraction), which also holds a whole batch; for m > 1 dense_det
+    at each point."""
+    m = len(mat)
+    if m == 1:
+        x = mat[0][0]
+        return Fraction(x) if isinstance(x, int) else x
+    entries = [x for row in mat for x in row]
+    if all(isinstance(x, (int, float, Fraction)) for x in entries):
+        return dense_det(mat)
+    import numpy as np
+
+    per_point = zip(*(a.tolist() for a in np.broadcast_arrays(*entries)))
+    return np.array([dense_det([pt[i * m : (i + 1) * m] for i in range(m)]) for pt in per_point])
 
 
 def gram_matrix(
     metric: MetricField, fields: Sequence[PolyVectorField], point: Sequence
 ) -> list[list[Number]]:
-    """M0[point]: metric pairings of fundamental fields; positive definite."""
+    """M0[point]: metric pairings of fundamental fields; positive definite
+    at the point, or at every point of a batch."""
     g = metric.evaluate(point)
     vals = [f.evaluate(point) for f in fields]
     m = len(fields)
     d = metric.d
     out = [[sum(vals[k][i] * g[i][j] * vals[l][j] for i in range(d) for j in range(d)) for l in range(m)] for k in range(m)]
-    det = dense_det(out)
-    if (isinstance(det, Fraction) and det == 0) or (isinstance(det, float) and abs(det) < 1e-12):
+    det = _det(out)
+    singular = det == 0 if isinstance(det, Fraction) else any(abs(x) < 1e-12 for x in _values(det))
+    if singular:
         raise DegenerateOrbit("Gram matrix is singular: orbit has lower dimension")
     return out
 
 
 def conformal_factor(m0: list[list[Number]], m: int) -> Number:
-    """u0 = det(M0)^(-1/m); exact when the m-th root is rational."""
-    det = dense_det(m0)
-    if (isinstance(det, Fraction) and det <= 0) or (isinstance(det, float) and det <= 0):
-        raise NonPositiveDeterminant(f"det M0 = {det}")
+    """u0 = det(M0)^(-1/m); exact when the m-th root is rational.  On a
+    batch, an array of Python's float powers (numpy's reciprocal
+    shortcut for ** -1.0 rounds differently)."""
+    det = _det(m0)
+    for x in _values(det):
+        if x <= 0:
+            raise NonPositiveDeterminant(f"det M0 = {x}")
     if isinstance(det, Fraction):
         root = rational_root(det, m)
         if root is not None:
             return Fraction(1) / root
         return float(det) ** (-1.0 / m)
-    return det ** (-1.0 / m)
+    if isinstance(det, float):
+        return det ** (-1.0 / m)
+    import numpy as np
+
+    return np.array([x ** (-1.0 / m) for x in det.tolist()])
 
 
 def rescaled_gram(m0: list[list[Number]], m: int, tol: float = 1e-12):
-    """M1 = u0 M0 with the determinant-one verdict."""
+    """M1 = u0 M0 with the determinant-one verdict (over every point of a
+    batch)."""
     u0 = conformal_factor(m0, m)
     m1 = [[u0 * x for x in row] for row in m0]
-    det = dense_det(m1)
+    det = _det(m1)
     if isinstance(det, Fraction):
         dev = abs(float(det - 1))
         ok = det == 1
     else:
-        dev = abs(det - 1.0)
-        ok = dev <= tol
+        devs = [abs(x - 1.0) for x in _values(det)]
+        dev = max(devs)
+        ok = all(x <= tol for x in devs)
     return m1, Verdict(ok, max_dev=dev)
 
 
@@ -187,23 +234,17 @@ def orbit_invariance_check(
     samples: int = 16,
     tol: float = 1e-12,
 ) -> Verdict:
-    """Constancy of a scalar or matrix field along the sampled orbit."""
+    """Constancy of a scalar or matrix field along the sampled orbit.
+    The field takes the point, then the rotated points as one batch."""
     base = field([float(x) for x in point])
-    max_dev = 0.0
-    for idx in range(samples):
-        t = 2 * math.pi * (idx + 1) / (samples + 1)
-        moved = action.rotate([t] * action.m, point)
-        val = field(moved)
-        max_dev = max(max_dev, _deviation(base, val))
+    angles = [2 * math.pi * (idx + 1) / (samples + 1) for idx in range(samples)]
+    moved = field(action.orbit(point, angles))
+    if isinstance(base, (int, float, Fraction)):
+        pairs = [(base, moved)]
+    else:
+        pairs = [(x, y) for ra, rb in zip(base, moved) for x, y in zip(ra, rb)]
+    max_dev = max((d for x, y in pairs for d in _values(abs(float(x) - y))), default=0.0)
     return Verdict(max_dev <= tol, max_dev=max_dev)
-
-
-def _deviation(a, b) -> float:
-    if isinstance(a, (int, float, Fraction)):
-        return abs(float(a) - float(b))
-    return max(
-        abs(float(x) - float(y)) for ra, rb in zip(a, b) for x, y in zip(ra, rb)
-    )
 
 
 def required_nodes(metric: MetricField) -> int:
@@ -283,18 +324,11 @@ def orbit_volume(
     """
     if action.m != 1:
         raise ValueError("orbit volume is implemented for one-circle actions")
-    fields = action.fundamental_fields()
-    vals = []
-    for idx in range(nodes):
-        t = 2 * math.pi * idx / nodes
-        moved = action.rotate([t], point)
-        m = gram_matrix(metric, fields, moved)
-        det = dense_det(m)
-        det = float(det)
-        if det <= 0:
-            raise DegenerateOrbit("non-positive Gram determinant along orbit")
-        vals.append(math.sqrt(det))
-    return 2 * math.pi * math.fsum(vals) / nodes
+    moved = action.orbit(point, [2 * math.pi * idx / nodes for idx in range(nodes)])
+    dets = _values(_det(gram_matrix(metric, action.fundamental_fields(), moved)))
+    if any(det <= 0 for det in dets):
+        raise DegenerateOrbit("non-positive Gram determinant along orbit")
+    return 2 * math.pi * math.fsum(math.sqrt(det) for det in dets) / nodes
 
 
 def split_metric(

@@ -102,7 +102,7 @@ class Polynomial:
                     v *= point[k]
             acc = v if acc is None else acc + v
         if acc is None:
-            return Fraction(0) if (point and isinstance(point[0], (int, Fraction))) else 0.0
+            return Fraction(0) if (len(point) and isinstance(point[0], (int, Fraction))) else 0.0
         return acc
 
     def total_degree(self) -> int:

@@ -5,11 +5,13 @@ cyclotomic code: a dense fraction-free (Bareiss) rank for small
 matrices, a modular elimination rank for large sparse coboundaries, the
 invariant Betti numbers from orbit sums of simplices (the transfer), and
 Fraction-polynomial arithmetic modulo a cyclotomic polynomial built by
-its Mobius product.
+its Mobius product.  The orbit-volume reference rotates and evaluates
+one node at a time, apart from the package's batched orbit path.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -224,3 +226,27 @@ def cyclotomic_conjugate(coeffs, n: int) -> tuple[Fraction, ...]:
     for k, c in enumerate(coeffs):
         out[k * (n - 1)] += c
     return cyclotomic_reduce(out, n)
+
+
+def rotate_point(weights: list[int], t: float, point) -> list[float]:
+    """z_k -> exp(i w_k t) z_k on (x_1, y_1, ..., x_n, y_n), one point."""
+    out = []
+    for k, w in enumerate(weights):
+        c, s = math.cos(w * t), math.sin(w * t)
+        x, y = float(point[2 * k]), float(point[2 * k + 1])
+        out.extend([c * x - s * y, s * x + c * y])
+    return out
+
+
+def orbit_volume_per_node(gram, weights: list[int], point, nodes: int) -> float:
+    """Circle integral of (det Gram)^(1/2), one node at a time.
+
+    `gram(point)` is the 1x1 Gram matrix of the circle's fundamental
+    field at a single point.
+    """
+    vals = []
+    for idx in range(nodes):
+        det = float(gram(rotate_point(weights, 2 * math.pi * idx / nodes, point))[0][0])
+        assert det > 0
+        vals.append(math.sqrt(det))
+    return 2 * math.pi * math.fsum(vals) / nodes

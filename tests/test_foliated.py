@@ -1,9 +1,12 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from helpers import orbit_volume_per_node
 from orbcheck.errors import DegenerateOrbit, QuadratureTooCoarse
 from orbcheck.foliated import (
     CircleAction,
@@ -12,6 +15,7 @@ from orbcheck.foliated import (
     average_metric,
     basic_form_check,
     conformal_factor,
+    coordinate_major,
     gram_matrix,
     orbit_invariance_check,
     orbit_volume,
@@ -20,7 +24,9 @@ from orbcheck.foliated import (
     split_metric,
     transverse_kahler_check,
 )
+from orbcheck.pipeline import run_pipeline
 from orbcheck.polyform import PolyForm, Polynomial, PolyVectorField
+from orbcheck.scenario import parse_scenario
 
 
 def hopf_action(p=1, q=2):
@@ -53,6 +59,7 @@ def test_degenerate_orbit_detected():
 def test_conformal_factor_exact_and_homogeneous():
     m0 = [[Fraction(4)]]
     assert conformal_factor(m0, 1) == Fraction(1, 4)
+    assert type(conformal_factor([[4]], 1)) is Fraction  # an int entry is exact
     rng = random.Random(13)
     base = [[Fraction(5), Fraction(2)], [Fraction(2), Fraction(4)]]  # det 16
     u = conformal_factor(base, 2)
@@ -92,6 +99,136 @@ def test_orbit_invariance_of_u0_and_m0():
     for pt in ([0.6, 0.0, 0.8, 0.0], [0.3, 0.4, 0.5, -0.2]):
         assert orbit_invariance_check(u0, pt, action).passed
         assert orbit_invariance_check(m0, pt, action).passed
+
+
+# -- batches: one coordinate-major evaluation per orbit -------------------
+#
+# A batch must give the same bits as evaluating each point alone, so the
+# comparisons below use ==, never a tolerance.
+
+
+def sphere_points(d, count, seed):
+    rng = random.Random(seed)
+    pts = []
+    for _ in range(count):
+        v = [rng.gauss(0.0, 1.0) for _ in range(d)]
+        norm = math.sqrt(sum(x * x for x in v))
+        pts.append([x / norm for x in v])
+    return pts
+
+
+def per_point(value, count):
+    """The batch value of one entry as a list (a constant entry stays a
+    scalar in the batch)."""
+    return np.broadcast_to(value, (count,)).tolist()
+
+
+def bumpy_metric(d):
+    """A non-constant symmetric polynomial metric with zero entries."""
+    x = [Polynomial.variable(d, k) for k in range(d)]
+    entries = [[Polynomial(d) for _ in range(d)] for _ in range(d)]
+    for i in range(d):
+        entries[i][i] = 2 + x[i] * x[i] * Fraction(1, 3)
+    entries[0][1] = entries[1][0] = x[2] * x[3] * Fraction(-1, 5)
+    return MetricField.from_polynomials(entries)
+
+
+def test_polynomial_batch_matches_each_point_bitwise():
+    d = 4
+    x = [Polynomial.variable(d, k) for k in range(d)]
+    polys = [
+        Polynomial(d),  # the zero polynomial
+        Polynomial.constant(d, Fraction(3, 7)),
+        x[0] * x[1] * Fraction(-5, 3) + x[2] * x[2] * x[3] + 2,
+        x[3] * x[3] * x[3] * x[3] - x[1] * Fraction(1, 9),
+    ]
+    points = sphere_points(d, 40, 3)
+    # a list of coordinate arrays, and one d x 40 array (no truth value)
+    for batch in (coordinate_major(points), np.array(points).T):
+        for p in polys:
+            assert per_point(p.evaluate(batch), 40) == [p.evaluate(pt) for pt in points], p
+
+
+@pytest.mark.parametrize("weights", [[1, 2], [1, 2, 3]])
+@pytest.mark.parametrize("metric_kind", ["euclidean", "bumpy"])
+def test_gram_and_conformal_factor_batch_match_each_point_bitwise(weights, metric_kind):
+    action = CircleAction.circle(weights)
+    d = action.d
+    metric = MetricField.euclidean(d) if metric_kind == "euclidean" else bumpy_metric(d)
+    fields = action.fundamental_fields()
+    points = sphere_points(d, 60, sum(weights))
+    m0 = gram_matrix(metric, fields, coordinate_major(points))
+    singles = [gram_matrix(metric, fields, pt) for pt in points]
+    assert m0[0][0].tolist() == [s[0][0] for s in singles]
+    u0 = conformal_factor(m0, 1)
+    assert u0.tolist() == [conformal_factor(s, 1) for s in singles]
+    _, verdict = rescaled_gram(m0, 1)
+    assert verdict.max_dev == max(rescaled_gram(s, 1)[1].max_dev for s in singles)
+
+
+def test_two_torus_batch_matches_each_point_bitwise():
+    # m = 2: the batch determinant is dense_det at each point
+    action = CircleAction([[1, 2, 0], [0, 1, 3]])
+    metric = bumpy_metric(6)
+    fields = action.fundamental_fields()
+    points = sphere_points(6, 30, 7)
+    m0 = gram_matrix(metric, fields, coordinate_major(points))
+    singles = [gram_matrix(metric, fields, pt) for pt in points]
+    assert [[x.tolist() for x in row] for row in m0] == [
+        [[s[k][l] for s in singles] for l in range(2)] for k in range(2)
+    ]
+    assert conformal_factor(m0, 2).tolist() == [conformal_factor(s, 2) for s in singles]
+    _, verdict = rescaled_gram(m0, 2)
+    assert verdict.max_dev == max(rescaled_gram(s, 2)[1].max_dev for s in singles)
+
+    def m0_field(pt):  # the Euclidean metric is torus invariant
+        return gram_matrix(MetricField.euclidean(6), fields, pt)
+
+    assert orbit_invariance_check(m0_field, points[0], action).passed
+
+
+def test_conformal_factor_batch_uses_python_pow():
+    # numpy's ** -1.0 takes a reciprocal shortcut that can round the last
+    # bit differently from Python's pow on this kind of value
+    det = 8.259991387009073
+    u0 = conformal_factor([[np.array([det, 2.0])]], 1)
+    assert u0.tolist() == [det ** -1.0, 0.5]
+    assert u0.tolist()[0] == conformal_factor([[det]], 1)
+
+
+def test_degenerate_point_anywhere_in_a_batch_is_detected():
+    action = hopf_action(1, 2)
+    g0 = MetricField.euclidean(4)
+    batch = coordinate_major([[0.6, 0.0, 0.8, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    with pytest.raises(DegenerateOrbit):
+        gram_matrix(g0, action.fundamental_fields(), batch)
+
+
+@pytest.mark.parametrize("weights", [[1, 2], [1, 2, 3]])
+def test_batched_orbit_volume_matches_the_per_node_loop_bitwise(weights):
+    action = CircleAction.circle(weights)
+    d = action.d
+    g0 = MetricField.euclidean(d)
+    fields = action.fundamental_fields()
+
+    def g1_eval(point):
+        u0 = conformal_factor(gram_matrix(g0, fields, point), 1)
+        return [[u0 * x for x in row] for row in g0.evaluate(point)]
+
+    g1 = MetricField(d, evaluator=g1_eval, poly_degree=0)
+    for metric in (g0, g1, bumpy_metric(d)):
+        for pt in sphere_points(d, 3, len(weights)):
+            want = orbit_volume_per_node(lambda p: gram_matrix(metric, fields, p), weights, pt, 100)
+            assert orbit_volume(metric, action, pt, nodes=100) == want
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_hopf3_golden_pins_the_three_weight_taut_bytes():
+    scenario = parse_scenario((GOLDEN / "hopf3.scn").read_text())
+    assert scenario.geometry.weights == [1, 2, 3]
+    assert run_pipeline(scenario).to_machine() == (GOLDEN / "hopf3.machine").read_text()
 
 
 def test_average_metric_finite_group_exact():

@@ -1,4 +1,5 @@
-"""Every name a module under src/orbcheck imports is used in that module."""
+"""Every name a module under src/orbcheck imports is used in that module,
+and no module imports numpy when it is itself imported."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,38 @@ def test_unused_import_is_detected():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def import_time_modules(source: str) -> list[str]:
+    """Top-level packages a module imports when it is itself imported:
+    every import outside a function body (class bodies run at import)."""
+    found = []
+    todo = list(ast.parse(source).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            found.append(node.module.split(".")[0])
+        todo.extend(ast.iter_child_nodes(node))
+    return sorted(set(found))
+
+
+def test_import_time_numpy_is_detected():
+    source = (
+        "import math\n"
+        "def f():\n    import numpy as np\n"
+        "class A:\n    from numpy import linalg\n"
+        "try:\n    import scipy.sparse\nexcept ImportError:\n    pass\n"
+        "from .errors import ParseError\n"
+    )
+    assert import_time_modules(source) == ["math", "numpy", "scipy"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_numpy_is_imported_only_inside_functions(path):
+    # the seifert and quotient suites never load numpy, and the taut
+    # suite loads it on first use
+    assert "numpy" not in import_time_modules(path.read_text(encoding="utf-8"))
