@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .errors import NoKahlerClass
@@ -317,15 +318,10 @@ def kahler_class(
                 invariant.invariant_coords(cand, 2)
             except ValueError:
                 continue
-            denoms = [v.denominator for v in cand.values()]
-            scale = Fraction(1)
-            if denoms:
-                from math import lcm
-
-                scale = Fraction(lcm(*denoms))
+            # the cup power is multilinear, so scaling scales the pairing by scale^n
+            scale = Fraction(lcm(*(v.denominator for v in cand.values())))
             scaled = {s: v * scale for s, v in cand.items()}
-            power, _ = cup_power(cx, scaled, 2, n)
-            return KahlerClassRep(scaled, n, pair_with_cycle(power, cycle))
+            return KahlerClassRep(scaled, n, scale**n * pairing)
     raise NoKahlerClass("no invariant degree-2 class has nonzero top cup power")
 
 

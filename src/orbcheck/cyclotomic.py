@@ -340,10 +340,6 @@ class CycMatrix:
     def is_identity(self) -> bool:
         return self == CycMatrix.identity(self.order, self.n)
 
-    def inverse_unitary(self) -> "CycMatrix":
-        """Inverse of a unitary matrix (conjugate transpose)."""
-        return self.conjugate_transpose()
-
     def __eq__(self, other):
         if not isinstance(other, CycMatrix):
             return NotImplemented

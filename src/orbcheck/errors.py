@@ -23,10 +23,6 @@ class DuplicateGroupElement(OrbcheckError):
 
 
 # frame bundle
-class NonFaithfulGroup(OrbcheckError):
-    pass
-
-
 class NoApplicableChange(OrbcheckError):
     pass
 

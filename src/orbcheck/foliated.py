@@ -45,6 +45,7 @@ class CircleAction:
                 raise ValueError("weight rows must share length")
         self.d = 2 * self.n
         self.m = len(self.weight_rows)
+        self._fields = [self.fundamental_field(g) for g in range(self.m)]
 
     @classmethod
     def circle(cls, weights: Sequence[int]) -> "CircleAction":
@@ -63,7 +64,8 @@ class CircleAction:
         return PolyVectorField(comps)
 
     def fundamental_fields(self) -> list[PolyVectorField]:
-        return [self.fundamental_field(g) for g in range(self.m)]
+        """The exact fields of every generator, built once per action."""
+        return self._fields
 
     def orbit(self, point: Sequence[float], angles: Sequence[float]) -> list:
         """The point turned by every generator through each angle t, as a

@@ -116,6 +116,7 @@ def run_atlas_pipeline(atlas: atlas_mod.OrbifoldAtlas, report: Report, samples: 
 
 
 def _equivariance_samples(chart: atlas_mod.Chart) -> list[CycMatrix]:
+    """Right-action samples: zeta-power monomial matrices, unitary by construction."""
     order, n = chart.cyclotomic_order, chart.n
     diag = [[int(i == j) for j in range(n)] for i in range(n)]
     diag[0][0] = CyclotomicNumber.zeta(order)
@@ -140,8 +141,9 @@ def run_seifert_pipeline(atlas: atlas_mod.OrbifoldAtlas, report: Report, grid_po
         origin = vec(chart.cyclotomic_order, [0] * chart.n)
         s, desc = fb.seifert_fiber_report(atlas, chart.id, origin)
         report.info(f"seifert.fiber.{chart.id}.origin", desc)
-    # a non-unitary change moves frames off the frame bundle, so every
-    # gluing through its overlap fails without being sampled
+    # the one unitarity check per change: a non-unitary change moves frames
+    # off the frame bundle, so every gluing through its overlap fails
+    # without being sampled
     broken = {(c.source, c.target): Verdict(False, f"change {c.source}->{c.target} is not unitary")
               for c in atlas.changes if not c.linear.is_unitary()}
     for (i, j) in atlas.overlaps():

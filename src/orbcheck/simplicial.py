@@ -47,9 +47,6 @@ class SimplicialComplex:
     def count(self, p: int) -> int:
         return len(self.simplices.get(p, []))
 
-    def labels(self, simplex: Simplex) -> tuple:
-        return tuple(self.vertices[i] for i in simplex)
-
     def is_pure(self) -> bool:
         return all(len(f) == self.dim + 1 for f in self.facets)
 

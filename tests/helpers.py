@@ -6,7 +6,9 @@ matrices, a modular elimination rank for large sparse coboundaries, the
 invariant Betti numbers from orbit sums of simplices (the transfer), and
 Fraction-polynomial arithmetic modulo a cyclotomic polynomial built by
 its Mobius product.  The orbit-volume reference rotates and evaluates
-one node at a time, apart from the package's batched orbit path.
+one node at a time, apart from the package's batched orbit path, and
+the frame-class reference scans the whole chart group instead of
+solving for the one candidate element.
 """
 
 from __future__ import annotations
@@ -250,3 +252,16 @@ def orbit_volume_per_node(gram, weights: list[int], point, nodes: int) -> float:
         assert det > 0
         vals.append(math.sqrt(det))
     return 2 * math.pi * math.fsum(vals) / nodes
+
+
+def same_class_by_scan(cls, other):
+    """The element g of cls's group with g.x' = x and g xi' = xi, found by
+    trying every element, or None; frame classes over different charts
+    never match."""
+    if cls.chart != other.chart:
+        return None
+    ours, theirs = cls.representative, other.representative
+    for g in cls.group:
+        if g.apply(theirs.basepoint) == ours.basepoint and g @ theirs.frame == ours.frame:
+            return g
+    return None

@@ -2,6 +2,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from helpers import same_class_by_scan
 
 from orbcheck.atlas import Ball, ChangeOfChart, OrbifoldAtlas
 from orbcheck.catalog import catalog_scenario
@@ -21,7 +22,9 @@ from orbcheck.frame_bundle import (
     sample_frames,
     seifert_fiber_report,
 )
-from orbcheck.pipeline import build_atlas
+from orbcheck.pipeline import _equivariance_samples, build_atlas
+
+CATALOG_ATLASES = ("football:2", "football:3", "football:4", "quaternion-chart")
 
 
 @pytest.fixture(scope="module")
@@ -34,9 +37,43 @@ def quaternion():
     return build_atlas(catalog_scenario("quaternion-chart"))
 
 
-def test_frames_must_be_unitary():
-    with pytest.raises(ValueError):
-        UnitaryFrame("A", vec(4, [0]), CycMatrix(4, [[2]]))
+def _classes_and_images(atlas):
+    """Per overlap i -> j: the sampled classes over i and all their gluing images."""
+    for i, j in atlas.overlaps():
+        classes = sample_classes(atlas, i, j)
+        yield classes, [out for cls in classes for out in gluing_images(atlas, cls, j)]
+
+
+@pytest.mark.parametrize("name", CATALOG_ATLASES)
+def test_every_frame_the_seifert_suite_builds_is_unitary(name):
+    # frames are not re-checked when derived, so each way of making one
+    # must keep them unitary
+    atlas = build_atlas(catalog_scenario(name))
+    built = []
+    for chart in atlas.charts:
+        frames = sample_frames(chart, 10)
+        built += frames
+        built += [lift_group_action(g, fr) for g in chart.group for fr in frames]
+        built += [right_action(fr, a) for a in _equivariance_samples(chart) for fr in frames]
+    for classes, images in _classes_and_images(atlas):
+        assert images
+        built += [cls.representative for cls in classes + images]
+    assert all(fr.frame.is_unitary() for fr in built)
+
+
+@pytest.mark.parametrize("name", CATALOG_ATLASES)
+def test_same_class_matches_the_group_scan(name):
+    atlas = build_atlas(catalog_scenario(name))
+    matched = unmatched = 0
+    for classes, images in _classes_and_images(atlas):
+        for pool in (classes, images):
+            for a in pool:
+                for b in pool:
+                    witness = a.same_class(b)
+                    assert witness == same_class_by_scan(a, b)
+                    matched += witness is not None
+                    unmatched += witness is None
+    assert matched and unmatched
 
 
 def test_lift_acts_through_linear_part(football3):

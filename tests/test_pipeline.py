@@ -6,8 +6,9 @@ import pytest
 from orbcheck import foliated as fol
 from orbcheck import frame_bundle as fb
 from orbcheck.catalog import catalog_scenario, catalog_text
+from orbcheck.cyclotomic import CycMatrix
 from orbcheck.errors import DegenerateOrbit, MissingSection, ParseError
-from orbcheck.pipeline import Report, build_quotient, run_pipeline
+from orbcheck.pipeline import Report, build_atlas, build_quotient, run_pipeline, run_seifert_pipeline
 from orbcheck.scenario import parse_scenario
 from orbcheck.verdict import Verdict
 
@@ -87,6 +88,24 @@ def test_well_defined_fail_shows_the_failing_sample(monkeypatch):
     assert values["seifert.well_defined.A.B"] == "FAIL outputs differ"
     assert values["seifert.well_defined.A.C"].startswith("PASS")
     assert not report.overall
+
+
+@pytest.mark.parametrize("name, changes", [("football:3", 4), ("quaternion-chart", 2)])
+def test_seifert_suite_decides_unitarity_once_per_change(monkeypatch, name, changes):
+    atlas = build_atlas(catalog_scenario(name))
+    assert len(atlas.changes) == changes
+    calls = []
+    is_unitary = CycMatrix.is_unitary
+
+    def counted(self):
+        calls.append(self)
+        return is_unitary(self)
+
+    monkeypatch.setattr(CycMatrix, "is_unitary", counted)
+    report = Report(name)
+    run_seifert_pipeline(atlas, report)
+    assert report.overall
+    assert calls == [c.linear for c in atlas.changes]
 
 
 def test_degenerate_orbit_fails_the_check_being_computed(monkeypatch):
