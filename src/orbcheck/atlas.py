@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .cyclotomic import (
@@ -145,6 +146,10 @@ class ChangeOfChart:
     offset: CycVector
     source_domain: Ball
 
+    @cached_property
+    def unitary(self) -> bool:  # one verdict for atlas validation and the Seifert suite
+        return self.linear.is_unitary()
+
     def apply(self, point: CycVector) -> CycVector:
         moved = self.linear.apply(point)
         return tuple(a + b for a, b in zip(moved, self.offset))
@@ -230,7 +235,7 @@ def validate_atlas(atlas: OrbifoldAtlas, samples: int = 25) -> list[tuple[str, V
     out = []
     for ch in sorted(atlas.changes, key=lambda c: (c.source, c.target)):
         tag = f"{ch.source}.{ch.target}"
-        out.append((f"unitary.{tag}", Verdict(ch.linear.is_unitary())))
+        out.append((f"unitary.{tag}", Verdict(ch.unitary)))
         target = atlas.chart(ch.target)
         chart_order = target.cyclotomic_order
         pts = [ch.source_domain.center] + sample_grid(chart_order, ch.source_domain, samples)

@@ -5,7 +5,9 @@ Cochains exposed to callers are dicts keyed by sorted vertex-position
 tuples; the linear algebra runs on integer-indexed sparse vectors.
 Coboundary entries are the ints +-1, and cochain values stay ints until
 a non-unit pivot or a rational input (an averaged class, a normalized
-Kahler form) brings in a Fraction.
+Kahler form) brings in a Fraction.  delta_(p-1)'s echelon skips the columns
+cleared by delta_(p-2)'s pivots; actions are simplicial when their facets
+map to simplices, and pullbacks walk a cochain's support.
 """
 
 from __future__ import annotations
@@ -101,12 +103,16 @@ class CochainComplexQ:
         return self._rank[p]
 
     def image_echelon(self, p: int) -> dict:
-        """Echelonized image of delta_(p-1) inside C^p."""
+        """Echelonized image of delta_(p-1) inside C^p.  Its columns at the
+        pivot rows of delta_(p-2)'s echelon go in empty (clearing): as delta^2
+        = 0 and a pivot is its column's largest row, they reduce to zero."""
         if p not in self._image_echelon:
             if p == 0 or p > self.dim:
                 self._image_echelon[p] = {}
             else:
-                pivots, rank = build_echelon(self._delta_cols[p - 1])
+                cleared = self.image_echelon(p - 1)
+                cols = [{} if j in cleared else col for j, col in enumerate(self._delta_cols[p - 1])]
+                pivots, rank = build_echelon(cols)
                 self._image_echelon[p] = pivots
                 self._rank[p - 1] = rank
         return self._image_echelon[p]

@@ -4,7 +4,7 @@ Frames over a flat chart are identified with exact unitary matrices;
 the lift of a unitary-affine map acts on the frame through its linear
 part (the derivative).  Unitarity is decided once, where a matrix
 enters: chart generators in ``atlas.group_closure``, changes of charts
-in the Seifert suite's screen of broken changes, and the sampled frames
+in ``ChangeOfChart.unitary`` (read by both suites), and the sampled frames
 here are zeta-power monomial matrices, unitary by construction.  Every
 frame derived from these (lifts, right actions, gluing images) is a
 product of unitary matrices and inherits unitarity unchecked.  Since a

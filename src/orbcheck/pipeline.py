@@ -141,11 +141,10 @@ def run_seifert_pipeline(atlas: atlas_mod.OrbifoldAtlas, report: Report, grid_po
         origin = vec(chart.cyclotomic_order, [0] * chart.n)
         s, desc = fb.seifert_fiber_report(atlas, chart.id, origin)
         report.info(f"seifert.fiber.{chart.id}.origin", desc)
-    # the one unitarity check per change: a non-unitary change moves frames
-    # off the frame bundle, so every gluing through its overlap fails
-    # without being sampled
+    # a non-unitary change moves frames off the frame bundle, so every
+    # gluing through its overlap fails without being sampled
     broken = {(c.source, c.target): Verdict(False, f"change {c.source}->{c.target} is not unitary")
-              for c in atlas.changes if not c.linear.is_unitary()}
+              for c in atlas.changes if not c.unitary}
     for (i, j) in atlas.overlaps():
         shown = broken.get((i, j))
         if shown is None:

@@ -61,18 +61,15 @@ def fundamental_cycle(complex_: SimplicialComplex) -> dict[Simplex, int]:
     if not complex_.is_pure():
         raise NotPseudomanifold("complex is not pure")
     facets = sorted(set(complex_.facets))
-    ridge_to_facets: dict[Simplex, list[Simplex]] = {}
+    # each ridge with (facet, index of the vertex the ridge omits)
+    ridge_to_facets: dict[Simplex, list[tuple[Simplex, int]]] = {}
     for f in facets:
         for i in range(len(f)):
             ridge = f[:i] + f[i + 1 :]
-            ridge_to_facets.setdefault(ridge, []).append(f)
+            ridge_to_facets.setdefault(ridge, []).append((f, i))
     for ridge, fs in ridge_to_facets.items():
         if len(fs) != 2:
             raise NotPseudomanifold(f"ridge {ridge} lies in {len(fs)} facets")
-
-    def ridge_sign(facet: Simplex, ridge: Simplex) -> int:
-        i = next(k for k, v in enumerate(facet) if v not in ridge)
-        return -1 if i % 2 else 1
 
     signs: dict[Simplex, int] = {}
     for start in facets:
@@ -83,10 +80,9 @@ def fundamental_cycle(complex_: SimplicialComplex) -> dict[Simplex, int]:
         while stack:
             f = stack.pop()
             for i in range(len(f)):
-                ridge = f[:i] + f[i + 1 :]
-                other = next(g for g in ridge_to_facets[ridge] if g != f)
-                # induced orientations on a shared ridge must cancel
-                needed = -signs[f] * ridge_sign(f, ridge) * ridge_sign(other, ridge)
+                other, j = next(gj for gj in ridge_to_facets[f[:i] + f[i + 1 :]] if gj[0] != f)
+                # induced orientations (-1)^i and (-1)^j on the shared ridge must cancel
+                needed = signs[f] if (i + j) % 2 else -signs[f]
                 if other in signs:
                     if signs[other] != needed:
                         raise NonOrientable("orientation propagation contradiction")
@@ -94,12 +90,8 @@ def fundamental_cycle(complex_: SimplicialComplex) -> dict[Simplex, int]:
                     signs[other] = needed
                     stack.append(other)
 
-    boundary: dict[Simplex, int] = {}
-    for f, s in signs.items():
-        for i in range(len(f)):
-            ridge = f[:i] + f[i + 1 :]
-            boundary[ridge] = boundary.get(ridge, 0) + s * (-1 if i % 2 else 1)
-    if any(v for v in boundary.values()):
+    # the boundary of the signed facet sum, one ridge at a time
+    if any(sum(signs[f] * (-1) ** i for f, i in fs) for fs in ridge_to_facets.values()):
         raise AssertionError("propagated orientation has nonzero boundary")
     return signs
 
@@ -205,7 +197,8 @@ class SimplicialGroupAction:
             vm = vertex_maps[e]
             perm = [complex_.position[vm[v]] for v in complex_.vertices]
             self.perms[e] = perm
-        self._tables: dict[tuple[str, int], list[tuple[Simplex, int]]] = {}
+        # a verified action's table puts the identity at (e, e^-1)
+        self.inverse = {a: b for (a, b), ab in self.table.items() if ab == self.elements[0]}
 
     @classmethod
     def cyclic(cls, complex_: SimplicialComplex, k: int, generator_map: dict) -> "SimplicialGroupAction":
@@ -251,35 +244,29 @@ class SimplicialGroupAction:
                     sign = -sign
         return tuple(arr), sign
 
-    def simplex_table(self, e: str, p: int) -> list[tuple[Simplex, int]]:
-        """map_simplex of every p-simplex under e, in simplex order; built once."""
-        table = self._tables.get((e, p))
-        if table is None:
-            table = [self.map_simplex(e, s) for s in self.complex.simplices[p]]
-            self._tables[(e, p)] = table
-        return table
-
     def pullback_cochain(self, e: str, cochain: dict[Simplex, Fraction], degree: int) -> dict[Simplex, Fraction]:
-        """(e* a)(s) = sign(e, s) * a(e . s)."""
+        """(e* a)(s) = sign(e, s) * a(e . s) on a verified action, read off the
+        support of a: t pulls back to s = e^-1 . t, and sorting e^-1 . t
+        has the sign of the inverse sorting, sign(e, s)."""
+        inv = self.inverse[e]
         out: dict[Simplex, Fraction] = {}
-        get = cochain.get
-        for s, (image, sign) in zip(self.complex.simplices[degree], self.simplex_table(e, degree)):
-            val = get(image)
+        for t, val in cochain.items():
             if val:
+                s, sign = self.map_simplex(inv, t)
                 out[s] = sign * val
         return out
 
     def transform_cycle(self, e: str, cycle: dict[Simplex, int]) -> dict[Simplex, int]:
         out: dict[Simplex, int] = {}
         for s, c in cycle.items():
-            p = len(s) - 1
-            image, sign = self.simplex_table(e, p)[self.complex.index[p][s]]
+            image, sign = self.map_simplex(e, s)
             out[image] = out.get(image, 0) + sign * c
         return out
 
 
 def verify_action(action: SimplicialGroupAction) -> Verdict:
-    """Homomorphism against the multiplication table plus simpliciality."""
+    """Homomorphism against the multiplication table plus simpliciality,
+    decided on the facets."""
     cx = action.complex
     ident = action.elements[0]
     if action.perms[ident] != list(range(len(cx.vertices))):
@@ -293,11 +280,11 @@ def verify_action(action: SimplicialGroupAction) -> Verdict:
             composed = [pa[action.perms[b][v]] for v in range(len(cx.vertices))]
             if composed != action.perms[ab]:
                 return Verdict(False, f"homomorphism fails at ({a}, {b})")
-    for p, simplices in cx.simplices.items():
-        index = cx.index[p]
-        tables = [(e, action.simplex_table(e, p)) for e in action.elements]
-        for i, s in enumerate(simplices):
-            for e, table in tables:
-                if table[i][0] not in index:
-                    return Verdict(False, f"image of {s} under {e} is not a simplex")
+    # the complex is the downward closure of its facets and each element
+    # permutes the vertices, so faces of facets map to faces of images
+    for f in cx.facets:
+        index = cx.index[len(f) - 1]
+        for e in action.elements:
+            if action.map_simplex(e, f)[0] not in index:
+                return Verdict(False, f"image of {f} under {e} is not a simplex")
     return Verdict(True, "homomorphism and simpliciality hold")

@@ -8,7 +8,10 @@ Fraction-polynomial arithmetic modulo a cyclotomic polynomial built by
 its Mobius product.  The orbit-volume reference rotates and evaluates
 one node at a time, apart from the package's batched orbit path, and
 the frame-class reference scans the whole chart group instead of
-solving for the one candidate element.
+solving for the one candidate element.  The simplicial references walk
+every simplex: pullbacks over all p-simplices rather than a cochain's
+support, simpliciality over every degree rather than the facets, and
+orientation signs by scanning each facet for the vertex a ridge omits.
 """
 
 from __future__ import annotations
@@ -91,6 +94,22 @@ def modular_rank(columns: list[dict], nrows: int, p: int = 1_000_003) -> int:
     return rank
 
 
+def sort_sign(perm: list[int], s: tuple) -> tuple[tuple, int]:
+    """The sorted image of s under a vertex permutation on positions, and
+    the sign of the permutation that sorts it, read from its cycles."""
+    image = [perm[v] for v in s]
+    order = sorted(range(len(image)), key=image.__getitem__)
+    parity, seen = 0, set()
+    for start in range(len(order)):
+        length, k = 0, start
+        while k not in seen:
+            seen.add(k)
+            k = order[k]
+            length += 1
+        parity ^= max(length - 1, 0) & 1
+    return tuple(sorted(image)), -1 if parity else 1
+
+
 def invariant_betti(simplices: dict[int, list[tuple]], perms: list[list[int]]) -> list[int]:
     """Betti numbers of the invariant cochain complex C^G over Q.
 
@@ -105,20 +124,6 @@ def invariant_betti(simplices: dict[int, list[tuple]], perms: list[list[int]]) -
     these are the dimensions of the invariant cohomology.
     """
     top = max(simplices)
-
-    def act(perm, s):
-        image = [perm[v] for v in s]
-        order = sorted(range(len(image)), key=image.__getitem__)
-        parity, seen = 0, set()
-        for start in range(len(order)):  # parity from the cycle lengths
-            length, k = 0, start
-            while k not in seen:
-                seen.add(k)
-                k = order[k]
-                length += 1
-            parity ^= max(length - 1, 0) & 1
-        return tuple(sorted(image)), -1 if parity else 1
-
     orbit_sums, rep_row = {}, {}
     for p in range(top + 1):
         sums, rows = [], {}
@@ -127,7 +132,7 @@ def invariant_betti(simplices: dict[int, list[tuple]], perms: list[list[int]]) -
                 continue
             u = {}
             for perm in perms:
-                image, sign = act(perm, s)
+                image, sign = sort_sign(perm, s)
                 u[image] = u.get(image, 0) + sign
                 rows[image] = None
             rows[s] = len(sums)
@@ -265,3 +270,77 @@ def same_class_by_scan(cls, other):
         if g.apply(theirs.basepoint) == ours.basepoint and g @ theirs.frame == ours.frame:
             return g
     return None
+
+
+def pullback_by_scan(action, e: str, cochain: dict, degree: int) -> dict:
+    """(e* a)(s) = sign(e, s) a(e.s), walking every p-simplex of the
+    complex instead of the support of a."""
+    out = {}
+    for s in action.complex.simplices[degree]:
+        image, sign = sort_sign(action.perms[e], s)
+        val = cochain.get(image)
+        if val:
+            out[s] = sign * val
+    return out
+
+
+def transform_cycle_by_scan(action, e: str, cycle: dict) -> dict:
+    """The push-forward of a signed facet sum, one facet at a time."""
+    out = {}
+    for s, c in cycle.items():
+        image, sign = sort_sign(action.perms[e], s)
+        out[image] = out.get(image, 0) + sign * c
+    return out
+
+
+def non_simplex_by_scan(action):
+    """The first (simplex, element) whose image is not a simplex, scanning
+    every simplex of every degree, or None when the action is simplicial."""
+    cx = action.complex
+    for p, simplices in cx.simplices.items():
+        for s in simplices:
+            for e in action.elements:
+                if sort_sign(action.perms[e], s)[0] not in cx.index[p]:
+                    return s, e
+    return None
+
+
+def fundamental_cycle_by_scan(cx) -> dict:
+    """Coherent facet signs by ridge propagation, each ridge sign found by
+    scanning the facet for the vertex the ridge omits."""
+    from orbcheck.errors import NonOrientable, NotPseudomanifold
+
+    if any(len(f) != cx.dim + 1 for f in cx.facets):
+        raise NotPseudomanifold("complex is not pure")
+    facets = sorted(set(cx.facets))
+    ridge_to_facets = {}
+    for f in facets:
+        for i in range(len(f)):
+            ridge_to_facets.setdefault(f[:i] + f[i + 1 :], []).append(f)
+    for ridge, fs in ridge_to_facets.items():
+        if len(fs) != 2:
+            raise NotPseudomanifold(f"ridge {ridge} lies in {len(fs)} facets")
+
+    def ridge_sign(facet, ridge):
+        i = next(k for k, v in enumerate(facet) if v not in ridge)
+        return -1 if i % 2 else 1
+
+    signs = {}
+    for start in facets:
+        if start in signs:
+            continue
+        signs[start] = 1
+        stack = [start]
+        while stack:
+            f = stack.pop()
+            for i in range(len(f)):
+                ridge = f[:i] + f[i + 1 :]
+                other = next(g for g in ridge_to_facets[ridge] if g != f)
+                needed = -signs[f] * ridge_sign(f, ridge) * ridge_sign(other, ridge)
+                if other in signs:
+                    if signs[other] != needed:
+                        raise NonOrientable("orientation propagation contradiction")
+                else:
+                    signs[other] = needed
+                    stack.append(other)
+    return signs

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import bareiss_rank, invariant_betti, modular_rank
 
+from orbcheck import cohomology
 from orbcheck.catalog import catalog_scenario
 from orbcheck.cohomology import (
     CochainComplexQ,
@@ -16,12 +17,14 @@ from orbcheck.cohomology import (
     poincare_duality_verify,
 )
 from orbcheck.errors import NoKahlerClass
+from orbcheck.linalg import build_echelon
 from orbcheck.pipeline import build_quotient, run_pipeline
 from orbcheck.simplicial import (
     SimplicialComplex,
     SimplicialGroupAction,
     fundamental_cycle,
     pair_with_cycle,
+    product_complex,
 )
 from test_simplicial import OCTA_FACETS, TORUS_FACETS, octahedron, torus7
 
@@ -177,3 +180,37 @@ def test_betti_inv_matches_the_transfer_oracle(name):
     expect = invariant_betti(cx.simplices, raw_element_perms(scenario, cx))
     lines = dict(line.split(" = ", 1) for line in run_pipeline(scenario).to_machine().splitlines()[1:])
     assert lines["betti.inv"] == ",".join(map(str, expect))
+
+
+CLEARING_COMPLEXES = {
+    "t4-z2": lambda: build_quotient(catalog_scenario("t4-z2")).cx,
+    "torus7": torus7,
+    "octahedron": octahedron,
+    "pillowcase": lambda: build_quotient(catalog_scenario("pillowcase")).cx,
+    "t7xt7-natural-order": lambda: product_complex(torus7(), torus7()).complex,
+}
+
+
+@pytest.mark.parametrize("name", CLEARING_COMPLEXES)
+def test_cleared_echelon_keeps_every_pivot(name):
+    cx = CLEARING_COMPLEXES[name]()
+    cq = CochainComplexQ(cx)
+    for p in range(1, cx.dim + 1):
+        pivots, rank = build_echelon(cq._delta_cols[p - 1])
+        assert cq.image_echelon(p) == pivots, (name, p)
+        assert cq.rank_delta(p - 1) == rank == modular_rank(cq._delta_cols[p - 1], cx.count(p)), (name, p)
+
+
+def test_echelon_probe_reads_one_column_per_simplex(monkeypatch):
+    # the benchmark's build_echelon probe takes len(columns)
+    cx = build_quotient(catalog_scenario("t4-z2")).cx
+    expected = iter(cx.count(p - 1) for p in range(1, cx.dim + 1))
+    original = cohomology.build_echelon
+
+    def probed(columns):
+        assert len(columns) == next(expected)
+        return original(columns)
+
+    monkeypatch.setattr(cohomology, "build_echelon", probed)
+    assert CochainComplexQ(cx).betti_numbers() == [1, 4, 6, 4, 1]
+    assert next(expected, None) is None

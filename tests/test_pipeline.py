@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ from orbcheck import frame_bundle as fb
 from orbcheck.catalog import catalog_scenario, catalog_text
 from orbcheck.cyclotomic import CycMatrix
 from orbcheck.errors import DegenerateOrbit, MissingSection, ParseError
-from orbcheck.pipeline import Report, build_atlas, build_quotient, run_pipeline, run_seifert_pipeline
+from orbcheck.pipeline import Report, build_atlas, build_quotient, run_pipeline
 from orbcheck.scenario import parse_scenario
 from orbcheck.verdict import Verdict
 
@@ -92,8 +93,13 @@ def test_well_defined_fail_shows_the_failing_sample(monkeypatch):
 
 @pytest.mark.parametrize("name, changes", [("football:3", 4), ("quaternion-chart", 2)])
 def test_seifert_suite_decides_unitarity_once_per_change(monkeypatch, name, changes):
-    atlas = build_atlas(catalog_scenario(name))
-    assert len(atlas.changes) == changes
+    # both scenarios run the atlas and the Seifert pipelines, which read
+    # one verdict per change; the generators are decided at group closure
+    scenario = catalog_scenario(name)
+    assert {"atlas", "seifert"} <= set(scenario.pipelines)
+    generators = sum(len(c.generators) for c in scenario.charts)
+    declared = [c.linear for c in build_atlas(scenario).changes]
+    assert len(declared) == changes
     calls = []
     is_unitary = CycMatrix.is_unitary
 
@@ -102,10 +108,10 @@ def test_seifert_suite_decides_unitarity_once_per_change(monkeypatch, name, chan
         return is_unitary(self)
 
     monkeypatch.setattr(CycMatrix, "is_unitary", counted)
-    report = Report(name)
-    run_seifert_pipeline(atlas, report)
+    report = run_pipeline(scenario)
     assert report.overall
-    assert calls == [c.linear for c in atlas.changes]
+    assert len(calls) == generators + changes
+    assert Counter(calls[generators:]) == Counter(declared)
 
 
 def test_degenerate_orbit_fails_the_check_being_computed(monkeypatch):

@@ -1,8 +1,16 @@
+import ast
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from helpers import fundamental_cycle_by_scan, non_simplex_by_scan, pullback_by_scan, transform_cycle_by_scan
+
+from orbcheck.catalog import catalog_scenario
+from orbcheck.cohomology import CochainComplexQ
 from orbcheck.errors import DuplicateVertexInFacet, NonOrientable, NotPseudomanifold
+from orbcheck.pipeline import build_quotient, build_simplicial, run_pipeline
 from orbcheck.simplicial import (
     SimplicialComplex,
     SimplicialGroupAction,
@@ -126,3 +134,121 @@ def test_pullback_respects_signs():
     cycle = fundamental_cycle(t)
     moved = action.transform_cycle("g1", cycle)
     assert moved == cycle or moved == {s: -c for s, c in cycle.items()}
+
+
+# -- the support-driven and facet-only paths against the full scans ------
+
+CATALOG_WITH_COMPLEXES = (
+    "football:2", "football:3", "football:4", "pillowcase", "torus7", "t4-z2", "octahedron", "rp2-antipodal",
+)
+
+
+def torus_involution():
+    t = torus7()
+    action = SimplicialGroupAction.cyclic(t, 2, {v: (7 - v) % 7 for v in range(7)})
+    return t, action, CochainComplexQ(t)
+
+
+def t4_z2():
+    setup = build_quotient(catalog_scenario("t4-z2"))
+    return setup.cx, setup.action, setup.cq
+
+
+def seeded_cochain(cx, p, rng):
+    return {s: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for s in rng.sample(cx.simplices[p], 4)}
+
+
+@pytest.mark.parametrize("build", [torus_involution, t4_z2], ids=["torus7-involution", "t4-z2"])
+def test_support_pullback_and_cycle_transform_match_the_full_scan(build):
+    cx, action, cq = build()
+    assert verify_action(action).passed
+    rng = random.Random(5)
+    for p in range(cx.dim + 1):
+        cochains = cq.cohomology_basis(p).reps + [seeded_cochain(cx, p, rng)]
+        for e in action.elements:
+            for a in cochains:
+                assert action.pullback_cochain(e, a, p) == pullback_by_scan(action, e, a, p), (e, p)
+    cycle = fundamental_cycle(cx)
+    for e in action.elements:
+        assert action.transform_cycle(e, cycle) == transform_cycle_by_scan(action, e, cycle) == cycle
+
+
+def permutation_action(cx, perm):
+    """The cyclic action generated by a vertex permutation, of its order."""
+    k, power = 1, list(perm)
+    while power != list(range(len(perm))):
+        power = [perm[v] for v in power]
+        k += 1
+    return SimplicialGroupAction.cyclic(cx, k, dict(enumerate(perm)))
+
+
+@pytest.mark.parametrize(
+    "cx, automorphisms",
+    [
+        (octahedron(), [[3, 4, 5, 0, 1, 2], [0, 2, 4, 3, 5, 1]]),
+        (torus7(), [[(7 - v) % 7 for v in range(7)], [(v + 1) % 7 for v in range(7)], [2 * v % 7 for v in range(7)]]),
+    ],
+    ids=["octahedron", "torus7"],
+)
+def test_facet_simpliciality_matches_the_all_simplex_scan(cx, automorphisms):
+    rng = random.Random(11)
+    perms = automorphisms + [rng.sample(range(cx.count(0)), cx.count(0)) for _ in range(40)]
+    words = set()
+    for perm in perms:
+        action = permutation_action(cx, perm)
+        verdict = verify_action(action)
+        words.add(verdict.passed)
+        assert verdict.passed == (non_simplex_by_scan(action) is None), perm
+        if not verdict.passed:
+            match = re.fullmatch(r"image of (\(.*\)) under (g\d+) is not a simplex", verdict.detail)
+            assert match, verdict.detail
+            facet, e = ast.literal_eval(match[1]), match[2]
+            assert facet in cx.facets
+            assert action.map_simplex(e, facet)[0] not in cx.index[cx.dim]
+    assert words == {True, False}
+
+
+def catalog_complexes(name):
+    scenario = catalog_scenario(name)
+    for section in scenario.complexes.values():
+        if section.product:
+            left, right = (build_simplicial(scenario.complexes[c]) for c in section.product)
+            yield product_complex(left, right).complex
+        else:
+            yield build_simplicial(section)
+
+
+def cycle_or_error(fn, cx):
+    try:
+        return fn(cx)
+    except (NonOrientable, NotPseudomanifold) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", CATALOG_WITH_COMPLEXES)
+def test_indexed_ridge_signs_match_the_scan(name):
+    complexes = list(catalog_complexes(name))
+    assert complexes
+    for cx in complexes:
+        assert cycle_or_error(fundamental_cycle, cx) == cycle_or_error(fundamental_cycle_by_scan, cx)
+
+
+def test_orientation_failures_keep_their_kind():
+    # rp2-antipodal's complex is the octahedron, which orients; the
+    # antipodal map reverses its cycle, so the quotient is NonOrientable
+    scenario = catalog_scenario("rp2-antipodal")
+    setup = build_quotient(scenario)
+    cycle = fundamental_cycle(setup.cx)
+    assert cycle == fundamental_cycle_by_scan(setup.cx)
+    flipped = {s: -c for s, c in cycle.items()}
+    assert setup.action.transform_cycle("g1", cycle) == transform_cycle_by_scan(setup.action, "g1", cycle) == flipped
+    assert "pd.fundamental_cycle = FAIL NonOrientable" in run_pipeline(scenario).to_machine().splitlines()
+    rp2_six = SimplicialComplex(
+        range(6),
+        [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1), (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)],
+    )
+    for fn in (fundamental_cycle, fundamental_cycle_by_scan):
+        with pytest.raises(NonOrientable):
+            fn(rp2_six)
+        with pytest.raises(NotPseudomanifold):
+            fn(SimplicialComplex(range(5), [(0, 1, 2), (0, 3, 4)]))
