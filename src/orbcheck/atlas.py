@@ -23,7 +23,6 @@ from .cyclotomic import (
 )
 from .errors import (
     ClosureExceedsCap,
-    DuplicateGroupElement,
     MultipleWitnesses,
     NonUnitaryGenerator,
 )
@@ -47,9 +46,6 @@ class FiniteMatrixGroup:
     @property
     def cyclotomic_order(self) -> int:
         return self.elements[0].order
-
-    def identity(self) -> CycMatrix:
-        return CycMatrix.identity(self.cyclotomic_order, self.n)
 
     def __iter__(self):
         return iter(self.elements)
@@ -92,13 +88,6 @@ def group_closure(generators: list[CycMatrix], cap: int = 256) -> FiniteMatrixGr
         frontier = nxt
     elems = tuple(sorted(seen, key=lambda m: tuple(tuple(c.coeffs for c in row) for row in m.rows)))
     return FiniteMatrixGroup(elems)
-
-
-def make_group(elements: list[CycMatrix]) -> FiniteMatrixGroup:
-    """Wrap an explicit element list, rejecting duplicates (faithfulness)."""
-    if len(set(elements)) != len(elements):
-        raise DuplicateGroupElement("group elements must be distinct matrices")
-    return FiniteMatrixGroup(tuple(elements))
 
 
 def stabilizer(group: FiniteMatrixGroup, point: CycVector) -> FiniteMatrixGroup:

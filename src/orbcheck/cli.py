@@ -19,8 +19,17 @@ EXPLANATIONS = {
     "atlas.unitary": "Linear parts of changes of charts are exactly unitary.",
     "atlas.containment": "Change images stay inside the target chart domain.",
     "atlas.witness": "Redundant changes over one overlap differ by a group element.",
-    "seifert.free": "The lifted action on frames has no fixed points off the identity.",
-    "seifert.equivariance": "Lifted left action commutes with the right frame action.",
+    "seifert.free": (
+        "The lifted action on frames has no fixed points off the identity. Decided once "
+        "per chart and exact for every frame: g.xi = xi with xi invertible forces g = I, "
+        "so the check is that the chart group's elements are distinct matrices."
+    ),
+    "seifert.equivariance": (
+        "The lifted left action commutes with the right U(n) action on frames. Decided "
+        "once per chart and exact for every frame and every A: g(xi A) = (g xi) A is "
+        "associativity of exact matrix products, so the check is that every element is "
+        "an n x n matrix over the chart's field."
+    ),
     "seifert.well_defined": "Gluing output is independent of representative and change.",
     "seifert.cocycle": "Composite gluings satisfy f_ki = f_kj . f_ji on the sampled classes in the triple overlap.",
     "seifert.fiber": "Stabilizer order at the basepoint (Seifert fiber descriptor).",

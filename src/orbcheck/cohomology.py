@@ -242,14 +242,17 @@ class InvariantCohomology:
             return self._data[p]
         basis = self.cq.cohomology_basis(p)
         b = len(basis.reps)
-        order = len(self.action.elements)
-        proj = [[Fraction(0)] * b for _ in range(b)]
-        for e in self.action.elements:
+        elements = self.action.elements
+        # a verified action's first element is the identity permutation,
+        # whose action matrix is I: start the sum there
+        assert self.action.perms[elements[0]] == list(range(len(self.action.complex.vertices)))
+        proj = [[Fraction(int(i == j)) for j in range(b)] for i in range(b)]
+        for e in elements[1:]:
             mat = self.action_matrix(e, p)
             for i in range(b):
                 for j in range(b):
                     proj[i][j] += mat[i][j]
-        proj = [[x / order for x in row] for row in proj]
+        proj = [[x / len(elements) for x in row] for row in proj]
         # invariant subspace = column space of the projector
         ech = TrackedEchelon()
         vectors = []

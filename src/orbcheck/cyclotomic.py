@@ -19,8 +19,6 @@ FLINT/Antic (Hart, "ANTIC: Algebraic Number Theory In C", 2015).
 
 from __future__ import annotations
 
-import cmath
-import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -197,7 +195,9 @@ class CyclotomicNumber:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        return _fold(self.order, [s * a - t * b for a, b in zip(self.num, other.num)], den)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -212,6 +212,8 @@ class CyclotomicNumber:
 
     def conjugate(self) -> "CyclotomicNumber":
         """Complex conjugation, the field map zeta -> zeta^(N-1)."""
+        if self.is_rational():
+            return self
         n = self.order
         acc = [0] * n
         for k, c in enumerate(self.num):
@@ -233,10 +235,6 @@ class CyclotomicNumber:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
         return Fraction(self.num[0], self.den)
-
-    def to_complex(self) -> complex:
-        z = cmath.exp(2j * math.pi / self.order)
-        return sum(c / self.den * z**k for k, c in enumerate(self.num))
 
     # -- dunder plumbing ----------------------------------------------
 
@@ -384,15 +382,15 @@ def compare_real(x: CyclotomicNumber, bound: Rat) -> int:
     """Sign of (x - bound) for a real cyclotomic x, certified.
 
     Zero is decided exactly: x - bound is zero only for rational x, which
-    is compared as a Fraction.  Otherwise d = x - bound is the nonzero
-    real number sum_k (num_k / den) cos(2 pi k / N), evaluated in
-    ``decimal`` from 20 digits at doubling precision, each time with the
-    radius sum_k |num_k| / den * 10^-digits, until the radius excludes
-    zero (midpoint-radius evaluation, as in Johansson, "Arb", IEEE TC
-    2017).
+    is compared by integer cross-multiplication.  Otherwise d = x - bound
+    is the nonzero real number sum_k (num_k / den) cos(2 pi k / N),
+    evaluated in ``decimal`` from 20 digits at doubling precision, each
+    time with the radius sum_k |num_k| / den * 10^-digits, until the
+    radius excludes zero (midpoint-radius evaluation, as in Johansson,
+    "Arb", IEEE TC 2017).
     """
     if x.is_rational():
-        q = x.as_fraction() - Fraction(bound)
+        q = x.num[0] * bound.denominator - bound.numerator * x.den
         return (q > 0) - (q < 0)
     if not x.is_real():
         raise ValueError("comparison requires a real cyclotomic number")

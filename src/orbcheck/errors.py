@@ -18,10 +18,6 @@ class MultipleWitnesses(OrbcheckError):
     pass
 
 
-class DuplicateGroupElement(OrbcheckError):
-    pass
-
-
 # frame bundle
 class NoApplicableChange(OrbcheckError):
     pass
@@ -33,10 +29,6 @@ class DegenerateOrbit(OrbcheckError):
 
 
 class NonPositiveDeterminant(OrbcheckError):
-    pass
-
-
-class QuadratureTooCoarse(OrbcheckError):
     pass
 
 

@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .errors import DegenerateOrbit, NonPositiveDeterminant, QuadratureTooCoarse
+from .errors import DegenerateOrbit, NonPositiveDeterminant
 from .linalg import dense_det, rational_root
 from .polyform import PolyForm, Polynomial, PolyVectorField
 from .verdict import Verdict
@@ -83,29 +83,6 @@ class CircleAction:
             out = nxt
         return out
 
-    def rotation_matrix(self, angles: Sequence[float]) -> list[list[float]]:
-        out = [[float(i == j) for j in range(self.d)] for i in range(self.d)]
-        for g, t in enumerate(angles):
-            w = self.weight_rows[g]
-            rot = [[0.0] * self.d for _ in range(self.d)]
-            for k in range(self.n):
-                c, s = math.cos(w[k] * t), math.sin(w[k] * t)
-                rot[2 * k][2 * k] = c
-                rot[2 * k][2 * k + 1] = -s
-                rot[2 * k + 1][2 * k] = s
-                rot[2 * k + 1][2 * k + 1] = c
-            out = [[sum(rot[i][k] * out[k][j] for k in range(self.d)) for j in range(self.d)] for i in range(self.d)]
-        return out
-
-
-class FiniteOrthogonalAction:
-    """A finite group of exact rational orthogonal matrices on R^d."""
-
-    def __init__(self, matrices: Sequence[Sequence[Sequence[Fraction]]]):
-        self.matrices = [[[Fraction(x) for x in row] for row in m] for m in matrices]
-        self.d = len(self.matrices[0])
-        self.m = 0  # no continuous directions
-
 
 class MetricField:
     """Symmetric metric on R^d, polynomial entries or a plain evaluator."""
@@ -130,15 +107,6 @@ class MetricField:
         entries = [
             [Polynomial.constant(d, 1 if i == j else 0) for j in range(d)] for i in range(d)
         ]
-        return cls(d, entries=entries)
-
-    @classmethod
-    def from_polynomials(cls, entries: Sequence[Sequence[Polynomial]]) -> "MetricField":
-        d = len(entries)
-        for i in range(d):
-            for j in range(d):
-                if not (entries[i][j] - entries[j][i]).is_zero():
-                    raise ValueError("metric entries must be symmetric")
         return cls(d, entries=entries)
 
     def evaluate(self, point: Sequence) -> list[list[Number]]:
@@ -249,70 +217,6 @@ def orbit_invariance_check(
     return Verdict(max_dev <= tol, max_dev=max_dev)
 
 
-def required_nodes(metric: MetricField) -> int:
-    """Node count making equispaced circle quadrature exact for the metric."""
-    if metric.poly_degree is None:
-        raise ValueError("metric has no declared polynomial degree")
-    return metric.poly_degree + 3  # trig degree of pullback entries is deg + 2
-
-
-def average_metric(
-    metric: MetricField,
-    action,
-    nodes: Optional[int] = None,
-) -> MetricField:
-    """Group average of a metric; exact for finite groups, equispaced
-    trigonometric quadrature for circle factors."""
-    if isinstance(action, FiniteOrthogonalAction):
-        mats = action.matrices
-        d = action.d
-
-        def evaluate(point):
-            acc = None
-            for g in mats:
-                moved = [sum(g[i][k] * point[k] for k in range(d)) for i in range(d)]
-                m = metric.evaluate(moved)
-                pulled = [
-                    [
-                        sum(g[a][i] * m[a][b] * g[b][j] for a in range(d) for b in range(d))
-                        for j in range(d)
-                    ]
-                    for i in range(d)
-                ]
-                if acc is None:
-                    acc = pulled
-                else:
-                    acc = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(acc, pulled)]
-            k = Fraction(1, len(mats)) if isinstance(acc[0][0], Fraction) else 1.0 / len(mats)
-            return [[k * x for x in row] for row in acc]
-
-        return MetricField(d, evaluator=evaluate, poly_degree=metric.poly_degree)
-
-    need = required_nodes(metric)
-    if nodes is None:
-        nodes = max(need, 8)
-    if nodes < need:
-        raise QuadratureTooCoarse(f"need at least {need} nodes, got {nodes}")
-    d = action.d
-
-    def evaluate(point):
-        pt = [float(x) for x in point]
-        acc = [[0.0] * d for _ in range(d)]
-        for idx in range(nodes):
-            t = 2 * math.pi * idx / nodes
-            rot = action.rotation_matrix([t] * action.m)
-            moved = [sum(rot[i][k] * pt[k] for k in range(d)) for i in range(d)]
-            m = [[float(x) for x in row] for row in metric.evaluate(moved)]
-            for i in range(d):
-                for j in range(d):
-                    acc[i][j] += sum(
-                        rot[a][i] * m[a][b] * rot[b][j] for a in range(d) for b in range(d)
-                    )
-        return [[x / nodes for x in row] for row in acc]
-
-    return MetricField(d, evaluator=evaluate, poly_degree=metric.poly_degree)
-
-
 def orbit_volume(
     metric: MetricField,
     action: CircleAction,
@@ -331,41 +235,6 @@ def orbit_volume(
     if any(det <= 0 for det in dets):
         raise DegenerateOrbit("non-positive Gram determinant along orbit")
     return 2 * math.pi * math.fsum(math.sqrt(det) for det in dets) / nodes
-
-
-def split_metric(
-    g1: MetricField,
-    omega: PolyForm,
-    j_matrix: Sequence[Sequence[float]],
-    vertical_fields: Sequence[PolyVectorField],
-) -> MetricField:
-    """Blockwise metric: g1 on vertical pairs, h = omega(J.,.) on normal
-    pairs, zero across; orbit Gram matrices are unchanged."""
-    import numpy as np
-
-    d = g1.d
-    jm = np.array([[float(x) for x in row] for row in j_matrix])
-
-    def evaluate(point):
-        pt = [float(x) for x in point]
-        gmat = np.array([[float(x) for x in row] for row in g1.evaluate(pt)])
-        vert = np.array([[float(v) for v in f.evaluate(pt)] for f in vertical_fields]).T
-        m = vert.shape[1]
-        # g1-orthogonal complement of the vertical span
-        constraints = vert.T @ gmat  # m x d
-        _, _, vh = np.linalg.svd(constraints)
-        normal = vh[m:].T  # d x (d-m)
-        omat = np.array(omega.evaluate_two_form(pt))
-        h_block = normal.T @ (jm.T @ omat.T) @ normal
-        h_block = 0.5 * (h_block + h_block.T)
-        p = np.hstack([vert, normal])
-        b = np.zeros((d, d))
-        b[:m, :m] = vert.T @ gmat @ vert
-        b[m:, m:] = h_block
-        pinv = np.linalg.inv(p)
-        return (pinv.T @ b @ pinv).tolist()
-
-    return MetricField(d, evaluator=evaluate, poly_degree=g1.poly_degree)
 
 
 def transverse_kahler_check(

@@ -2,15 +2,17 @@
 
 Frames over a flat chart are identified with exact unitary matrices;
 the lift of a unitary-affine map acts on the frame through its linear
-part (the derivative).  Unitarity is decided once, where a matrix
-enters: chart generators in ``atlas.group_closure``, changes of charts
-in ``ChangeOfChart.unitary`` (read by both suites), and the sampled frames
+part (the derivative), by left multiplication, and U(n) acts by right
+multiplication.  Freeness and equivariance of the lifted action are
+therefore identities of the chart group, decided once per chart for
+every frame.  Unitarity is decided once, where a matrix enters: chart
+generators in ``atlas.group_closure``, changes of charts in
+``ChangeOfChart.unitary`` (read by both suites), and the sampled frames
 here are zeta-power monomial matrices, unitary by construction.  Every
-frame derived from these (lifts, right actions, gluing images) is a
-product of unitary matrices and inherits unitarity unchecked.  Since a
-frame is invertible, two frames are in one class exactly when
-h = xi xi'^H lies in the chart group and carries one basepoint to the
-other.
+frame derived from these (lifts, gluing images) is a product of unitary
+matrices and inherits unitarity unchecked.  Since a frame is
+invertible, two frames are in one class exactly when h = xi xi'^H lies
+in the chart group and carries one basepoint to the other.
 """
 
 from __future__ import annotations
@@ -36,33 +38,28 @@ def lift_group_action(g: CycMatrix, frame: UnitaryFrame) -> UnitaryFrame:
     return UnitaryFrame(frame.chart, g.apply(frame.basepoint), g @ frame.frame)
 
 
-def right_action(frame: UnitaryFrame, a: CycMatrix) -> UnitaryFrame:
-    """Right U(n)-action: basepoint fixed, frame part xi A."""
-    return UnitaryFrame(frame.chart, frame.basepoint, frame.frame @ a)
+def check_lifted_action_free(group: FiniteMatrixGroup) -> Verdict:
+    """Freeness of the lifted action on every frame, decided once.
 
-
-def check_lifted_action_free(group: FiniteMatrixGroup, frames: list[UnitaryFrame]) -> Verdict:
-    """Freeness of the lifted action, checked on the sampled frames.
-
-    g.xi = xi with xi invertible forces g = identity, which is the
-    algebraic reason PASS is guaranteed: the group's elements are
-    distinct matrices.
+    g.xi = xi with xi invertible forces g = I, so the action is free
+    exactly when no element but the identity is the identity matrix:
+    when the group's elements are distinct (``group_closure`` collects
+    them as a set).
     """
-    ident = group.identity()
-    for g in group:
-        if g == ident:
-            continue
-        for fr in frames:
-            if lift_group_action(g, fr) == fr:
-                return Verdict(False, "fixed frame found for non-identity element")
+    if len(set(group.elements)) != group.order:
+        return Verdict(False, "fixed frame found for non-identity element")
     return Verdict(True, "no non-identity element fixes a frame; g.xi=xi forces g=id")
 
 
-def check_equivariance(g: CycMatrix, a: CycMatrix, frame: UnitaryFrame) -> Verdict:
-    """g(xi A) = (g xi) A, exactly."""
-    lhs = lift_group_action(g, right_action(frame, a))
-    rhs = right_action(lift_group_action(g, frame), a)
-    return Verdict(lhs == rhs)
+def check_equivariance(group: FiniteMatrixGroup) -> Verdict:
+    """g(xi A) = (g xi) A for every element g, frame xi and A in U(n).
+
+    The lift multiplies a frame on the left and U(n) on the right, so
+    the identity is associativity of exact products; it needs only that
+    every element is an n x n matrix over the chart's field.
+    """
+    n, order = group.n, group.cyclotomic_order
+    return Verdict(all(g.n == n and g.order == order for g in group))
 
 
 @dataclass(frozen=True)
@@ -93,14 +90,19 @@ def gluing_images(atlas: OrbifoldAtlas, cls: FrameClass, target: str):
     Choices run through g in the class's group in group order, then each
     declared change to ``target``, in declaration order, whose source
     domain holds g.x; the first image is the gluing's default choice.
+    The lifted frame g.xi is formed only once a change applies at g.x.
     """
     changes = atlas.changes_between(cls.chart, target)
     group = atlas.chart(target).group
+    rep = cls.representative
     for g in cls.group:
-        moved = lift_group_action(g, cls.representative)
+        point = g.apply(rep.basepoint)
+        frame = None
         for phi in changes:
-            if phi.source_domain.contains(moved.basepoint):
-                image = UnitaryFrame(target, phi.apply(moved.basepoint), phi.linear @ moved.frame)
+            if phi.source_domain.contains(point):
+                if frame is None:
+                    frame = g @ rep.frame
+                image = UnitaryFrame(target, phi.apply(point), phi.linear @ frame)
                 yield FrameClass(target, image, group)
 
 
@@ -164,12 +166,6 @@ def _frames_at(chart: Chart, points: list[CycVector], seed: int) -> list[Unitary
             rows.append(row)
         frames.append(UnitaryFrame(chart.id, p, CycMatrix(order, rows)))
     return frames
-
-
-def sample_frames(chart: Chart, count: int = 10, seed: int = 7) -> list[UnitaryFrame]:
-    """Deterministic exact unitary frames at rational grid basepoints."""
-    pts = sample_grid(chart.cyclotomic_order, chart.domain, count)
-    return _frames_at(chart, [pts[i % len(pts)] for i in range(count)], seed)
 
 
 def sample_classes(

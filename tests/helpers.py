@@ -12,15 +12,29 @@ solving for the one candidate element.  The simplicial references walk
 every simplex: pullbacks over all p-simplices rather than a cochain's
 support, simpliciality over every degree rather than the facets, and
 orientation signs by scanning each facet for the vertex a ridge omits.
+The eager gluing reference forms every lift and image before testing a
+change's domain.
+
+The last section holds constructions only the tests use: explicit
+chart groups, seeded frames and right-action matrices, the complex
+embedding of a cyclotomic number, and the metric averaging and
+splitting of the foliated fixtures.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+
+from orbcheck.atlas import FiniteMatrixGroup, sample_grid
+from orbcheck.cyclotomic import CycMatrix, CyclotomicNumber
+from orbcheck.errors import OrbcheckError
+from orbcheck.foliated import MetricField
+from orbcheck.frame_bundle import FrameClass, UnitaryFrame, _frames_at, lift_group_action
 
 
 def bareiss_rank(matrix) -> int:
@@ -235,6 +249,22 @@ def cyclotomic_conjugate(coeffs, n: int) -> tuple[Fraction, ...]:
     return cyclotomic_reduce(out, n)
 
 
+def matmul_by_polynomials(a, b) -> list[list[tuple[Fraction, ...]]]:
+    """Entries of the product of two cyclotomic matrices as reduced
+    Fraction coordinates: Fraction-polynomial products and sums of the
+    entries' coordinates, reduced modulo the Mobius Phi_N."""
+    out = []
+    for row in a.rows:
+        out_row = []
+        for col in zip(*b.rows):
+            acc = []
+            for x, y in zip(row, col):
+                acc = poly_add(acc, poly_mul(x.coeffs, y.coeffs))
+            out_row.append(cyclotomic_reduce(acc, a.order))
+        out.append(out_row)
+    return out
+
+
 def rotate_point(weights: list[int], t: float, point) -> list[float]:
     """z_k -> exp(i w_k t) z_k on (x_1, y_1, ..., x_n, y_n), one point."""
     out = []
@@ -344,3 +374,188 @@ def fundamental_cycle_by_scan(cx) -> dict:
                     signs[other] = needed
                     stack.append(other)
     return signs
+
+
+def gluing_images_eager(atlas, cls, target) -> list:
+    """Every image class of the gluing, in the order ``gluing_images``
+    yields them, lifting the whole frame (g.x, g.xi) for every g before
+    testing any change's domain."""
+    out = []
+    group = atlas.chart(target).group
+    for g in cls.group:
+        moved = lift_group_action(g, cls.representative)
+        for phi in atlas.changes_between(cls.chart, target):
+            if phi.source_domain.contains(moved.basepoint):
+                image = UnitaryFrame(target, phi.apply(moved.basepoint), phi.linear @ moved.frame)
+                out.append(FrameClass(target, image, group))
+    return out
+
+
+# -- constructions only the tests use ---------------------------------------
+
+
+class DuplicateGroupElement(OrbcheckError):
+    pass
+
+
+class QuadratureTooCoarse(OrbcheckError):
+    pass
+
+
+def make_group(elements: list) -> FiniteMatrixGroup:
+    """Wrap an explicit element list, rejecting duplicates (faithfulness)."""
+    if len(set(elements)) != len(elements):
+        raise DuplicateGroupElement("group elements must be distinct matrices")
+    return FiniteMatrixGroup(tuple(elements))
+
+
+def to_complex(x: CyclotomicNumber) -> complex:
+    """The embedding zeta_N -> exp(2 pi i / N)."""
+    z = cmath.exp(2j * math.pi / x.order)
+    return sum(c / x.den * z**k for k, c in enumerate(x.num))
+
+
+def sample_frames(chart, count: int = 10, seed: int = 7) -> list:
+    """Deterministic exact unitary frames at rational grid basepoints."""
+    pts = sample_grid(chart.cyclotomic_order, chart.domain, count)
+    return _frames_at(chart, [pts[i % len(pts)] for i in range(count)], seed)
+
+
+def right_action(frame: UnitaryFrame, a: CycMatrix) -> UnitaryFrame:
+    """Right U(n)-action: basepoint fixed, frame part xi A."""
+    return UnitaryFrame(frame.chart, frame.basepoint, frame.frame @ a)
+
+
+def equivariance_samples(chart) -> list:
+    """Right-action samples: zeta-power monomial matrices, unitary by construction."""
+    order, n = chart.cyclotomic_order, chart.n
+    diag = [[int(i == j) for j in range(n)] for i in range(n)]
+    diag[0][0] = CyclotomicNumber.zeta(order)
+    if n >= 2:
+        swap = [[int((i, j) in ((0, 1), (1, 0)) or i == j > 1) for j in range(n)] for i in range(n)]
+    else:
+        swap = [[CyclotomicNumber.zeta(order, 2)]]
+    return [CycMatrix.identity(order, n), CycMatrix(order, diag), CycMatrix(order, swap)]
+
+
+def metric_from_polynomials(entries) -> MetricField:
+    d = len(entries)
+    for i in range(d):
+        for j in range(d):
+            if not (entries[i][j] - entries[j][i]).is_zero():
+                raise ValueError("metric entries must be symmetric")
+    return MetricField(d, entries=entries)
+
+
+class FiniteOrthogonalAction:
+    """A finite group of exact rational orthogonal matrices on R^d."""
+
+    def __init__(self, matrices):
+        self.matrices = [[[Fraction(x) for x in row] for row in m] for m in matrices]
+        self.d = len(self.matrices[0])
+        self.m = 0  # no continuous directions
+
+
+def rotation_matrix(action, angles) -> list[list[float]]:
+    """The real rotation of a torus action through the given angles."""
+    d = action.d
+    out = [[float(i == j) for j in range(d)] for i in range(d)]
+    for g, t in enumerate(angles):
+        w = action.weight_rows[g]
+        rot = [[0.0] * d for _ in range(d)]
+        for k in range(action.n):
+            c, s = math.cos(w[k] * t), math.sin(w[k] * t)
+            rot[2 * k][2 * k] = c
+            rot[2 * k][2 * k + 1] = -s
+            rot[2 * k + 1][2 * k] = s
+            rot[2 * k + 1][2 * k + 1] = c
+        out = [[sum(rot[i][k] * out[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
+    return out
+
+
+def required_nodes(metric: MetricField) -> int:
+    """Node count making equispaced circle quadrature exact for the metric."""
+    if metric.poly_degree is None:
+        raise ValueError("metric has no declared polynomial degree")
+    return metric.poly_degree + 3  # trig degree of pullback entries is deg + 2
+
+
+def average_metric(metric: MetricField, action, nodes=None) -> MetricField:
+    """Group average of a metric; exact for finite groups, equispaced
+    trigonometric quadrature for circle factors."""
+    if isinstance(action, FiniteOrthogonalAction):
+        mats = action.matrices
+        d = action.d
+
+        def evaluate(point):
+            acc = None
+            for g in mats:
+                moved = [sum(g[i][k] * point[k] for k in range(d)) for i in range(d)]
+                m = metric.evaluate(moved)
+                pulled = [
+                    [
+                        sum(g[a][i] * m[a][b] * g[b][j] for a in range(d) for b in range(d))
+                        for j in range(d)
+                    ]
+                    for i in range(d)
+                ]
+                if acc is None:
+                    acc = pulled
+                else:
+                    acc = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(acc, pulled)]
+            k = Fraction(1, len(mats)) if isinstance(acc[0][0], Fraction) else 1.0 / len(mats)
+            return [[k * x for x in row] for row in acc]
+
+        return MetricField(d, evaluator=evaluate, poly_degree=metric.poly_degree)
+
+    need = required_nodes(metric)
+    if nodes is None:
+        nodes = max(need, 8)
+    if nodes < need:
+        raise QuadratureTooCoarse(f"need at least {need} nodes, got {nodes}")
+    d = action.d
+
+    def evaluate(point):
+        pt = [float(x) for x in point]
+        acc = [[0.0] * d for _ in range(d)]
+        for idx in range(nodes):
+            t = 2 * math.pi * idx / nodes
+            rot = rotation_matrix(action, [t] * action.m)
+            moved = [sum(rot[i][k] * pt[k] for k in range(d)) for i in range(d)]
+            m = [[float(x) for x in row] for row in metric.evaluate(moved)]
+            for i in range(d):
+                for j in range(d):
+                    acc[i][j] += sum(
+                        rot[a][i] * m[a][b] * rot[b][j] for a in range(d) for b in range(d)
+                    )
+        return [[x / nodes for x in row] for row in acc]
+
+    return MetricField(d, evaluator=evaluate, poly_degree=metric.poly_degree)
+
+
+def split_metric(g1: MetricField, omega, j_matrix, vertical_fields) -> MetricField:
+    """Blockwise metric: g1 on vertical pairs, h = omega(J.,.) on normal
+    pairs, zero across; orbit Gram matrices are unchanged."""
+    d = g1.d
+    jm = np.array([[float(x) for x in row] for row in j_matrix])
+
+    def evaluate(point):
+        pt = [float(x) for x in point]
+        gmat = np.array([[float(x) for x in row] for row in g1.evaluate(pt)])
+        vert = np.array([[float(v) for v in f.evaluate(pt)] for f in vertical_fields]).T
+        m = vert.shape[1]
+        # g1-orthogonal complement of the vertical span
+        constraints = vert.T @ gmat  # m x d
+        _, _, vh = np.linalg.svd(constraints)
+        normal = vh[m:].T  # d x (d-m)
+        omat = np.array(omega.evaluate_two_form(pt))
+        h_block = normal.T @ (jm.T @ omat.T) @ normal
+        h_block = 0.5 * (h_block + h_block.T)
+        p = np.hstack([vert, normal])
+        b = np.zeros((d, d))
+        b[:m, :m] = vert.T @ gmat @ vert
+        b[m:, m:] = h_block
+        pinv = np.linalg.inv(p)
+        return (pinv.T @ b @ pinv).tolist()
+
+    return MetricField(d, evaluator=evaluate, poly_degree=g1.poly_degree)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from helpers import DuplicateGroupElement, make_group
 
 from orbcheck.atlas import (
     Ball,
@@ -8,7 +9,6 @@ from orbcheck.atlas import (
     Chart,
     equivalent_changes,
     group_closure,
-    make_group,
     sample_grid,
     stabilizer,
     validate_atlas,
@@ -17,7 +17,6 @@ from orbcheck.catalog import catalog_scenario
 from orbcheck.cyclotomic import CycMatrix, CyclotomicNumber, vec
 from orbcheck.errors import (
     ClosureExceedsCap,
-    DuplicateGroupElement,
     MultipleWitnesses,
     NonUnitaryGenerator,
 )

@@ -182,6 +182,20 @@ def test_betti_inv_matches_the_transfer_oracle(name):
     assert lines["betti.inv"] == ",".join(map(str, expect))
 
 
+@pytest.mark.parametrize("name", QUOTIENT_CATALOG)
+def test_projector_starting_from_the_identity_matches_the_full_sum(name):
+    # degree() adds I for the first element instead of its action matrix
+    setup = build_quotient(catalog_scenario(name))
+    inv = InvariantCohomology(setup.cq, setup.action)
+    elements = setup.action.elements
+    for p in range(setup.cx.dim + 1):
+        b = len(setup.cq.cohomology_basis(p).reps)
+        assert inv.action_matrix(elements[0], p) == [[int(i == j) for j in range(b)] for i in range(b)]
+        mats = [inv.action_matrix(e, p) for e in elements]
+        full = [[Fraction(sum(m[i][j] for m in mats), len(elements)) for j in range(b)] for i in range(b)]
+        assert inv.degree(p).projector == full
+
+
 CLEARING_COMPLEXES = {
     "t4-z2": lambda: build_quotient(catalog_scenario("t4-z2")).cx,
     "torus7": torus7,

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import cyclotomic_conjugate, cyclotomic_reduce, poly_add, poly_mul
+from helpers import cyclotomic_conjugate, cyclotomic_reduce, poly_add, poly_mul, to_complex
 from orbcheck.atlas import group_closure
 from orbcheck.cyclotomic import (
     CycMatrix,
@@ -57,7 +57,7 @@ def test_norm_is_real_rational_for_roots_of_unity():
 
 def test_complex_embedding_agrees():
     z = CyclotomicNumber.zeta(6)
-    assert abs(z.to_complex() - complex(0.5, 3**0.5 / 2)) < 1e-12
+    assert abs(to_complex(z) - complex(0.5, 3**0.5 / 2)) < 1e-12
 
 
 def test_matrix_unitarity_exact():
@@ -163,6 +163,33 @@ def test_matrix_products_match_the_oracle_with_mixed_denominators(n):
                     want = poly_add(want, poly_mul(polys_a[i][k], polys_b[k][j]))
                 assert prod.rows[i][j].coeffs == cyclotomic_reduce(want, n)
                 assert prod.rows[i][j] == CyclotomicNumber(n, want)
+
+
+@pytest.mark.parametrize("n", (1, 4, 8, 12))
+def test_one_fold_subtraction_and_rational_shortcuts_match_the_oracle(n):
+    # x - y folds once, a rational conjugates to itself and compares by
+    # cross-multiplication: each must give the canonical num/den of the
+    # Fraction-polynomial oracle
+    rng = random.Random(3000 + n)
+    bounds = [0, Fraction(0), -3, 5, Fraction(-7, 4), Fraction(2, 3), Fraction(9, 1)]
+    for _ in range(40):
+        a, b = _random_coeffs(rng, n), _random_coeffs(rng, n)
+        x, y = CyclotomicNumber(n, a), CyclotomicNumber(n, b)
+        want = CyclotomicNumber(n, poly_add(a, [-c for c in b]))
+        for got in (x - y, x + (-y)):
+            assert (got.num, got.den) == (want.num, want.den)
+        assert (x - y).coeffs == cyclotomic_reduce(poly_add(a, [-c for c in b]), n)
+        q = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6)))
+        for got, coeffs in ((x - q, poly_add(a, [-q])), (q - x, poly_add([q], [-c for c in a]))):
+            assert (got.num, got.den) == (CyclotomicNumber(n, coeffs).num, CyclotomicNumber(n, coeffs).den)
+        # rationals built directly and as x - (x - q)
+        for r in (CyclotomicNumber.from_rational(n, q), x - (x - q)):
+            assert r.is_rational() and r.as_fraction() == q
+            bar = r.conjugate()
+            assert (bar.num, bar.den) == (r.num, r.den)
+            assert bar.coeffs == cyclotomic_conjugate(list(r.coeffs), n)
+            for bound in bounds + [q, -q]:
+                assert compare_real(r, bound) == (q > bound) - (q < bound)
 
 
 def test_group_closure_sorts_by_fraction_coefficients():

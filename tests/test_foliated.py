@@ -6,13 +6,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import orbit_volume_per_node
-from orbcheck.errors import DegenerateOrbit, QuadratureTooCoarse
+from helpers import (
+    FiniteOrthogonalAction,
+    QuadratureTooCoarse,
+    average_metric,
+    metric_from_polynomials,
+    orbit_volume_per_node,
+    required_nodes,
+    split_metric,
+)
+from orbcheck.errors import DegenerateOrbit
 from orbcheck.foliated import (
     CircleAction,
-    FiniteOrthogonalAction,
     MetricField,
-    average_metric,
     basic_form_check,
     conformal_factor,
     coordinate_major,
@@ -20,8 +26,6 @@ from orbcheck.foliated import (
     orbit_invariance_check,
     orbit_volume,
     rescaled_gram,
-    required_nodes,
-    split_metric,
     transverse_kahler_check,
 )
 from orbcheck.pipeline import run_pipeline
@@ -130,7 +134,7 @@ def bumpy_metric(d):
     for i in range(d):
         entries[i][i] = 2 + x[i] * x[i] * Fraction(1, 3)
     entries[0][1] = entries[1][0] = x[2] * x[3] * Fraction(-1, 5)
-    return MetricField.from_polynomials(entries)
+    return metric_from_polynomials(entries)
 
 
 def test_polynomial_batch_matches_each_point_bitwise():
@@ -238,7 +242,7 @@ def test_average_metric_finite_group_exact():
     one = Polynomial.constant(2, 1)
     zero = Polynomial.constant(2, 0)
     entries = [[1 + x * x, zero], [zero, one]]
-    metric = MetricField.from_polynomials(entries)
+    metric = metric_from_polynomials(entries)
     swap = FiniteOrthogonalAction([[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
     avg = average_metric(metric, swap)
     got = avg.evaluate([Fraction(2), Fraction(3)])

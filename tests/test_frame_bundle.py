@@ -2,9 +2,16 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from helpers import same_class_by_scan
+from helpers import (
+    equivariance_samples,
+    gluing_images_eager,
+    matmul_by_polynomials,
+    right_action,
+    same_class_by_scan,
+    sample_frames,
+)
 
-from orbcheck.atlas import Ball, ChangeOfChart, OrbifoldAtlas
+from orbcheck.atlas import Ball, ChangeOfChart, FiniteMatrixGroup, OrbifoldAtlas
 from orbcheck.catalog import catalog_scenario
 from orbcheck.cyclotomic import CycMatrix, CyclotomicNumber, vec
 from orbcheck.errors import NoApplicableChange
@@ -17,12 +24,11 @@ from orbcheck.frame_bundle import (
     gluing_images,
     gluing_well_defined,
     lift_group_action,
-    right_action,
     sample_classes,
-    sample_frames,
     seifert_fiber_report,
 )
-from orbcheck.pipeline import _equivariance_samples, build_atlas
+from orbcheck.pipeline import build_atlas
+from orbcheck.verdict import Verdict
 
 CATALOG_ATLASES = ("football:2", "football:3", "football:4", "quaternion-chart")
 
@@ -47,14 +53,15 @@ def _classes_and_images(atlas):
 @pytest.mark.parametrize("name", CATALOG_ATLASES)
 def test_every_frame_the_seifert_suite_builds_is_unitary(name):
     # frames are not re-checked when derived, so each way of making one
-    # must keep them unitary
+    # (and the right action the equivariance verdict covers) must keep
+    # them unitary
     atlas = build_atlas(catalog_scenario(name))
     built = []
     for chart in atlas.charts:
         frames = sample_frames(chart, 10)
         built += frames
         built += [lift_group_action(g, fr) for g in chart.group for fr in frames]
-        built += [right_action(fr, a) for a in _equivariance_samples(chart) for fr in frames]
+        built += [right_action(fr, a) for a in equivariance_samples(chart) for fr in frames]
     for classes, images in _classes_and_images(atlas):
         assert images
         built += [cls.representative for cls in classes + images]
@@ -86,14 +93,77 @@ def test_lift_acts_through_linear_part(football3):
 
 
 def test_free_and_equivariant_on_catalog(football3, quaternion):
+    # each verdict is decided once per chart; the sampled frames, which
+    # the suite no longer builds, confirm what it holds for every frame
     for atlas in (football3, quaternion):
         for chart in atlas.charts:
+            free = check_lifted_action_free(chart.group)
+            assert free.passed
+            assert free.detail == "no non-identity element fixes a frame; g.xi=xi forces g=id"
+            assert check_equivariance(chart.group) == Verdict(True)
             frames = sample_frames(chart, 10)
-            assert check_lifted_action_free(chart.group, frames).passed
-            a = CycMatrix.identity(chart.cyclotomic_order, chart.n)
             for g in chart.group:
                 for fr in frames:
-                    assert check_equivariance(g, a, fr).passed
+                    assert (lift_group_action(g, fr) == fr) == g.is_identity()
+                    for a in equivariance_samples(chart):
+                        lhs = lift_group_action(g, right_action(fr, a))
+                        assert lhs == right_action(lift_group_action(g, fr), a)
+
+
+def test_freeness_fails_when_an_element_repeats():
+    # a group listing I twice has a non-identity element fixing every frame
+    ident = CycMatrix.identity(4, 2)
+    z = CyclotomicNumber.zeta(4)
+    twice = FiniteMatrixGroup((ident, CycMatrix(4, [[z, 0], [0, 1]]), ident))
+    verdict = check_lifted_action_free(twice)
+    assert not verdict.passed
+    assert verdict.detail == "fixed frame found for non-identity element"
+
+
+def test_equivariance_fails_on_mismatched_shapes():
+    sizes = FiniteMatrixGroup((CycMatrix.identity(4, 2), CycMatrix.identity(4, 1)))
+    fields = FiniteMatrixGroup((CycMatrix.identity(4, 1), CycMatrix.identity(3, 1)))
+    assert not check_equivariance(sizes).passed
+    assert not check_equivariance(fields).passed
+
+
+@pytest.mark.parametrize("name", CATALOG_ATLASES)
+def test_frame_products_are_associative_against_the_oracle(name):
+    # g(xi A) = (g xi) A is what the equivariance verdict rests on
+    atlas = build_atlas(catalog_scenario(name))
+    for chart in atlas.charts:
+        order = chart.cyclotomic_order
+        for fr in sample_frames(chart, 10):
+            for g in chart.group:
+                g_xi = g @ fr.frame
+                assert [[c.coeffs for c in row] for row in g_xi.rows] == matmul_by_polynomials(g, fr.frame)
+                for a in equivariance_samples(chart):
+                    xi_a = fr.frame @ a
+                    left, right = g @ xi_a, g_xi @ a
+                    assert left == right
+                    want = matmul_by_polynomials(g_xi, a)
+                    assert [[c.coeffs for c in row] for row in left.rows] == want
+                    assert matmul_by_polynomials(g, xi_a) == want
+
+
+@pytest.mark.parametrize("name", CATALOG_ATLASES)
+def test_lazy_gluing_images_match_the_eager_lift(name):
+    # sampled classes, the origin, and for every g a class that g carries
+    # to the centre of a change's domain, so non-identity lifts apply
+    atlas = build_atlas(catalog_scenario(name))
+    seen = moved = 0
+    for i, j in atlas.overlaps():
+        group = atlas.chart(i).group
+        centre = atlas.changes_between(i, j)[0].source_domain.center
+        classes = sample_classes(atlas, i, j) + [_class_at(atlas, i, [0] * atlas.chart(i).n)]
+        classes += [_class_at(atlas, i, g.conjugate_transpose().apply(centre)) for g in group]
+        for cls in classes:
+            images = list(gluing_images(atlas, cls, j))
+            assert images == gluing_images_eager(atlas, cls, j)
+            seen += len(images)
+            x = cls.representative.basepoint
+            moved += sum(not g.is_identity() and g.apply(x) == centre for g in group)
+    assert seen and moved
 
 
 def _class_at(atlas, chart_id, point):
