@@ -102,11 +102,15 @@ class Ball:
     center: CycVector
     radius: Optional[Fraction]
 
+    @cached_property
+    def radius_sq(self) -> Fraction:
+        return self.radius * self.radius
+
     def contains(self, point: CycVector) -> bool:
         if self.radius is None:
             return True
         d2 = vec_norm_sq(vec_sub(point, self.center))
-        return compare_real(d2, self.radius * self.radius) <= 0
+        return compare_real(d2, self.radius_sq) <= 0
 
 
 @dataclass(frozen=True)
@@ -119,7 +123,7 @@ class Chart:
     radius: Optional[Fraction]  # None means all of C^n
     group: FiniteMatrixGroup
 
-    @property
+    @cached_property
     def domain(self) -> Ball:
         origin = vec(self.cyclotomic_order, [0] * self.n)
         return Ball(origin, self.radius)

@@ -101,7 +101,8 @@ def main(argv=None) -> int:
     run = sub.add_parser("run", help="run a scenario file or catalog entry")
     run.add_argument("target", help="scenario file path, or catalog:<name>")
     run.add_argument("--format", choices=("human", "machine"), default="human")
-    run.add_argument("--samples", type=_positive_int, default=None, help="override sample counts")
+    samples_help = "override the taut sample count; also sets the atlas and Seifert grid size (default 25)"
+    run.add_argument("--samples", type=_positive_int, default=None, help=samples_help)
     run.add_argument("--tol", type=_tolerance, default=None, help="override numeric tolerance")
 
     sub.add_parser("list-catalog", help="list built-in scenarios")

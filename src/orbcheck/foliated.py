@@ -1,26 +1,28 @@
 """Taut-metric and transverse-Kahler checks on chart-level group actions.
 
 The geometric statements are verified where the proofs evaluate them:
-on a chart times the acting group.  Gram matrices of fundamental
-fields, the conformal factor u0 = det(M0)^(-1/m), orbit volumes and
-the transverse Kahler conditions are computed exactly on rational
+on a chart times the acting group.  The taut geometry is one circle
+acting on C^n by integer weights, in the metric u times the Euclidean
+one: u = 1 gives g0 and its Gram matrix M0, u = u0 = det(M0)^(-1/m)
+the rescaled metric with det M1 = 1 and orbit volume 2*pi.  These, and
+the transverse Kahler conditions, are computed exactly on rational
 input and in floating point (with declared tolerances) on sampled
 orbits.
 
 The float checks run one orbit (or one sample set) at a time on a
 coordinate-major batch: a list of d numpy arrays, one per coordinate.
-Polynomial, field, metric and Gram evaluation take such a batch
-unchanged and do the same IEEE operations, in the same order, as on
-each point alone; for m = 1 the determinant is the 1x1 entry itself.
-numpy is imported inside the functions that use it, so importing the
-package does not load it.
+Polynomial, field and Gram evaluation take such a batch unchanged and
+do the same IEEE operations, in the same order, as on each point alone;
+for m = 1 the determinant is the 1x1 entry itself.  numpy is imported
+inside the functions that use it, so importing the package does not
+load it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .errors import DegenerateOrbit, NonPositiveDeterminant
 from .linalg import dense_det, rational_root
@@ -31,88 +33,38 @@ Number = Union[Fraction, float]
 
 
 class CircleAction:
-    """Torus action on C^n by diagonal rotations with integer weights.
+    """Circle action on C^n by diagonal rotations with integer weights
+    (w_1..w_n): z_k -> exp(i w_k t) z_k on the real coordinates
+    (x_1, y_1, ..., x_n, y_n)."""
 
-    Each generator row (w_1..w_n) acts by z_k -> exp(i w_k t) z_k on the
-    real coordinates (x_1, y_1, ..., x_n, y_n).
-    """
-
-    def __init__(self, weight_rows: Sequence[Sequence[int]]):
-        self.weight_rows = [list(map(int, row)) for row in weight_rows]
-        self.n = len(self.weight_rows[0])
-        for row in self.weight_rows:
-            if len(row) != self.n:
-                raise ValueError("weight rows must share length")
+    def __init__(self, weights: Sequence[int]):
+        self.weights = [int(w) for w in weights]
+        self.n = len(self.weights)
         self.d = 2 * self.n
-        self.m = len(self.weight_rows)
-        self._fields = [self.fundamental_field(g) for g in range(self.m)]
-
-    @classmethod
-    def circle(cls, weights: Sequence[int]) -> "CircleAction":
-        return cls([list(weights)])
-
-    def fundamental_field(self, generator: int) -> PolyVectorField:
-        """Exact derivative at t = 0 of the one-parameter rotation."""
-        w = self.weight_rows[generator]
         comps = []
-        for k in range(self.n):
-            d = self.d
-            x = Polynomial.variable(d, 2 * k)
-            y = Polynomial.variable(d, 2 * k + 1)
-            comps.append(-w[k] * y)  # d/dt (cos - sin) at 0
-            comps.append(w[k] * x)
-        return PolyVectorField(comps)
+        for k, w in enumerate(self.weights):
+            x = Polynomial.variable(self.d, 2 * k)
+            y = Polynomial.variable(self.d, 2 * k + 1)
+            comps.extend([-w * y, w * x])  # d/dt (cos - sin) at 0
+        self._fields = [PolyVectorField(comps)]
 
     def fundamental_fields(self) -> list[PolyVectorField]:
-        """The exact fields of every generator, built once per action."""
+        """The exact derivative at t = 0 of the rotation, built once per
+        action, as the one-entry list the Gram matrix takes."""
         return self._fields
 
     def orbit(self, point: Sequence[float], angles: Sequence[float]) -> list:
-        """The point turned by every generator through each angle t, as a
-        coordinate-major batch with one entry per angle."""
+        """The point turned through each angle t, as a coordinate-major
+        batch with one entry per angle."""
         import numpy as np
 
-        out = list(map(float, point))
-        for w in self.weight_rows:
-            nxt = []
-            for k in range(self.n):
-                c = np.array([math.cos(w[k] * t) for t in angles])
-                s = np.array([math.sin(w[k] * t) for t in angles])
-                x, y = out[2 * k], out[2 * k + 1]
-                nxt.extend([c * x - s * y, s * x + c * y])
-            out = nxt
+        out = []
+        for k, w in enumerate(self.weights):
+            c = np.array([math.cos(w * t) for t in angles])
+            s = np.array([math.sin(w * t) for t in angles])
+            x, y = float(point[2 * k]), float(point[2 * k + 1])
+            out.extend([c * x - s * y, s * x + c * y])
         return out
-
-
-class MetricField:
-    """Symmetric metric on R^d, polynomial entries or a plain evaluator."""
-
-    def __init__(
-        self,
-        d: int,
-        entries: Optional[Sequence[Sequence[Polynomial]]] = None,
-        evaluator: Optional[Callable] = None,
-        poly_degree: Optional[int] = None,
-    ):
-        self.d = d
-        self.entries = entries
-        self._evaluator = evaluator
-        if entries is not None:
-            self.poly_degree = max(p.total_degree() for row in entries for p in row)
-        else:
-            self.poly_degree = poly_degree
-
-    @classmethod
-    def euclidean(cls, d: int) -> "MetricField":
-        entries = [
-            [Polynomial.constant(d, 1 if i == j else 0) for j in range(d)] for i in range(d)
-        ]
-        return cls(d, entries=entries)
-
-    def evaluate(self, point: Sequence) -> list[list[Number]]:
-        if self._evaluator is not None:
-            return self._evaluator(point)
-        return [[p.evaluate(point) for p in row] for row in self.entries]
 
 
 def coordinate_major(points: Sequence[Sequence[float]]) -> list:
@@ -129,31 +81,19 @@ def _values(x) -> list:
 
 def _det(mat: list[list]):
     """Determinant of a Gram matrix: for m = 1 the entry itself (an int
-    as a Fraction), which also holds a whole batch; for m > 1 dense_det
-    at each point."""
-    m = len(mat)
-    if m == 1:
+    as a Fraction), which also holds a whole batch; dense_det otherwise."""
+    if len(mat) == 1:
         x = mat[0][0]
         return Fraction(x) if isinstance(x, int) else x
-    entries = [x for row in mat for x in row]
-    if all(isinstance(x, (int, float, Fraction)) for x in entries):
-        return dense_det(mat)
-    import numpy as np
-
-    per_point = zip(*(a.tolist() for a in np.broadcast_arrays(*entries)))
-    return np.array([dense_det([pt[i * m : (i + 1) * m] for i in range(m)]) for pt in per_point])
+    return dense_det(mat)
 
 
-def gram_matrix(
-    metric: MetricField, fields: Sequence[PolyVectorField], point: Sequence
-) -> list[list[Number]]:
-    """M0[point]: metric pairings of fundamental fields; positive definite
-    at the point, or at every point of a batch."""
-    g = metric.evaluate(point)
+def gram_matrix(fields: Sequence[PolyVectorField], point: Sequence, u=1) -> list[list[Number]]:
+    """The Gram matrix of the fields in the metric u times the Euclidean
+    one, sum_i (v_k,i u) v_l,i; positive definite at the point, or at
+    every point of a batch (u a scalar, or an array over the batch)."""
     vals = [f.evaluate(point) for f in fields]
-    m = len(fields)
-    d = metric.d
-    out = [[sum(vals[k][i] * g[i][j] * vals[l][j] for i in range(d) for j in range(d)) for l in range(m)] for k in range(m)]
+    out = [[sum(a * u * b for a, b in zip(vk, vl)) for vl in vals] for vk in vals]
     det = _det(out)
     singular = det == 0 if isinstance(det, Fraction) else any(abs(x) < 1e-12 for x in _values(det))
     if singular:
@@ -217,21 +157,16 @@ def orbit_invariance_check(
     return Verdict(max_dev <= tol, max_dev=max_dev)
 
 
-def orbit_volume(
-    metric: MetricField,
-    action: CircleAction,
-    point: Sequence,
-    nodes: int = 256,
-) -> float:
-    """Integral over the circle of (det Gram)^(1/2) along the orbit.
-
-    For the rescaled metric the integrand is identically 1 and the
-    volume equals the group frame volume 2*pi.
+def orbit_volume(action: CircleAction, point: Sequence, nodes: int = 256) -> float:
+    """Integral over the circle of (det M1)^(1/2) along the orbit, in the
+    rescaled metric u0 times the Euclidean one, u0 formed from M0 on the
+    same nodes.  The integrand is identically 1 and the volume equals
+    the group frame volume 2*pi.
     """
-    if action.m != 1:
-        raise ValueError("orbit volume is implemented for one-circle actions")
     moved = action.orbit(point, [2 * math.pi * idx / nodes for idx in range(nodes)])
-    dets = _values(_det(gram_matrix(metric, action.fundamental_fields(), moved)))
+    fields = action.fundamental_fields()
+    u0 = conformal_factor(gram_matrix(fields, moved), 1)
+    dets = _values(_det(gram_matrix(fields, moved, u0)))
     if any(det <= 0 for det in dets):
         raise DegenerateOrbit("non-positive Gram determinant along orbit")
     return 2 * math.pi * math.fsum(math.sqrt(det) for det in dets) / nodes

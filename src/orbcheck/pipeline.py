@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
 from typing import Optional
@@ -201,36 +201,29 @@ def _taut_checks(scenario: Scenario, report: Report):
     if fixed is not None:
         report.check("taut.detM1", Verdict(False, fixed))
         return
-    action = fol.CircleAction.circle(geo.weights)
-    d = action.d
-    g0 = fol.MetricField.euclidean(d)
+    action = fol.CircleAction(geo.weights)
     fields = action.fundamental_fields()
     seed = sum(ord(c) for c in scenario.name)  # stable across processes
-    pts = _sphere_points(d, geo.samples, seed)
+    pts = _sphere_points(action.d, geo.samples, seed)
 
-    m0 = fol.gram_matrix(g0, fields, fol.coordinate_major(pts))
-    _, verdict = fol.rescaled_gram(m0, action.m, tol=1e-12)
+    m0 = fol.gram_matrix(fields, fol.coordinate_major(pts))
+    _, verdict = fol.rescaled_gram(m0, 1, tol=1e-12)
     report.check("taut.detM1", _deviation_verdict(verdict.passed, verdict.max_dev))
 
-    def g1_eval(point):
-        u0 = fol.conformal_factor(fol.gram_matrix(g0, fields, point), action.m)
-        return [[u0 * x for x in row] for row in g0.evaluate(point)]
-
-    g1 = fol.MetricField(d, evaluator=g1_eval, poly_degree=g0.poly_degree)
     vol_dev = 0.0
     vol_ok = True
     for pt in pts[: geo.orbits]:
-        vol = fol.orbit_volume(g1, action, pt, nodes=geo.nodes)
+        vol = fol.orbit_volume(action, pt, nodes=geo.nodes)
         dev = abs(vol - 2 * math.pi)
         vol_dev = max(vol_dev, dev)
         vol_ok = vol_ok and dev <= geo.tol
     report.check("taut.orbit_volume", _deviation_verdict(vol_ok, vol_dev))
 
-    def u0_field(point):
-        return fol.conformal_factor(fol.gram_matrix(g0, fields, point), action.m)
-
     def m0_field(point):
-        return fol.gram_matrix(g0, fields, point)
+        return fol.gram_matrix(fields, point)
+
+    def u0_field(point):
+        return fol.conformal_factor(m0_field(point), 1)
 
     inv_dev_u0 = 0.0
     inv_dev_m0 = 0.0
@@ -394,10 +387,9 @@ def run_quotient_pipeline(scenario: Scenario, report: Report):
 
 def run_pipeline(scenario: Scenario, samples: Optional[int] = None, tol: Optional[float] = None) -> Report:
     report = Report(scenario.name)
-    if samples is not None and scenario.geometry is not None:
-        scenario.geometry.samples = samples
-    if tol is not None and scenario.geometry is not None:
-        scenario.geometry.tol = tol
+    overrides = {k: v for k, v in (("samples", samples), ("tol", tol)) if v is not None}
+    if overrides and scenario.geometry is not None:  # the caller's scenario stays as it is
+        scenario = replace(scenario, geometry=replace(scenario.geometry, **overrides))
     grid = samples if samples is not None else 25
     atlas = None
     if "atlas" in scenario.pipelines or "seifert" in scenario.pipelines:

@@ -7,7 +7,9 @@ invariant Betti numbers from orbit sums of simplices (the transfer), and
 Fraction-polynomial arithmetic modulo a cyclotomic polynomial built by
 its Mobius product.  The orbit-volume reference rotates and evaluates
 one node at a time, apart from the package's batched orbit path, and
-the frame-class reference scans the whole chart group instead of
+the Gram reference contracts the fields through the whole d x d metric
+matrix, as a general metric would, rather than along its diagonal.  The
+frame-class reference scans the whole chart group instead of
 solving for the one candidate element.  The simplicial references walk
 every simplex: pullbacks over all p-simplices rather than a cochain's
 support, simpliciality over every degree rather than the facets, and
@@ -16,9 +18,8 @@ The eager gluing reference forms every lift and image before testing a
 change's domain.
 
 The last section holds constructions only the tests use: explicit
-chart groups, seeded frames and right-action matrices, the complex
-embedding of a cyclotomic number, and the metric averaging and
-splitting of the foliated fixtures.
+chart groups, seeded frames and right-action matrices, and the complex
+embedding of a cyclotomic number.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ import numpy as np
 from orbcheck.atlas import FiniteMatrixGroup, sample_grid
 from orbcheck.cyclotomic import CycMatrix, CyclotomicNumber
 from orbcheck.errors import OrbcheckError
-from orbcheck.foliated import MetricField
 from orbcheck.frame_bundle import FrameClass, UnitaryFrame, _frames_at, lift_group_action
+from orbcheck.polyform import Polynomial
 
 
 def bareiss_rank(matrix) -> int:
@@ -289,6 +290,19 @@ def orbit_volume_per_node(gram, weights: list[int], point, nodes: int) -> float:
     return 2 * math.pi * math.fsum(vals) / nodes
 
 
+def gram_by_metric_pairing(fields, point, u=1):
+    """The Gram matrix as the full d x d pairing sum_ij (v_k,i g_ij) v_l,j
+    in the metric g = u times the Euclidean one, its entries the constant
+    polynomials 1 and 0 evaluated at the point and scaled by u."""
+    d = fields[0].d
+    g = [[u * Polynomial.constant(d, int(i == j)).evaluate(point) for j in range(d)] for i in range(d)]
+    vals = [f.evaluate(point) for f in fields]
+    return [
+        [sum(vk[i] * g[i][j] * vl[j] for i in range(d) for j in range(d)) for vl in vals]
+        for vk in vals
+    ]
+
+
 def same_class_by_scan(cls, other):
     """The element g of cls's group with g.x' = x and g xi' = xi, found by
     trying every element, or None; frame classes over different charts
@@ -398,10 +412,6 @@ class DuplicateGroupElement(OrbcheckError):
     pass
 
 
-class QuadratureTooCoarse(OrbcheckError):
-    pass
-
-
 def make_group(elements: list) -> FiniteMatrixGroup:
     """Wrap an explicit element list, rejecting duplicates (faithfulness)."""
     if len(set(elements)) != len(elements):
@@ -436,126 +446,3 @@ def equivariance_samples(chart) -> list:
     else:
         swap = [[CyclotomicNumber.zeta(order, 2)]]
     return [CycMatrix.identity(order, n), CycMatrix(order, diag), CycMatrix(order, swap)]
-
-
-def metric_from_polynomials(entries) -> MetricField:
-    d = len(entries)
-    for i in range(d):
-        for j in range(d):
-            if not (entries[i][j] - entries[j][i]).is_zero():
-                raise ValueError("metric entries must be symmetric")
-    return MetricField(d, entries=entries)
-
-
-class FiniteOrthogonalAction:
-    """A finite group of exact rational orthogonal matrices on R^d."""
-
-    def __init__(self, matrices):
-        self.matrices = [[[Fraction(x) for x in row] for row in m] for m in matrices]
-        self.d = len(self.matrices[0])
-        self.m = 0  # no continuous directions
-
-
-def rotation_matrix(action, angles) -> list[list[float]]:
-    """The real rotation of a torus action through the given angles."""
-    d = action.d
-    out = [[float(i == j) for j in range(d)] for i in range(d)]
-    for g, t in enumerate(angles):
-        w = action.weight_rows[g]
-        rot = [[0.0] * d for _ in range(d)]
-        for k in range(action.n):
-            c, s = math.cos(w[k] * t), math.sin(w[k] * t)
-            rot[2 * k][2 * k] = c
-            rot[2 * k][2 * k + 1] = -s
-            rot[2 * k + 1][2 * k] = s
-            rot[2 * k + 1][2 * k + 1] = c
-        out = [[sum(rot[i][k] * out[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
-    return out
-
-
-def required_nodes(metric: MetricField) -> int:
-    """Node count making equispaced circle quadrature exact for the metric."""
-    if metric.poly_degree is None:
-        raise ValueError("metric has no declared polynomial degree")
-    return metric.poly_degree + 3  # trig degree of pullback entries is deg + 2
-
-
-def average_metric(metric: MetricField, action, nodes=None) -> MetricField:
-    """Group average of a metric; exact for finite groups, equispaced
-    trigonometric quadrature for circle factors."""
-    if isinstance(action, FiniteOrthogonalAction):
-        mats = action.matrices
-        d = action.d
-
-        def evaluate(point):
-            acc = None
-            for g in mats:
-                moved = [sum(g[i][k] * point[k] for k in range(d)) for i in range(d)]
-                m = metric.evaluate(moved)
-                pulled = [
-                    [
-                        sum(g[a][i] * m[a][b] * g[b][j] for a in range(d) for b in range(d))
-                        for j in range(d)
-                    ]
-                    for i in range(d)
-                ]
-                if acc is None:
-                    acc = pulled
-                else:
-                    acc = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(acc, pulled)]
-            k = Fraction(1, len(mats)) if isinstance(acc[0][0], Fraction) else 1.0 / len(mats)
-            return [[k * x for x in row] for row in acc]
-
-        return MetricField(d, evaluator=evaluate, poly_degree=metric.poly_degree)
-
-    need = required_nodes(metric)
-    if nodes is None:
-        nodes = max(need, 8)
-    if nodes < need:
-        raise QuadratureTooCoarse(f"need at least {need} nodes, got {nodes}")
-    d = action.d
-
-    def evaluate(point):
-        pt = [float(x) for x in point]
-        acc = [[0.0] * d for _ in range(d)]
-        for idx in range(nodes):
-            t = 2 * math.pi * idx / nodes
-            rot = rotation_matrix(action, [t] * action.m)
-            moved = [sum(rot[i][k] * pt[k] for k in range(d)) for i in range(d)]
-            m = [[float(x) for x in row] for row in metric.evaluate(moved)]
-            for i in range(d):
-                for j in range(d):
-                    acc[i][j] += sum(
-                        rot[a][i] * m[a][b] * rot[b][j] for a in range(d) for b in range(d)
-                    )
-        return [[x / nodes for x in row] for row in acc]
-
-    return MetricField(d, evaluator=evaluate, poly_degree=metric.poly_degree)
-
-
-def split_metric(g1: MetricField, omega, j_matrix, vertical_fields) -> MetricField:
-    """Blockwise metric: g1 on vertical pairs, h = omega(J.,.) on normal
-    pairs, zero across; orbit Gram matrices are unchanged."""
-    d = g1.d
-    jm = np.array([[float(x) for x in row] for row in j_matrix])
-
-    def evaluate(point):
-        pt = [float(x) for x in point]
-        gmat = np.array([[float(x) for x in row] for row in g1.evaluate(pt)])
-        vert = np.array([[float(v) for v in f.evaluate(pt)] for f in vertical_fields]).T
-        m = vert.shape[1]
-        # g1-orthogonal complement of the vertical span
-        constraints = vert.T @ gmat  # m x d
-        _, _, vh = np.linalg.svd(constraints)
-        normal = vh[m:].T  # d x (d-m)
-        omat = np.array(omega.evaluate_two_form(pt))
-        h_block = normal.T @ (jm.T @ omat.T) @ normal
-        h_block = 0.5 * (h_block + h_block.T)
-        p = np.hstack([vert, normal])
-        b = np.zeros((d, d))
-        b[:m, :m] = vert.T @ gmat @ vert
-        b[m:, m:] = h_block
-        pinv = np.linalg.inv(p)
-        return (pinv.T @ b @ pinv).tolist()
-
-    return MetricField(d, evaluator=evaluate, poly_degree=g1.poly_degree)

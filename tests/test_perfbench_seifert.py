@@ -1,10 +1,11 @@
-"""The benchmark's Seifert verdicts hold under pytest.
+"""The benchmark's Seifert and taut verdicts hold under pytest.
 
 Every seifert-cyclo text at seeds 1-3, and every many-small text that
 runs the Seifert suite, goes through ``run_pipeline`` and the
-benchmark's own oracle, so a flipped Seifert verdict fails here before
-it fails the benchmark's correctness gate.  The generator and the oracle
-are read as text and run in fresh module objects: nothing under
+benchmark's own oracle, and so does every taut-hopf text and every
+many-small text that runs the taut suite.  A flipped verdict fails here
+before it fails the benchmark's correctness gate.  The generator and the
+oracle are read as text and run in fresh module objects: nothing under
 perfbench/ is imported from disk or written.
 """
 
@@ -34,19 +35,32 @@ workloads = _load("workloads")
 oracle = _load("oracle")
 
 
-def _seifert_items(workload: str, seed: int) -> list:
+def _items(workload: str, seed: int, pipeline: str) -> list:
     items = workloads.generate(workload, seed, catalog_text)
-    return [(it, sc) for it in items if "seifert" in (sc := parse_scenario(it.text)).pipelines]
+    return [(it, sc) for it in items if pipeline in (sc := parse_scenario(it.text)).pipelines]
 
 
-@pytest.mark.parametrize("workload", ["seifert-cyclo", "many-small"])
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_benchmark_seifert_reports_pass_the_oracle(workload, seed):
-    items = _seifert_items(workload, seed)
-    assert items
+def _wrong(items) -> dict:
+    """The oracle's problems with each report that has any."""
     wrong = {}
     for item, scenario in items:
         problems = oracle.check(item.name, run_pipeline(scenario).to_machine(), item.expect)
         if problems:
             wrong[item.name] = problems
-    assert wrong == {}
+    return wrong
+
+
+@pytest.mark.parametrize("workload", ["seifert-cyclo", "many-small"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_benchmark_seifert_reports_pass_the_oracle(workload, seed):
+    items = _items(workload, seed, "seifert")
+    assert items
+    assert _wrong(items) == {}
+
+
+@pytest.mark.parametrize("workload", ["taut-hopf", "many-small"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_benchmark_taut_reports_pass_the_oracle(workload, seed):
+    items = _items(workload, seed, "taut")
+    assert items
+    assert _wrong(items) == {}

@@ -46,6 +46,15 @@ def test_sample_override_threads_into_geometry():
     assert report.overall
 
 
+def test_overrides_leave_the_callers_scenario_unchanged():
+    scenario = catalog_scenario("weighted-hopf:1:2")
+    before = dataclasses.replace(scenario.geometry)
+    baseline = run_pipeline(catalog_scenario("weighted-hopf:1:2")).to_machine()
+    run_pipeline(scenario, samples=3, tol=0.0)
+    assert scenario.geometry == before
+    assert run_pipeline(scenario).to_machine() == baseline
+
+
 def test_taut_rejects_torus_type():
     text = """
 [scenario]
