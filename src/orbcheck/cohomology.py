@@ -6,15 +6,19 @@ tuples; the linear algebra runs on integer-indexed sparse vectors.
 Coboundary entries are the ints +-1, and cochain values stay ints until
 a non-unit pivot or a rational input (an averaged class, a normalized
 Kahler form) brings in a Fraction.  delta_(p-1)'s echelon skips the columns
-cleared by delta_(p-2)'s pivots; actions are simplicial when their facets
-map to simplices, and pullbacks walk a cochain's support.
+cleared by delta_(p-2)'s pivots and reduces each column down to its
+leading row only; residues reduce fully.  Actions are simplicial when
+their facets map to simplices, pullbacks walk a cochain's support, cup
+products walk alpha's support by front face, and the orientation is
+read off delta_(d-1).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 from typing import Optional
 
 from .errors import NoKahlerClass
@@ -50,18 +54,7 @@ class CochainComplexQ:
     def __init__(self, cx: SimplicialComplex):
         self.cx = cx
         self.dim = cx.dim
-        self._delta_cols: dict[int, list[dict]] = {}
-        for p in range(self.dim + 1):
-            cols = [dict() for _ in cx.simplices[p]]
-            if p < self.dim:
-                idx_p = cx.index[p]
-                for row, tau in enumerate(cx.simplices[p + 1]):
-                    for i in range(len(tau)):
-                        face = tau[:i] + tau[i + 1 :]
-                        j = idx_p.get(face)
-                        if j is not None:
-                            cols[j][row] = -1 if i % 2 else 1
-            self._delta_cols[p] = cols
+        self._delta_cols: dict[int, list[dict]] = {p: cx.coboundary(p) for p in range(self.dim + 1)}
         self._image_echelon: dict[int, dict] = {}
         self._rank: dict[int, int] = {}
         self._basis: dict[int, CohomologyBasis] = {}
@@ -181,18 +174,20 @@ class CochainComplexQ:
 
 
 def cup_product(cx: SimplicialComplex, alpha: Cochain, p: int, beta: Cochain, q: int) -> Cochain:
-    """Alexander-Whitney cup product on the fixed vertex order."""
+    """Alexander-Whitney cup product on the fixed vertex order: each
+    front face in alpha's support, times beta on the back faces of the
+    (p+q)-simplices that begin with it.  Those simplices are contiguous
+    in the sorted simplex list, between front and front + (inf,)."""
+    simplices = cx.simplices[p + q]
     out: Cochain = {}
-    for s in cx.simplices[p + q]:
-        front = s[: p + 1]
-        back = s[p:]
-        a = alpha.get(front)
+    for front, a in alpha.items():
         if not a:
             continue
-        b = beta.get(back)
-        if not b:
-            continue
-        out[s] = a * b
+        lo = bisect_left(simplices, front)
+        for s in simplices[lo : bisect_left(simplices, front + (inf,), lo)]:
+            b = beta.get(s[p:])
+            if b:
+                out[s] = a * b
     return out
 
 

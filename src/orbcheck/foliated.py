@@ -95,7 +95,12 @@ def gram_matrix(fields: Sequence[PolyVectorField], point: Sequence, u=1) -> list
     vals = [f.evaluate(point) for f in fields]
     out = [[sum(a * u * b for a, b in zip(vk, vl)) for vl in vals] for vk in vals]
     det = _det(out)
-    singular = det == 0 if isinstance(det, Fraction) else any(abs(x) < 1e-12 for x in _values(det))
+    if isinstance(det, Fraction):
+        singular = det == 0
+    else:  # one reduction over the batch; a NaN compares False, as non-singular
+        import numpy as np
+
+        singular = np.any(abs(det) < 1e-12)
     if singular:
         raise DegenerateOrbit("Gram matrix is singular: orbit has lower dimension")
     return out

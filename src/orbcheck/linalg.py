@@ -4,14 +4,19 @@ Sparse vectors are dicts row-index -> int or Fraction.  Coboundary
 columns arrive as ints (+-1), and a unit pivot reduces with integer
 multiples only, so their echelons stay integer; a Fraction appears only
 where a non-unit pivot or a rational input needs one.  Every pivot
-column stores its largest nonzero row as the pivot, so reduction can
-walk rows in decreasing order with a lazy heap and terminates without
-fill surprises.  `reduce_against` is the one sparse reduction:
-`build_echelon` runs it untracked, and `TrackedEchelon` records its
-steps to write each pivot column as a combination of the inserted
-vectors (coordinates and kernel relations).  Small dense matrices go
-through one forward elimination, `_echelon`, read as a rank, a
-determinant or a solve.
+column stores its largest nonzero row (its leading row) as the pivot,
+so reduction can walk rows in decreasing order with a lazy heap and
+terminates without fill surprises.  `reduce_against` is the one sparse
+reduction.  `build_echelon` stops each column at its leading row, the
+first row counting down without a pivot, as persistence reduction
+does: the pivot rows and the rank do not depend on the rows below.
+Residues and `TrackedEchelon` reduce fully, and a full residue is
+canonical against either kind of echelon, since a nonzero combination
+of pivot columns is nonzero at its largest pivot row.
+`TrackedEchelon` records the steps to write each pivot column as a
+combination of the inserted vectors (coordinates and kernel
+relations).  Small dense matrices go through one forward elimination,
+`_echelon`, read as a rank, a determinant or a solve.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ def reduce_against(
     v: SparseVec,
     pivots: dict[int, tuple[SparseVec, Fraction]],
     record: Optional[list] = None,
+    lead: bool = False,
 ) -> SparseVec:
     """Reduce v in place against an echelon set; returns the residue.
 
@@ -35,6 +41,9 @@ def reduce_against(
     c * pivot on a +-1 pivot, which keeps integer entries integer; any
     other pivot takes the exact Fraction.  With a `record` list, each
     step appends (pivot row, factor): v lost factor times that column.
+    With `lead`, reduction stops at the first nonzero row without a
+    pivot, which is then v's largest row; the rows below stay as they
+    are.
     """
     heap = [-r for r in v]
     heapq.heapify(heap)
@@ -46,6 +55,8 @@ def reduce_against(
             continue
         piv = pivots.get(r)
         if piv is None:
+            if lead:
+                break
             continue
         pcol, pcoeff = piv
         factor = c * pcoeff if pcoeff == 1 or pcoeff == -1 else Fraction(c) / pcoeff
@@ -66,12 +77,13 @@ def reduce_against(
 
 
 def build_echelon(columns: Iterable[SparseVec]) -> tuple[dict, int]:
-    """Column echelon of a sparse matrix; returns (pivots, rank)."""
+    """Column echelon of a sparse matrix; returns (pivots, rank).  Each
+    column is reduced down to its leading row only."""
     pivots: dict[int, tuple[SparseVec, Fraction]] = {}
     rank = 0
     for col in columns:
         v = dict(col)
-        reduce_against(v, pivots)
+        reduce_against(v, pivots, lead=True)
         if v:
             r = max(v)
             pivots[r] = (v, v[r])

@@ -3,6 +3,8 @@
 Simplices are stored as tuples of vertex *positions* in the declared
 order; coboundary signs, Alexander-Whitney cup products and the
 staircase product triangulation are all taken relative to that order.
+A complex builds its coboundary columns once, on first use; the
+orientation is read off delta_(d-1).
 """
 
 from __future__ import annotations
@@ -43,57 +45,77 @@ class SimplicialComplex:
         self.index: dict[int, dict[Simplex, int]] = {
             p: {s: i for i, s in enumerate(lst)} for p, lst in self.simplices.items()
         }
+        self._coboundary: dict[int, list[dict]] = {}
 
     def count(self, p: int) -> int:
         return len(self.simplices.get(p, []))
+
+    def coboundary(self, p: int) -> list[dict]:
+        """Columns of delta_p : C^p -> C^(p+1), built once: the column of a
+        p-simplex maps the index of each (p+1)-simplex tau it lies in to
+        (-1)^i, i the position in tau of the vertex it omits.  delta_(-1)
+        is the augmentation: the empty simplex lies in every vertex, with
+        sign +1."""
+        cols = self._coboundary.get(p)
+        if cols is None:
+            if p < 0:
+                cols = [dict.fromkeys(range(self.count(0)), 1)]
+            else:
+                cols = [{} for _ in self.simplices[p]]
+                if p < self.dim:
+                    idx_p = self.index[p]
+                    for row, tau in enumerate(self.simplices[p + 1]):
+                        for i in range(len(tau)):
+                            cols[idx_p[tau[:i] + tau[i + 1 :]]][row] = -1 if i % 2 else 1
+            self._coboundary[p] = cols
+        return cols
 
     def is_pure(self) -> bool:
         return all(len(f) == self.dim + 1 for f in self.facets)
 
 
 def fundamental_cycle(complex_: SimplicialComplex) -> dict[Simplex, int]:
-    """Coherent orientation signs on facets via ridge propagation.
+    """Coherent orientation signs on facets, read off delta_(d-1).
 
-    Raises NotPseudomanifold unless every ridge lies in exactly two
-    facets, and NonOrientable on a propagation contradiction.  The
-    returned signed facet sum has exact boundary zero (verified).
+    Raises NotPseudomanifold unless the complex is pure and every ridge
+    column holds exactly two facets, with signs a and b; across that ridge
+    the neighbour's sign is -sign * a * b, and a contradiction raises
+    NonOrientable.  The signed facet sum has boundary zero: every ridge
+    column sums to zero (verified).  For d = 0 the one ridge is the empty
+    simplex.
     """
     if not complex_.is_pure():
         raise NotPseudomanifold("complex is not pure")
-    facets = sorted(set(complex_.facets))
-    # each ridge with (facet, index of the vertex the ridge omits)
-    ridge_to_facets: dict[Simplex, list[tuple[Simplex, int]]] = {}
-    for f in facets:
-        for i in range(len(f)):
-            ridge = f[:i] + f[i + 1 :]
-            ridge_to_facets.setdefault(ridge, []).append((f, i))
-    for ridge, fs in ridge_to_facets.items():
-        if len(fs) != 2:
-            raise NotPseudomanifold(f"ridge {ridge} lies in {len(fs)} facets")
+    d = complex_.dim
+    ridges = complex_.coboundary(d - 1)
+    across: list[list[tuple[int, int]]] = [[] for _ in complex_.simplices[d]]
+    for j, col in enumerate(ridges):
+        if len(col) != 2:
+            ridge = complex_.simplices[d - 1][j] if d else ()
+            raise NotPseudomanifold(f"ridge {ridge} lies in {len(col)} facets")
+        (f, a), (g, b) = col.items()
+        across[f].append((g, -a * b))
+        across[g].append((f, -a * b))
 
-    signs: dict[Simplex, int] = {}
-    for start in facets:
-        if start in signs:
+    signs = [0] * len(across)
+    for start in range(len(across)):
+        if signs[start]:
             continue
         signs[start] = 1
         stack = [start]
         while stack:
             f = stack.pop()
-            for i in range(len(f)):
-                other, j = next(gj for gj in ridge_to_facets[f[:i] + f[i + 1 :]] if gj[0] != f)
-                # induced orientations (-1)^i and (-1)^j on the shared ridge must cancel
-                needed = signs[f] if (i + j) % 2 else -signs[f]
-                if other in signs:
-                    if signs[other] != needed:
-                        raise NonOrientable("orientation propagation contradiction")
-                else:
-                    signs[other] = needed
-                    stack.append(other)
+            for g, rel in across[f]:
+                needed = rel * signs[f]
+                if not signs[g]:
+                    signs[g] = needed
+                    stack.append(g)
+                elif signs[g] != needed:
+                    raise NonOrientable("orientation propagation contradiction")
 
-    # the boundary of the signed facet sum, one ridge at a time
-    if any(sum(signs[f] * (-1) ** i for f, i in fs) for fs in ridge_to_facets.values()):
+    if any(sum(signs[f] * a for f, a in col.items()) for col in ridges):
         raise AssertionError("propagated orientation has nonzero boundary")
-    return signs
+    return dict(zip(complex_.simplices[d], signs))
 
 
 def pair_with_cycle(cochain: dict[Simplex, Fraction], cycle: dict[Simplex, int]) -> Fraction:
@@ -281,10 +303,11 @@ def verify_action(action: SimplicialGroupAction) -> Verdict:
             if composed != action.perms[ab]:
                 return Verdict(False, f"homomorphism fails at ({a}, {b})")
     # the complex is the downward closure of its facets and each element
-    # permutes the vertices, so faces of facets map to faces of images
+    # permutes the vertices, so faces of facets map to faces of images;
+    # the identity, checked above, maps every facet to itself
     for f in cx.facets:
         index = cx.index[len(f) - 1]
-        for e in action.elements:
+        for e in action.elements[1:]:
             if action.map_simplex(e, f)[0] not in index:
                 return Verdict(False, f"image of {f} under {e} is not a simplex")
     return Verdict(True, "homomorphism and simpliciality hold")

@@ -13,8 +13,10 @@ frame-class reference scans the whole chart group instead of
 solving for the one candidate element.  The simplicial references walk
 every simplex: pullbacks over all p-simplices rather than a cochain's
 support, simpliciality over every degree rather than the facets, and
-orientation signs by scanning each facet for the vertex a ridge omits.
-The eager gluing reference forms every lift and image before testing a
+orientation signs by scanning each facet for the vertex a ridge omits,
+and cup products over every (p + q)-simplex rather than one factor's
+support.  The full echelon reduces each column below its leading row as
+well, where the package stops at that row.  The eager gluing reference forms every lift and image before testing a
 change's domain.
 
 The last section holds constructions only the tests use: explicit
@@ -25,6 +27,7 @@ embedding of a cyclotomic number.
 from __future__ import annotations
 
 import cmath
+import heapq
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -388,6 +391,46 @@ def fundamental_cycle_by_scan(cx) -> dict:
                     signs[other] = needed
                     stack.append(other)
     return signs
+
+
+def build_echelon_full(columns) -> tuple[dict, int]:
+    """Column echelon with every column reduced all the way down: each
+    row of the column, largest first, is cleared against an earlier pivot
+    where one exists.  Returns (pivots, rank) like ``build_echelon``."""
+    pivots = {}
+    for col in columns:
+        v = dict(col)
+        heap = [-r for r in v]
+        heapq.heapify(heap)
+        while heap:
+            r = -heapq.heappop(heap)
+            c = v.get(r)
+            if not c or r not in pivots:
+                continue
+            pcol, pcoeff = pivots[r]
+            factor = c * pcoeff if pcoeff in (1, -1) else Fraction(c) / pcoeff
+            for row, val in pcol.items():
+                if row not in v:
+                    heapq.heappush(heap, -row)
+                nv = v.get(row, 0) - factor * val
+                if nv:
+                    v[row] = nv
+                else:
+                    del v[row]
+        if v:
+            r = max(v)
+            pivots[r] = (v, v[r])
+    return pivots, len(pivots)
+
+
+def cup_by_walk(cx, alpha: dict, p: int, beta: dict, q: int) -> dict:
+    """Alexander-Whitney cup product over every (p + q)-simplex."""
+    out = {}
+    for s in cx.simplices[p + q]:
+        a, b = alpha.get(s[: p + 1]), beta.get(s[p:])
+        if a and b:
+            out[s] = a * b
+    return out
 
 
 def gluing_images_eager(atlas, cls, target) -> list:

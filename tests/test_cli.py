@@ -297,3 +297,47 @@ def test_product_without_degree_two_class_fails_kahler_class(tmp_path, capsys, k
 def test_contract_rejects_at_parse_time(text, error, message):
     with pytest.raises(error, match=message):
         parse_scenario(text)
+
+
+POINTS = """[scenario]
+name = points
+pipelines = quotient
+
+[complex P]
+vertices = {vertices}
+facets = {facets}
+
+[action I]
+group = trivial
+
+[quotient]
+complex = P
+action = I
+complex_dim_n = 0
+"""
+
+
+@pytest.mark.parametrize(
+    "vertices, facets, betti, cycle, tail",
+    [
+        (2, "(0) (1)", "2", "PASS", ["kahler.class = FAIL NoKahlerClass"]),
+        (1, "(0)", "1", "FAIL NotPseudomanifold", []),
+        (3, "(0) (1) (2)", "3", "FAIL NotPseudomanifold", []),
+    ],
+    ids=["two-points", "one-point", "three-points"],
+)
+def test_zero_dimensional_quotient_orients_through_the_empty_ridge(tmp_path, capsys, vertices, facets, betti, cycle, tail):
+    # the empty simplex is the one ridge: two points bound it, one or three do not
+    path = tmp_path / "points.scn"
+    path.write_text(POINTS.format(vertices=vertices, facets=facets))
+    code, out, err = run_cli(capsys, "run", str(path), "--format", "machine")
+    assert code == 1 and err == ""
+    assert out.splitlines() == [
+        "[report points]",
+        "quotient.action = PASS homomorphism and simpliciality hold",
+        f"betti.full = {betti}",
+        f"betti.inv = {betti}",
+        f"pd.fundamental_cycle = {cycle}",
+        *tail,
+        "overall = FAIL",
+    ]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import bareiss_rank, invariant_betti, modular_rank
+from helpers import bareiss_rank, build_echelon_full, cup_by_walk, invariant_betti, modular_rank
 
 from orbcheck import cohomology
 from orbcheck.catalog import catalog_scenario
@@ -17,7 +17,7 @@ from orbcheck.cohomology import (
     poincare_duality_verify,
 )
 from orbcheck.errors import NoKahlerClass
-from orbcheck.linalg import build_echelon
+from orbcheck.linalg import build_echelon, reduce_against
 from orbcheck.pipeline import build_quotient, run_pipeline
 from orbcheck.simplicial import (
     SimplicialComplex,
@@ -203,6 +203,53 @@ CLEARING_COMPLEXES = {
     "pillowcase": lambda: build_quotient(catalog_scenario("pillowcase")).cx,
     "t7xt7-natural-order": lambda: product_complex(torus7(), torus7()).complex,
 }
+
+
+@pytest.mark.parametrize("name", CLEARING_COMPLEXES)
+def test_leading_term_echelons_keep_the_full_lows_ranks_and_residues(name):
+    cx = CLEARING_COMPLEXES[name]()
+    cq = CochainComplexQ(cx)
+    rng = random.Random(43)
+    for p in range(1, cx.dim + 1):
+        cleared = cq.image_echelon(p - 1)
+        for cols in (cq._delta_cols[p - 1], [{} if j in cleared else c for j, c in enumerate(cq._delta_cols[p - 1])]):
+            pivots, rank = build_echelon(cols)
+            full, full_rank = build_echelon_full(cols)
+            assert pivots.keys() == full.keys() and rank == full_rank, (name, p)
+        assert cq.image_echelon(p).keys() == full.keys()
+        for _ in range(5):
+            v = {i: Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for i in rng.sample(range(cx.count(p)), min(6, cx.count(p)))}
+            v = {i: x for i, x in v.items() if x}
+            assert cq.residue(v, p) == reduce_against(dict(v), full), (name, p)
+
+
+def _seeded_cochain(rng, simplices):
+    # sparse, with explicit zero values among ints and Fractions
+    out = {}
+    for s in simplices:
+        if rng.random() < 0.4:
+            out[s] = rng.choice((0, 1, -1, 2, Fraction(rng.randint(-3, 3), rng.randint(1, 3))))
+    return out
+
+
+CUP_COMPLEXES = {
+    "t4-z2": lambda: build_quotient(catalog_scenario("t4-z2")).cx,
+    "torus7": torus7,
+    "octahedron": octahedron,
+    "pillowcase": lambda: build_quotient(catalog_scenario("pillowcase")).cx,
+}
+
+
+@pytest.mark.parametrize("name", CUP_COMPLEXES)
+def test_cup_by_front_face_matches_the_walk_over_every_simplex(name):
+    cx = CUP_COMPLEXES[name]()
+    rng = random.Random(47)
+    for p in range(cx.dim + 1):
+        for q in range(cx.dim - p + 1):
+            pairs = [({}, _seeded_cochain(rng, cx.simplices[q])), (_seeded_cochain(rng, cx.simplices[p]), {})]
+            pairs += [(_seeded_cochain(rng, cx.simplices[p]), _seeded_cochain(rng, cx.simplices[q])) for _ in range(3)]
+            for alpha, beta in pairs:
+                assert cup_product(cx, alpha, p, beta, q) == cup_by_walk(cx, alpha, p, beta, q), (name, p, q)
 
 
 @pytest.mark.parametrize("name", CLEARING_COMPLEXES)

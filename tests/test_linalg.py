@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import bareiss_rank, modular_rank
+from helpers import bareiss_rank, build_echelon_full, modular_rank
 
 from orbcheck.catalog import catalog_scenario
 from orbcheck.cohomology import InvariantCohomology, kahler_class
@@ -39,9 +39,11 @@ def test_build_echelon_rank_matches_oracles():
         cols = rng.randint(1, 6)
         m = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
         sc, nrows = sparse_cols(m)
-        _, rank = build_echelon(sc)
+        pivots, rank = build_echelon(sc)
         assert rank == bareiss_rank(m)
         assert rank == modular_rank(sc, nrows)
+        # stopping each column at its leading row keeps the full echelon's lows
+        assert pivots.keys() == build_echelon_full(sc)[0].keys()
 
 
 def int_cols(matrix):
@@ -59,6 +61,7 @@ def test_integer_echelon_with_non_unit_pivots_matches_oracles():
         sc = int_cols(m)
         pivots, rank = build_echelon(sc)
         assert rank == bareiss_rank(m) == modular_rank(sc, rows)
+        assert pivots.keys() == build_echelon_full(sc)[0].keys()
         for r, (col, pcoeff) in pivots.items():
             assert max(col) == r and col[r] == pcoeff and all(col.values())
             assert all(type(x) in (int, Fraction) for x in col.values())
@@ -76,6 +79,8 @@ def test_residue_of_a_fraction_vector_against_an_integer_echelon():
         v = {i: x for i, x in v.items() if x}
         res = reduce_against(dict(v), pivots)
         assert not any(r in res for r in pivots)
+        # the full residue is canonical: the fully reduced echelon gives it too
+        assert res == reduce_against(dict(v), build_echelon_full(int_cols(m))[0])
         # v - residue lies in the column span
         diff = [v.get(i, 0) - res.get(i, 0) for i in range(rows)]
         assert bareiss_rank([row + [d] for row, d in zip(m, diff)]) == bareiss_rank(m) == rank
@@ -114,9 +119,28 @@ def test_t9xt9_golden_runs_on_integer_echelons():
     pivots = [piv for ech in echelons for piv in ech.values()]
     assert all(pcoeff in (1, -1) for _, pcoeff in pivots)
     assert all(type(x) is int for col, _ in pivots for x in col.values())
-    # fill-in leaves +-2 entries below some pivots (14 columns here), and
-    # they stay ints
-    assert any(abs(x) == 2 for col, _ in pivots for x in col.values())
+    # reduced all the way down, the same (cleared) columns fill in +-2
+    # entries below some pivots, and they stay ints
+    full = []
+    for p in range(1, cq.dim + 1):
+        cleared = echelons[p - 2] if p > 1 else {}
+        cols = [{} if j in cleared else col for j, col in enumerate(cq._delta_cols[p - 1])]
+        ech, rank = build_echelon_full(cols)
+        assert ech.keys() == echelons[p - 1].keys() and rank == cq.rank_delta(p - 1)
+        full.extend(ech.values())
+    assert all(type(x) is int for col, _ in full for x in col.values())
+    assert any(abs(x) == 2 for col, _ in full for x in col.values())
+    # stopping at the leading row leaves fewer entries to reduce against
+    assert sum(len(col) for col, _ in pivots) < sum(len(col) for col, _ in full)
+
+
+def test_echelon_columns_stop_at_their_leading_row():
+    # c1's leading row 1 has no pivot: it goes in as it is, with row 0
+    # unreduced against c0; a full reduction would clear row 0
+    cols = [{0: 1}, {0: 1, 1: 1}]
+    pivots, rank = build_echelon(cols)
+    assert rank == 2 and pivots[1] == ({0: 1, 1: 1}, 1)
+    assert build_echelon_full(cols)[0][1] == ({1: 1}, 1)
 
 
 def test_reduce_against_residue_is_zero_for_span_members():

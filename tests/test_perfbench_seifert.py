@@ -1,9 +1,10 @@
-"""The benchmark's Seifert and taut verdicts hold under pytest.
+"""The benchmark's Seifert, taut and quotient verdicts hold under pytest.
 
 Every seifert-cyclo text at seeds 1-3, and every many-small text that
 runs the Seifert suite, goes through ``run_pipeline`` and the
 benchmark's own oracle, and so does every taut-hopf text and every
-many-small text that runs the taut suite.  A flipped verdict fails here
+many-small text that runs the taut suite, and every quotient-t4 and
+many-small text that runs the quotient suite.  A flipped verdict fails here
 before it fails the benchmark's correctness gate.  The generator and the
 oracle are read as text and run in fresh module objects: nothing under
 perfbench/ is imported from disk or written.
@@ -62,5 +63,13 @@ def test_benchmark_seifert_reports_pass_the_oracle(workload, seed):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_benchmark_taut_reports_pass_the_oracle(workload, seed):
     items = _items(workload, seed, "taut")
+    assert items
+    assert _wrong(items) == {}
+
+
+@pytest.mark.parametrize("workload", ["quotient-t4", "many-small"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_benchmark_quotient_reports_pass_the_oracle(workload, seed):
+    items = _items(workload, seed, "quotient")
     assert items
     assert _wrong(items) == {}
