@@ -17,7 +17,10 @@ from .scenario import parse_scenario
 
 EXPLANATIONS = {
     "atlas.unitary": "Linear parts of changes of charts are exactly unitary.",
-    "atlas.containment": "Change images stay inside the target chart domain.",
+    "atlas.containment": (
+        "Change images stay inside the target chart domain, exact for all points: U maps "
+        "B(c, r) onto B(Uc + b, r), inside B(0, R) iff r <= R and |Uc + b|^2 <= (R - r)^2."
+    ),
     "atlas.witness": "Redundant changes over one overlap differ by a group element.",
     "seifert.free": (
         "The lifted action on frames has no fixed points off the identity. Decided once "
@@ -30,8 +33,18 @@ EXPLANATIONS = {
         "associativity of exact matrix products, so the check is that every element is "
         "an n x n matrix over the chart's field."
     ),
-    "seifert.well_defined": "Gluing output is independent of representative and change.",
-    "seifert.cocycle": "Composite gluings satisfy f_ki = f_kj . f_ji on the sampled classes in the triple overlap.",
+    "seifert.well_defined": (
+        "Gluing output is independent of representative and change, exact for all points: choice "
+        "(g, phi) acts by x -> U_phi g x + b_phi on g^-1 B_phi, and no two choices of different "
+        "target-group classes may meet: balls (the chart's too) pairwise |c - c'|^2 <= (r + r')^2, "
+        "at least as strict as the exact region test."
+    ),
+    "seifert.cocycle": (
+        "f_ki = f_kj . f_ji on the whole triple overlap, exact for all points: no direct choice meets "
+        "a composite of another class (pairwise, at least as strict as the exact region test), some "
+        "pair of one class has a common point among the centres and two-ball weighted points (which "
+        "can miss an overlap of three balls), and an empty overlap (disjoint balls) fails."
+    ),
     "seifert.fiber": "Stabilizer order at the basepoint (Seifert fiber descriptor).",
     "taut.detM1": (
         "Rescaled Gram matrices of fundamental fields have determinant one. "
@@ -101,8 +114,7 @@ def main(argv=None) -> int:
     run = sub.add_parser("run", help="run a scenario file or catalog entry")
     run.add_argument("target", help="scenario file path, or catalog:<name>")
     run.add_argument("--format", choices=("human", "machine"), default="human")
-    samples_help = "override the taut sample count; also sets the atlas and Seifert grid size (default 25)"
-    run.add_argument("--samples", type=_positive_int, default=None, help=samples_help)
+    run.add_argument("--samples", type=_positive_int, default=None, help="override the sample count (taut suite only)")
     run.add_argument("--tol", type=_tolerance, default=None, help="override numeric tolerance")
 
     sub.add_parser("list-catalog", help="list built-in scenarios")

@@ -335,9 +335,6 @@ class CycMatrix:
     def is_unitary(self) -> bool:
         return self @ self.conjugate_transpose() == CycMatrix.identity(self.order, self.n)
 
-    def is_identity(self) -> bool:
-        return self == CycMatrix.identity(self.order, self.n)
-
     def __eq__(self, other):
         if not isinstance(other, CycMatrix):
             return NotImplemented

@@ -18,11 +18,6 @@ class MultipleWitnesses(OrbcheckError):
     pass
 
 
-# frame bundle
-class NoApplicableChange(OrbcheckError):
-    pass
-
-
 # foliated geometry
 class DegenerateOrbit(OrbcheckError):
     pass

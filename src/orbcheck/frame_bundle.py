@@ -6,23 +6,25 @@ part (the derivative), by left multiplication, and U(n) acts by right
 multiplication.  Freeness and equivariance of the lifted action are
 therefore identities of the chart group, decided once per chart for
 every frame.  Unitarity is decided once, where a matrix enters: chart
-generators in ``atlas.group_closure``, changes of charts in
-``ChangeOfChart.unitary`` (read by both suites), and the sampled frames
-here are zeta-power monomial matrices, unitary by construction.  Every
-frame derived from these (lifts, gluing images) is a product of unitary
-matrices and inherits unitarity unchecked.  Since a frame is
-invertible, two frames are in one class exactly when h = xi xi'^H lies
-in the chart group and carries one basepoint to the other.
+generators in ``atlas.group_closure`` and changes of charts in
+``ChangeOfChart.unitary`` (read by both suites).  Every frame derived
+from these (lifts, gluing images) is a product of unitary matrices and
+inherits unitarity unchecked.  Since a frame is invertible, two frames
+are in one class exactly when h = xi xi'^H lies in the chart group and
+carries one basepoint to the other.  A gluing choice, the affine map
+x -> Mx + a, is stored as the class of the frame (a, M), the image of
+the origin frame (0, I); two choices then agree as classes at every
+point exactly when their frames are in one class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 from typing import Optional
 
-from .atlas import Chart, FiniteMatrixGroup, OrbifoldAtlas, sample_grid, stabilizer
-from .cyclotomic import CycMatrix, CyclotomicNumber, CycVector
-from .errors import NoApplicableChange
+from .atlas import Ball, FiniteMatrixGroup, OrbifoldAtlas, stabilizer
+from .cyclotomic import CycMatrix, CycVector, vec_sub
 from .verdict import Verdict
 
 
@@ -64,11 +66,15 @@ def check_equivariance(group: FiniteMatrixGroup) -> Verdict:
 
 @dataclass(frozen=True)
 class FrameClass:
-    """A Gamma_i-class of frames, stored through one representative."""
+    """A Gamma_i-class of frames, stored through one representative; a
+    gluing choice also carries its label and the balls, in its first
+    chart's coordinates, on which it applies."""
 
     chart: str
     representative: UnitaryFrame
     group: FiniteMatrixGroup
+    region: tuple[Ball, ...] = ()
+    choice: str = ""
 
     def same_class(self, other: "FrameClass") -> Optional[CycMatrix]:
         """The group element carrying other's representative to ours, or None.
@@ -83,62 +89,107 @@ class FrameClass:
             return h
         return None
 
+    def meets(self, other: "FrameClass") -> bool:
+        return all(a.meets(b) for a in self.region for b in other.region)
+
+
+def identity_class(atlas: OrbifoldAtlas, chart_id: str) -> FrameClass:
+    """The identity of chart i as a gluing choice: the origin frame
+    (0, I), applying on the chart's ball when it is bounded."""
+    chart = atlas.chart(chart_id)
+    frame = UnitaryFrame(chart_id, chart.domain.center, CycMatrix.identity(chart.cyclotomic_order, chart.n))
+    region = () if chart.radius is None else (chart.domain,)
+    return FrameClass(chart_id, frame, chart.group, region)
+
 
 def gluing_images(atlas: OrbifoldAtlas, cls: FrameClass, target: str):
-    """The image class over ``target`` for every applicable choice, lazily.
-
-    Choices run through g in the class's group in group order, then each
-    declared change to ``target``, in declaration order, whose source
-    domain holds g.x; the first image is the gluing's default choice.
-    The lifted frame g.xi is formed only once a change applies at g.x.
-    """
+    """The choices (g, phi) of the gluing from ``cls``'s chart to ``target``,
+    lazily: g in group order (labelled g<index>), then phi in declaration
+    order (#number).  With ``cls`` the choice x -> Mx + a, (g, phi) applies
+    on B(M^H (g^H c - a), r), the preimage of B(c, r) = B_phi; it is kept
+    when that ball meets each of ``cls``'s balls, and only then is (a, M)
+    lifted by g and carried by phi."""
     changes = atlas.changes_between(cls.chart, target)
     group = atlas.chart(target).group
     rep = cls.representative
-    for g in cls.group:
-        point = g.apply(rep.basepoint)
-        frame = None
-        for phi in changes:
-            if phi.source_domain.contains(point):
-                if frame is None:
-                    frame = g @ rep.frame
-                image = UnitaryFrame(target, phi.apply(point), phi.linear @ frame)
-                yield FrameClass(target, image, group)
+    m_h = rep.frame.conjugate_transpose()
+    prefix = cls.choice + " then " if cls.choice else ""
+    for index, g in enumerate(cls.group):
+        g_h = g.conjugate_transpose()
+        for number, phi in enumerate(changes, 1):
+            dom = phi.source_domain
+            ball = Ball(m_h.apply(vec_sub(g_h.apply(dom.center), rep.basepoint)), dom.radius)
+            if not all(ball.meets(b) for b in cls.region):
+                continue
+            lifted = lift_group_action(g, rep)
+            image = UnitaryFrame(target, phi.apply(lifted.basepoint), phi.linear @ lifted.frame)
+            region = cls.region if ball in cls.region else cls.region + (ball,)
+            label = f"{prefix}g{index} {cls.chart}->{target} #{number}"
+            yield FrameClass(target, image, group, region, label)
 
 
-def gluing_well_defined(atlas: OrbifoldAtlas, cls: FrameClass, target: str) -> Verdict:
-    """Agreement of the gluing across all valid representative/change choices.
-
-    Records the target-group element identifying each output with the first.
-    """
-    images = list(gluing_images(atlas, cls, target))
-    if not images:
-        raise NoApplicableChange("class is not over the overlap")
-    nontrivial = 0
-    for out in images[1:]:
-        w = images[0].same_class(out)
-        if w is None:
-            return Verdict(False, "outputs differ as target-group classes")
-        nontrivial += not w.is_identity()
-    return Verdict(True, f"{len(images)} choices agree; {nontrivial} nontrivial witnesses")
+def _ranked(choices: list[FrameClass]) -> list[tuple[FrameClass, int]]:
+    """Each choice with the index of its class.  ``same_class`` is an
+    equivalence (the group is closed under products and inverses, frames
+    are unitary), so one representative per class decides membership."""
+    reps: list[FrameClass] = []
+    out = []
+    for c in choices:
+        n = next((n for n, r in enumerate(reps) if r.same_class(c) is not None), len(reps))
+        if n == len(reps):
+            reps.append(c)
+        out.append((c, n))
+    return out
 
 
-def cocycle_check(atlas: OrbifoldAtlas, j: str, k: str, classes: list[FrameClass]) -> Verdict:
-    """f_ki = f_kj . f_ji, as target-group classes, on the sampled classes
-    over chart i that lie in the triple overlap (each gluing's first choice)."""
-    agree = 0
-    for cls in classes:
-        over_j = next(gluing_images(atlas, cls, j), None)
-        via = None if over_j is None else next(gluing_images(atlas, over_j, k), None)
-        direct = None if via is None else next(gluing_images(atlas, cls, k), None)
-        if direct is None:
-            continue
-        if direct.same_class(via) is None:
-            return Verdict(False, f"cocycle identity fails over {cls.chart}")
-        agree += 1
-    if not agree:
-        return Verdict(False, "no sampled class lies in the triple overlap")
-    return Verdict(True, f"{agree} sampled classes agree")
+def gluing_well_defined(atlas: OrbifoldAtlas, source: str, target: str) -> Verdict:
+    """f_ji agrees, at every point, across each pair of choices whose balls
+    meet: h.A = A' for one h in Gamma_j.  As that is an equivalence, it
+    holds exactly when no two choices of different classes meet."""
+    choices = list(gluing_images(atlas, identity_class(atlas, source), target))
+    if not choices:
+        return Verdict(False, f"no change {source}->{target} meets the domain of {source}")
+    ranked = _ranked(choices)
+    for (a, p), (b, q) in combinations(ranked, 2):
+        if p != q and a.meets(b):
+            return Verdict(False, f"choices {a.choice} and {b.choice} differ where their balls meet")
+    return Verdict(True, f"{len(choices)} choices in {ranked[-1][1] + 1} classes; no two of different classes meet")
+
+
+def common_point(balls: tuple[Ball, ...]) -> Optional[CycVector]:
+    """A point of every ball, certified by ``Ball.contains``, or None: each
+    centre, or c + r/(r + r')(c' - c), which lies in both of two that meet.
+    None is no proof of an empty intersection: three or more balls can
+    share a point that is none of these candidates."""
+    bounded = list(dict.fromkeys(b for b in balls if b.radius is not None))
+    candidates = [b.center for b in bounded] + [
+        tuple(x + (y - x) * (a.radius / (a.radius + b.radius)) for x, y in zip(a.center, b.center))
+        for a, b in combinations(bounded, 2)
+    ]
+    return next((p for p in candidates if all(b.contains(p) for b in bounded)), None)
+
+
+def cocycle_check(atlas: OrbifoldAtlas, i: str, j: str, k: str) -> Verdict:
+    """f_ki = f_kj . f_ji on the whole triple overlap: no direct choice
+    i -> k meets a composite i -> j -> k of another class, and some pair of
+    one class has a certified common point.  No meeting pair is an empty
+    triple overlap, certified by disjoint balls, and fails."""
+    start = identity_class(atlas, i)
+    direct = list(gluing_images(atlas, start, k))
+    composite = [via for over_j in gluing_images(atlas, start, j) for via in gluing_images(atlas, over_j, k)]
+    ranked = _ranked(direct + composite) if direct and composite else []
+    met = witnessed = False
+    for (d, p), (c, q) in product(ranked[:len(direct)], ranked[len(direct):]):
+        if (p != q or not witnessed) and d.meets(c):
+            if p != q:
+                return Verdict(False, f"{d.choice} differs from {c.choice} where their balls meet")
+            met, witnessed = True, common_point(d.region + c.region) is not None
+    counts = f"{len(direct)} direct and {len(composite)} composite choices"
+    if not met:
+        return Verdict(False, f"empty triple overlap: {counts}, no two with pairwise meeting balls")
+    if not witnessed:
+        return Verdict(False, f"{counts} agree where they meet, but no common point of their balls is certified")
+    return Verdict(True, f"{counts} agree where they meet; a common point is certified")
 
 
 def seifert_fiber_report(atlas: OrbifoldAtlas, chart_id: str, point: CycVector) -> tuple[int, str]:
@@ -146,34 +197,3 @@ def seifert_fiber_report(atlas: OrbifoldAtlas, chart_id: str, point: CycVector) 
     chart = atlas.chart(chart_id)
     s = stabilizer(chart.group, point).order
     return s, f"fiber = Gamma_x\\U({chart.n}) with |Gamma_x| = {s}"
-
-
-def _frames_at(chart: Chart, points: list[CycVector], seed: int) -> list[UnitaryFrame]:
-    """One seeded frame per basepoint: a permutation matrix whose entries
-    are powers of zeta_N, which is exactly unitary."""
-    import random
-
-    rng = random.Random(seed)
-    n, order = chart.n, chart.cyclotomic_order
-    frames = []
-    for p in points:
-        perm = list(range(n))
-        rng.shuffle(perm)
-        rows = []
-        for r in range(n):
-            row = [CyclotomicNumber.zero(order)] * n
-            row[perm[r]] = CyclotomicNumber.zeta(order, rng.randrange(order))
-            rows.append(row)
-        frames.append(UnitaryFrame(chart.id, p, CycMatrix(order, rows)))
-    return frames
-
-
-def sample_classes(
-    atlas: OrbifoldAtlas, source: str, target: str, count: int = 25, seed: int = 11
-) -> list[FrameClass]:
-    """Deterministic frame classes over chart ``source`` with basepoints on
-    a grid in the source domain of the first declared change to ``target``."""
-    chart = atlas.chart(source)
-    ball = atlas.changes_between(source, target)[0].source_domain
-    pts = sample_grid(chart.cyclotomic_order, ball, count)
-    return [FrameClass(chart.id, f, chart.group) for f in _frames_at(chart, pts, seed)]

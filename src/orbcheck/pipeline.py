@@ -12,7 +12,6 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache
 from typing import Optional
 
 from . import atlas as atlas_mod
@@ -106,8 +105,8 @@ def build_atlas(scenario: Scenario) -> atlas_mod.OrbifoldAtlas:
     return atlas_mod.OrbifoldAtlas(charts, changes)
 
 
-def run_atlas_pipeline(atlas: atlas_mod.OrbifoldAtlas, report: Report, samples: int = 25):
-    verdicts = atlas_mod.validate_atlas(atlas, samples)
+def run_atlas_pipeline(atlas: atlas_mod.OrbifoldAtlas, report: Report):
+    verdicts = atlas_mod.validate_atlas(atlas)
     for key, verdict in verdicts:
         report.check(f"atlas.{key}", verdict)
     report.check("atlas.validate", Verdict(all(v.passed for _, v in verdicts)))
@@ -116,25 +115,19 @@ def run_atlas_pipeline(atlas: atlas_mod.OrbifoldAtlas, report: Report, samples: 
 # -- Seifert suite --------------------------------------------------------
 
 
-def run_seifert_pipeline(atlas: atlas_mod.OrbifoldAtlas, report: Report, grid_points: int = 25):
+def run_seifert_pipeline(atlas: atlas_mod.OrbifoldAtlas, report: Report):
     for chart in sorted(atlas.charts, key=lambda c: c.id):
         report.check(f"seifert.free.{chart.id}", fb.check_lifted_action_free(chart.group))
         report.check(f"seifert.equivariance.{chart.id}", fb.check_equivariance(chart.group))
         origin = vec(chart.cyclotomic_order, [0] * chart.n)
         s, desc = fb.seifert_fiber_report(atlas, chart.id, origin)
         report.info(f"seifert.fiber.{chart.id}.origin", desc)
-    # a non-unitary change moves frames off the frame bundle, so every
-    # gluing through its overlap fails without being sampled
+    # a non-unitary change moves frames off the frame bundle and balls
+    # onto ellipsoids, so every gluing through its overlap fails unchecked
     broken = {(c.source, c.target): Verdict(False, f"change {c.source}->{c.target} is not unitary")
               for c in atlas.changes if not c.unitary}
-    # the cocycle over (i, j, k) reads the classes sampled for overlap (i, k)
-    classes = cache(lambda i, j: fb.sample_classes(atlas, i, j, grid_points))
     for (i, j) in atlas.overlaps():
-        shown = broken.get((i, j))
-        if shown is None:
-            verdicts = [fb.gluing_well_defined(atlas, cls, j) for cls in classes(i, j)]
-            shown = next((v for v in verdicts if not v.passed), verdicts[0])
-        report.check(f"seifert.well_defined.{i}.{j}", shown)
+        report.check(f"seifert.well_defined.{i}.{j}", broken.get((i, j)) or fb.gluing_well_defined(atlas, i, j))
     overlaps = set(atlas.overlaps())
     triples = sorted(
         (i, j, k)
@@ -144,9 +137,7 @@ def run_seifert_pipeline(atlas: atlas_mod.OrbifoldAtlas, report: Report, grid_po
     )
     for (i, j, k) in triples:
         shown = next((broken[o] for o in ((i, j), (j, k), (i, k)) if o in broken), None)
-        if shown is None:
-            shown = fb.cocycle_check(atlas, j, k, classes(i, k))
-        report.check(f"seifert.cocycle.{i}.{j}.{k}", shown)
+        report.check(f"seifert.cocycle.{i}.{j}.{k}", shown or fb.cocycle_check(atlas, i, j, k))
 
 
 # -- taut / transverse Kahler suite --------------------------------------
@@ -391,14 +382,13 @@ def run_pipeline(scenario: Scenario, samples: Optional[int] = None, tol: Optiona
     overrides = {k: v for k, v in (("samples", samples), ("tol", tol)) if v is not None}
     if overrides and scenario.geometry is not None:  # the caller's scenario stays as it is
         scenario = replace(scenario, geometry=replace(scenario.geometry, **overrides))
-    grid = samples if samples is not None else 25
     atlas = None
     if "atlas" in scenario.pipelines or "seifert" in scenario.pipelines:
         atlas = build_atlas(scenario)
     if "atlas" in scenario.pipelines:
-        run_atlas_pipeline(atlas, report, grid)
+        run_atlas_pipeline(atlas, report)
     if "seifert" in scenario.pipelines:
-        run_seifert_pipeline(atlas, report, grid)
+        run_seifert_pipeline(atlas, report)
     if "taut" in scenario.pipelines:
         run_taut_pipeline(scenario, report)
     if "quotient" in scenario.pipelines:

@@ -16,8 +16,10 @@ support, simpliciality over every degree rather than the facets, and
 orientation signs by scanning each facet for the vertex a ridge omits,
 and cup products over every (p + q)-simplex rather than one factor's
 support.  The full echelon reduces each column below its leading row as
-well, where the package stops at that row.  The eager gluing reference forms every lift and image before testing a
-change's domain.
+well, where the package stops at that row.  The eager gluing reference
+lifts by every group element before testing any ball, and pulls each
+change's ball back through the lifted frame, (gM)^H (c - g a), where the
+package computes M^H (g^H c - a).
 
 The last section holds constructions only the tests use: explicit
 chart groups, seeded frames and right-action matrices, and the complex
@@ -29,15 +31,16 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from orbcheck.atlas import FiniteMatrixGroup, sample_grid
-from orbcheck.cyclotomic import CycMatrix, CyclotomicNumber
+from orbcheck.atlas import Ball, FiniteMatrixGroup
+from orbcheck.cyclotomic import CycMatrix, CyclotomicNumber, vec_sub
 from orbcheck.errors import OrbcheckError
-from orbcheck.frame_bundle import FrameClass, UnitaryFrame, _frames_at, lift_group_action
+from orbcheck.frame_bundle import FrameClass, UnitaryFrame, lift_group_action
 from orbcheck.polyform import Polynomial
 
 
@@ -434,17 +437,24 @@ def cup_by_walk(cx, alpha: dict, p: int, beta: dict, q: int) -> dict:
 
 
 def gluing_images_eager(atlas, cls, target) -> list:
-    """Every image class of the gluing, in the order ``gluing_images``
-    yields them, lifting the whole frame (g.x, g.xi) for every g before
-    testing any change's domain."""
+    """Every choice of the gluing, in the order ``gluing_images`` yields
+    them, lifting the whole frame (g.a, g M) for every g before testing
+    any ball: a choice is kept when (gM)^H (c - g.a), radius r, meets
+    each ball of the class's region."""
     out = []
     group = atlas.chart(target).group
-    for g in cls.group:
+    changes = atlas.changes_between(cls.chart, target)
+    for index, g in enumerate(cls.group):
         moved = lift_group_action(g, cls.representative)
-        for phi in atlas.changes_between(cls.chart, target):
-            if phi.source_domain.contains(moved.basepoint):
+        back = moved.frame.conjugate_transpose()
+        for number, phi in enumerate(changes, 1):
+            dom = phi.source_domain
+            ball = Ball(back.apply(vec_sub(dom.center, moved.basepoint)), dom.radius)
+            if all(ball.meets(b) for b in cls.region):
                 image = UnitaryFrame(target, phi.apply(moved.basepoint), phi.linear @ moved.frame)
-                out.append(FrameClass(target, image, group))
+                region = cls.region if ball in cls.region else cls.region + (ball,)
+                label = (cls.choice + " then " if cls.choice else "") + f"g{index} {cls.chart}->{target} #{number}"
+                out.append(FrameClass(target, image, group, region, label))
     return out
 
 
@@ -469,9 +479,23 @@ def to_complex(x: CyclotomicNumber) -> complex:
 
 
 def sample_frames(chart, count: int = 10, seed: int = 7) -> list:
-    """Deterministic exact unitary frames at rational grid basepoints."""
-    pts = sample_grid(chart.cyclotomic_order, chart.domain, count)
-    return _frames_at(chart, [pts[i % len(pts)] for i in range(count)], seed)
+    """Deterministic exact unitary frames: at basepoint k/8 zeta^k e_(k mod n),
+    a seeded permutation matrix whose entries are powers of zeta_N."""
+    rng = random.Random(seed)
+    n, order = chart.n, chart.cyclotomic_order
+    frames = []
+    for k in range(count):
+        point = [CyclotomicNumber.zero(order)] * n
+        point[k % n] = CyclotomicNumber.zeta(order, k) * Fraction(k, 8)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        rows = []
+        for r in range(n):
+            row = [CyclotomicNumber.zero(order)] * n
+            row[perm[r]] = CyclotomicNumber.zeta(order, rng.randrange(order))
+            rows.append(row)
+        frames.append(UnitaryFrame(chart.id, tuple(point), CycMatrix(order, rows)))
+    return frames
 
 
 def right_action(frame: UnitaryFrame, a: CycMatrix) -> UnitaryFrame:

@@ -9,7 +9,7 @@ from orbcheck.atlas import (
     Chart,
     equivalent_changes,
     group_closure,
-    sample_grid,
+    image_containment,
     stabilizer,
     validate_atlas,
 )
@@ -21,6 +21,7 @@ from orbcheck.errors import (
     NonUnitaryGenerator,
 )
 from orbcheck.pipeline import build_atlas
+from orbcheck.verdict import Verdict
 
 
 def zmat(order, rows):
@@ -71,11 +72,37 @@ def test_ball_containment_exact():
     assert Ball(vec(4, [0]), None).contains(vec(4, [100]))
 
 
-def test_sample_grid_stays_inside_ball():
-    b = Ball(vec(8, [1, 0]), Fraction(1, 2))
-    pts = sample_grid(8, b, 25)
-    assert len(pts) == 25
-    assert all(b.contains(p) for p in pts)
+def test_balls_meet_exactly():
+    # closed balls: tangent balls meet; |1 - zeta_8|^2 = 2 - sqrt 2 is irrational
+    b = Ball(vec(4, [0]), Fraction(1, 2))
+    assert b.meets(Ball(vec(4, [1]), Fraction(1, 2)))
+    assert not b.meets(Ball(vec(4, [1]), Fraction(1, 3)))
+    assert b.meets(Ball(vec(4, [100]), None)) and Ball(vec(4, [100]), None).meets(b)
+    z = CyclotomicNumber.zeta(8)
+    near = Ball(vec(8, [1]), Fraction(3, 10))  # 2 - sqrt 2 = 0.586 < (3/10 + 1/2)^2 = 0.64
+    assert near.meets(Ball(vec(8, [z]), Fraction(1, 2)))
+    assert not near.meets(Ball(vec(8, [z]), Fraction(1, 4)))  # (11/20)^2 = 0.3025
+
+
+def test_containment_is_decided_on_the_whole_image_ball():
+    # B(c, r) -> B(Uc + b, r) inside B(0, R) iff r <= R and |Uc + b|^2 <= (R - r)^2
+    group = make_group([zmat(8, [[1]])])
+    z = CyclotomicNumber.zeta(8)
+
+    def verdict(radius, offset, r, linear=1):
+        change = ChangeOfChart("A", "B", zmat(8, [[linear]]), vec(8, [offset]), Ball(vec(8, [1]), r))
+        return image_containment(change, Chart("B", 1, 8, radius, group))
+
+    # internally tangent: the image ball B(5/4, 1/4) touches the boundary of B(0, 3/2)
+    assert verdict(Fraction(3, 2), Fraction(1, 4), Fraction(1, 4)) == Verdict(True, "|Uc+b|^2 <= (R-r)^2 = 25/16")
+    assert verdict(Fraction(6, 5), 0, Fraction(1, 4)) == Verdict(False, "|Uc+b|^2 > (R-r)^2 = 361/400")
+    assert verdict(Fraction(1, 8), -1, Fraction(1, 4)) == Verdict(False, "r = 1/4 > R = 1/8")
+    assert verdict(None, 100, Fraction(1, 4)) == Verdict(True, "target is all of C^n")
+    # |zeta + 1/2|^2 = 5/4 + sqrt 2 / 2 = 1.9571: at most (7/5)^2 = 1.96, above (139/100)^2
+    assert verdict(Fraction(33, 20), Fraction(1, 2), Fraction(1, 4), z).passed
+    assert not verdict(Fraction(41, 25), Fraction(1, 2), Fraction(1, 4), z).passed
+    stretched = verdict(2, 0, Fraction(1, 4), 2)
+    assert stretched == Verdict(False, "linear part is not unitary, so the image is not a ball")
 
 
 def test_equivalent_changes_witness_and_absence():

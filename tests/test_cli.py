@@ -205,28 +205,71 @@ def test_non_unitary_change_fails_its_gluings(tmp_path, capsys):
     assert "atlas.unitary.A.C = FAIL" in lines
     assert "seifert.well_defined.A.C = FAIL change A->C is not unitary" in lines
     assert "seifert.cocycle.A.C.B = FAIL change A->C is not unitary" in lines
-    assert "seifert.well_defined.A.B = PASS 2 choices agree; 1 nontrivial witnesses" in lines
+    assert "atlas.containment.A.C = FAIL linear part is not unitary, so the image is not a ball" in lines
+    assert "seifert.well_defined.A.B = PASS 6 choices in 1 classes; no two of different classes meet" in lines
 
 
 def test_cocycle_checks_the_sampled_classes_in_the_triple_overlap(tmp_path, capsys):
-    # a smaller A -> C ball holds only some of the classes sampled on the A -> B ball
+    # a smaller A -> C ball still meets each direct choice by the same g
     path = tmp_path / "narrow.scn"
     path.write_text(_edit("football:3", "center = [1]\nradius = 1/4", "center = [1]\nradius = 1/32"))
     code, out, err = run_cli(capsys, "run", str(path), "--format", "machine")
     assert code == 0 and err == ""
-    assert "seifert.cocycle.A.C.B = PASS 7 sampled classes agree" in out.splitlines()
+    assert ("seifert.cocycle.A.C.B = PASS 6 direct and 3 composite choices agree where they meet; "
+            "a common point is certified") in out.splitlines()
 
 
 def test_cocycle_fails_when_no_sampled_class_lies_in_the_triple_overlap(tmp_path, capsys):
-    # an A -> C ball about -1 misses every Gamma_A-orbit of the A -> B ball about 1
+    # an A -> C ball about -1 misses every Gamma_A-image of the A -> B ball about 1
     path = tmp_path / "apart.scn"
     path.write_text(_edit("football:3", "[change A -> C]\nlinear = [[1]]\noffset = [0]\ncenter = [1]",
                           "[change A -> C]\nlinear = [[1]]\noffset = [0]\ncenter = [-1]"))
     code, out, err = run_cli(capsys, "run", str(path), "--format", "machine")
     assert code == 1 and err == ""
     lines = out.splitlines()
-    assert "seifert.cocycle.A.C.B = FAIL no sampled class lies in the triple overlap" in lines
-    assert "seifert.well_defined.A.C = PASS 1 choices agree; 0 nontrivial witnesses" in lines
+    assert ("seifert.cocycle.A.C.B = FAIL empty triple overlap: 6 direct and 0 composite choices, "
+            "no two with pairwise meeting balls") in lines
+    assert "seifert.well_defined.A.C = PASS 3 choices in 3 classes; no two of different classes meet" in lines
+
+
+# Each atlas below is wrong only outside the inner half of a ball
+# (|x - c| <= r/2), where a grid of sampled points would not look.
+
+
+def _seifert_lines(tmp_path, capsys, text):
+    path = tmp_path / "off-grid.scn"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "run", str(path), "--format", "machine")
+    assert code == 1 and err == ""
+    return [line for line in out.splitlines() if line.startswith(("atlas.containment", "seifert."))]
+
+
+def test_containment_fails_where_the_image_ball_leaves_the_chart(tmp_path, capsys):
+    # the A -> C image B(1, 1/4) reaches 5/4 > 6/5
+    text = _edit("football:3", "[chart C]\nn = 1\nradius = 2", "[chart C]\nn = 1\nradius = 6/5")
+    lines = _seifert_lines(tmp_path, capsys, text)
+    assert "atlas.containment.A.C = FAIL |Uc+b|^2 > (R-r)^2 = 361/400" in lines
+    assert "atlas.containment.C.B = PASS |Uc+b|^2 <= (R-r)^2 = 49/16" in lines
+
+
+def test_well_defined_fails_where_two_change_balls_meet(tmp_path, capsys):
+    # a third A -> B change on B(11/8, 1/4) shifts by 1/16; it meets B(1, 1/4) near 9/8 + 1/16
+    third = "[change A -> B]\nlinear = [[1]]\noffset = [1/16]\ncenter = [11/8]\nradius = 1/4\n\n[complex S]"
+    lines = _seifert_lines(tmp_path, capsys, _edit("football:3", "[complex S]", third))
+    assert "seifert.well_defined.A.B = FAIL choices g0 A->B #1 and g0 A->B #3 differ where their balls meet" in lines
+    assert "seifert.well_defined.C.B = PASS 1 choices in 1 classes; no two of different classes meet" in lines
+
+
+def test_cocycle_fails_where_only_a_far_composite_applies(tmp_path, capsys):
+    # C -> B is the identity on B(1, 1/16) and a shift by 1/16 on B(5/4, 1/8);
+    # the balls are disjoint, so each gluing is well defined, but the shift
+    # disagrees with the direct A -> B gluing beyond 9/8
+    split = ("[change C -> B]\nlinear = [[1]]\noffset = [0]\ncenter = [1]\nradius = 1/16\n\n"
+             "[change C -> B]\nlinear = [[1]]\noffset = [1/16]\ncenter = [5/4]\nradius = 1/8")
+    text = _edit("football:3", "[change C -> B]\nlinear = [[1]]\noffset = [0]\ncenter = [1]\nradius = 1/4", split)
+    lines = _seifert_lines(tmp_path, capsys, text)
+    assert "seifert.well_defined.C.B = PASS 2 choices in 2 classes; no two of different classes meet" in lines
+    assert "seifert.cocycle.A.C.B = FAIL g0 A->B #1 differs from g0 A->C #1 then g0 C->B #2 where their balls meet" in lines
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,6 @@ from pathlib import Path
 import pytest
 
 from orbcheck import foliated as fol
-from orbcheck import frame_bundle as fb
 from orbcheck.catalog import catalog_scenario, catalog_text
 from orbcheck.cyclotomic import CycMatrix
 from orbcheck.errors import DegenerateOrbit, MissingSection, ParseError
@@ -79,25 +78,6 @@ def test_metric_kinds_round_and_flat_give_the_golden_report():
     text = catalog_text("weighted-hopf:1:2").replace("kind = round", "kind = flat")
     assert "kind = flat" in text
     assert run_pipeline(parse_scenario(text)).to_machine() == golden.read_text()
-
-
-def test_well_defined_fail_shows_the_failing_sample(monkeypatch):
-    original = fb.gluing_well_defined
-    calls = []
-
-    def second_sample_fails(atlas, cls, target):
-        calls.append(cls)
-        verdict = original(atlas, cls, target)
-        if len(calls) == 2:
-            return dataclasses.replace(verdict, passed=False, detail="outputs differ")
-        return verdict
-
-    monkeypatch.setattr(fb, "gluing_well_defined", second_sample_fails)
-    report = run_pipeline(catalog_scenario("football:2"))
-    values = {e.key: e.value for e in report.entries}
-    assert values["seifert.well_defined.A.B"] == "FAIL outputs differ"
-    assert values["seifert.well_defined.A.C"].startswith("PASS")
-    assert not report.overall
 
 
 @pytest.mark.parametrize("name, changes", [("football:3", 4), ("quaternion-chart", 2)])
