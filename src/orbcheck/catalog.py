@@ -22,9 +22,12 @@ _OCTAHEDRON_FACETS = (
 
 def _football(k: int) -> str:
     """Three affine charts on a line: two cyclic Z/k cone points, one
-    smooth chart, with a redundant change pair over a shared overlap."""
+    smooth chart, with a redundant change pair over a shared overlap.
+    The change balls about 1 have radius 1/4, or 1/k from k = 13 on:
+    B(1, r) misses its Z/k-rotations iff 2r < |1 - zeta_k| = 2 sin(pi/k)."""
     if k < 2:
         raise UnknownCatalogEntry("football parameter must be >= 2")
+    ball = "1/4" if k <= 12 else f"1/{k}"
     return f"""
 [scenario]
 name = football:{k}
@@ -52,25 +55,25 @@ generators =
 linear = [[1]]
 offset = [0]
 center = [1]
-radius = 1/4
+radius = {ball}
 
 [change C -> B]
 linear = [[1]]
 offset = [0]
 center = [1]
-radius = 1/4
+radius = {ball}
 
 [change A -> B]
 linear = [[1]]
 offset = [0]
 center = [1]
-radius = 1/4
+radius = {ball}
 
 [change A -> B]
 linear = [[z]]
 offset = [0]
 center = [1]
-radius = 1/4
+radius = {ball}
 
 [complex S]
 vertices = {_football_vertex_count(k)}

@@ -47,30 +47,31 @@ EXPLANATIONS = {
     ),
     "seifert.fiber": "Stabilizer order at the basepoint (Seifert fiber descriptor).",
     "taut.detM1": (
-        "Rescaled Gram matrices of fundamental fields have determinant one. "
-        "Local freeness is decided exactly first: det M0 = sum w_k^2 |z_k|^2 >= min w_k^2 "
-        "on the unit sphere, so a zero weight fails, naming the fixed set. "
-        "Once M0 > 0, det M1 = 1 is an identity of u0 = det(M0)^(-1/m): the float "
-        "deviation on the samples measures rounding only. The load-bearing facts are "
-        "exact local freeness and the invariance of M0 (taut.invariance)."
+        "Rescaled Gram matrices of fundamental fields have determinant one, exact for all "
+        "points. Local freeness is decided first: det M0 = sum w_k^2 |z_k|^2 >= min w_k^2 on "
+        "the unit sphere, so a zero weight fails, naming the fixed set. Once M0 > 0, "
+        "det M1 = u0 M0 = 1 is an identity of u0 = 1/M0."
     ),
     "taut.orbit_volume": (
-        "Orbit volumes in the rescaled metric equal 2*pi. Once M0 > 0 this is an "
-        "identity (det M1 = 1 along the orbit), so the deviation measures rounding "
-        "only; see taut.detM1 for the load-bearing facts."
+        "Orbit volumes in the rescaled metric equal 2*pi, exact for all points: the "
+        "integrand (det M1)^(1/2) is 1 by the identity det M1 = u0 M0 = 1 once M0 > 0."
     ),
-    "taut.invariance": "u0 and M0 are constant along each sampled orbit.",
+    "taut.invariance": (
+        "u0 and M0 are constant along the orbits, exact for all points: X(M0) = "
+        "sum_i X_i dM0/dx_i is the zero polynomial (X is a Killing field), and "
+        "X(1/M0) = -X(M0)/M0^2. A FAIL prints the nonzero derivative."
+    ),
     "tk.closed": (
-        "The transverse form is closed: d omega = 0 exactly. Checked on a chart-level "
-        "local model (theta, x, y) that does not depend on the scenario."
+        "The transverse form is closed: d omega = 0, exact for all points. Checked on a "
+        "chart-level local model (theta, x, y) that does not depend on the scenario."
     ),
     "tk.kernel": (
-        "Vertical contractions of the transverse form vanish exactly. Checked on a "
-        "chart-level local model (theta, x, y) that does not depend on the scenario."
+        "Vertical contractions of the transverse form vanish, exact for all points. Checked "
+        "on a chart-level local model (theta, x, y) that does not depend on the scenario."
     ),
     "tk.positive": (
-        "omega(J.,.) is positive definite transversally at samples. Checked on a "
-        "chart-level local model (theta, x, y) that does not depend on the scenario."
+        "omega(J.,.) is positive definite transversally: float, on three fixed fixture "
+        "points of a chart-level local model (theta, x, y) that does not depend on the scenario."
     ),
     "betti.full": "Rational Betti numbers of the covering complex.",
     "betti.inv": "Dimensions of the group-invariant cohomology.",
@@ -114,8 +115,9 @@ def main(argv=None) -> int:
     run = sub.add_parser("run", help="run a scenario file or catalog entry")
     run.add_argument("target", help="scenario file path, or catalog:<name>")
     run.add_argument("--format", choices=("human", "machine"), default="human")
-    run.add_argument("--samples", type=_positive_int, default=None, help="override the sample count (taut suite only)")
-    run.add_argument("--tol", type=_tolerance, default=None, help="override numeric tolerance")
+    inert = "; validated, but no check reads it: the taut suite is exact"
+    run.add_argument("--samples", type=_positive_int, default=None, help="override [check taut] samples" + inert)
+    run.add_argument("--tol", type=_tolerance, default=None, help="override [check taut] tol" + inert)
 
     sub.add_parser("list-catalog", help="list built-in scenarios")
 

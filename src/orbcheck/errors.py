@@ -19,10 +19,6 @@ class MultipleWitnesses(OrbcheckError):
 
 
 # foliated geometry
-class DegenerateOrbit(OrbcheckError):
-    pass
-
-
 class NonPositiveDeterminant(OrbcheckError):
     pass
 

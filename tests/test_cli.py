@@ -278,8 +278,8 @@ def test_cocycle_fails_where_only_a_far_composite_applies(tmp_path, capsys):
     ids=["one-zero-weight", "all-weights-zero"],
 )
 def test_zero_weight_fails_det_m1_naming_the_fixed_set(tmp_path, capsys, weights, fixed):
-    # det M0 = sum w_k^2 |z_k|^2 vanishes where the circle fixes the sphere;
-    # the unit-sphere samples miss that set, so the check is decided exactly
+    # det M0 = sum w_k^2 |z_k|^2 vanishes where the circle fixes the sphere,
+    # a set decided exactly from the weights
     path = tmp_path / "zero.scn"
     path.write_text(_edit("weighted-hopf:1:2", "weights = 1, 2", f"weights = {weights}"))
     code, out, err = run_cli(capsys, "run", str(path), "--format", "machine")

@@ -6,13 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import gram_by_metric_pairing, orbit_volume_per_node
-from orbcheck.errors import DegenerateOrbit
+from helpers import gram_by_metric_pairing
+from orbcheck.catalog import catalog_scenario
+from orbcheck.errors import NonPositiveDeterminant
 from orbcheck.foliated import (
     CircleAction,
     basic_form_check,
     conformal_factor,
-    coordinate_major,
     gram_matrix,
     orbit_invariance_check,
     orbit_volume,
@@ -22,6 +22,7 @@ from orbcheck.foliated import (
 from orbcheck.pipeline import run_pipeline
 from orbcheck.polyform import PolyForm, Polynomial, PolyVectorField
 from orbcheck.scenario import parse_scenario
+from orbcheck.verdict import Verdict
 
 
 def hopf_action(p=1, q=2):
@@ -37,18 +38,24 @@ def test_fundamental_field_is_rotation_derivative():
 
 def test_gram_matrix_exact_on_rational_points():
     action = hopf_action(1, 2)
-    m0 = gram_matrix(action.fundamental_fields(), [Fraction(1), 0, 0, 0])
-    assert m0 == [[Fraction(1)]]
-    m0 = gram_matrix(action.fundamental_fields(), [0, 0, Fraction(1), 0])
-    assert m0 == [[Fraction(4)]]
-    m1 = gram_matrix(action.fundamental_fields(), [0, 0, Fraction(1), 0], conformal_factor(m0, 1))
-    assert m1 == [[Fraction(1)]]
+    [[m0]] = gram_matrix(action.fundamental_fields())
+    x = [Polynomial.variable(4, k) for k in range(4)]
+    assert m0 == x[0] * x[0] + x[1] * x[1] + 4 * (x[2] * x[2] + x[3] * x[3])
+    assert m0.evaluate([Fraction(1), 0, 0, 0]) == 1
+    at = m0.evaluate([0, 0, Fraction(1), 0])
+    assert at == 4
+    m1, verdict = rescaled_gram([[at]], 1)
+    assert m1 == [[Fraction(1)]] and verdict.passed
 
 
 def test_degenerate_orbit_detected():
+    # the circle fixes the origin: M0 = 0 there, and no u0 exists
     action = hopf_action(1, 2)
-    with pytest.raises(DegenerateOrbit):
-        gram_matrix(action.fundamental_fields(), [0, 0, 0, 0])
+    [[m0]] = gram_matrix(action.fundamental_fields())
+    with pytest.raises(NonPositiveDeterminant):
+        conformal_factor([[m0.evaluate([0, 0, 0, 0])]], 1)
+    with pytest.raises(NonPositiveDeterminant):
+        orbit_volume(action, [0, 0, 0, 0])
 
 
 def test_conformal_factor_exact_and_homogeneous():
@@ -63,6 +70,8 @@ def test_conformal_factor_exact_and_homogeneous():
         c = Fraction(rng.randint(1, 40), rng.randint(1, 40))
         scaled = [[c * x for x in row] for row in base]
         assert conformal_factor(scaled, 2) == u / c
+    with pytest.raises(ValueError, match="no rational 2-th root"):
+        conformal_factor([[Fraction(2), 0], [0, Fraction(1)]], 2)
 
 
 def test_rescaled_gram_det_one_exact():
@@ -74,32 +83,110 @@ def test_rescaled_gram_det_one_exact():
 
 def test_orbit_volume_round_unit_speed():
     # unit-speed circle through (1,0,0,0): u0 = 1, volume 2*pi
-    vol = orbit_volume(hopf_action(1, 1), [1.0, 0.0, 0.0, 0.0])
-    assert abs(vol - 2 * math.pi) < 1e-12
+    assert orbit_volume(hopf_action(1, 1), [1, 0, 0, 0]) == 2 * math.pi
     # speed 2 through (0,0,1,0): u0 = 1/4 rescales the volume 4*pi to 2*pi
-    vol = orbit_volume(hopf_action(1, 2), [0.0, 0.0, 1.0, 0.0])
-    assert abs(vol - 2 * math.pi) < 1e-12
+    assert orbit_volume(hopf_action(1, 2), [0, 0, 1, 0]) == 2 * math.pi
+    # speed^2 9/25 + 4 * 16/25 = 73/25 off the axes
+    assert orbit_volume(hopf_action(1, 2), [Fraction(3, 5), 0, Fraction(4, 5), 0]) == 2 * math.pi
+
+
+def along(field, f):
+    """X(f) = sum_i X_i df/dx_i, term by term."""
+    return sum((c * f.diff(k) for k, c in enumerate(field.components)), Polynomial(field.d))
+
+
+def rotate_exactly(weights, point, c=Fraction(3, 5), s=Fraction(4, 5)):
+    """z_k -> (c + i s)^w_k z_k for the rational unit c + i s: an exact
+    point of the circle action's orbit, found without the field."""
+    out = []
+    for k, w in enumerate(weights):
+        a, b = Fraction(1), Fraction(0)
+        for _ in range(abs(w)):
+            a, b = a * c - b * s, a * s + b * c
+        if w < 0:
+            b = -b
+        x, y = point[2 * k], point[2 * k + 1]
+        out.extend([a * x - b * y, b * x + a * y])
+    return out
 
 
 def test_orbit_invariance_of_u0_and_m0():
     action = hopf_action(1, 2)
-    fields = action.fundamental_fields()
-
-    def u0(pt):
-        return conformal_factor(gram_matrix(fields, pt), 1)
-
-    def m0(pt):
-        return gram_matrix(fields, pt)
-
-    for pt in ([0.6, 0.0, 0.8, 0.0], [0.3, 0.4, 0.5, -0.2]):
-        assert orbit_invariance_check(u0, pt, action).passed
-        assert orbit_invariance_check(m0, pt, action).passed
+    [field] = action.fundamental_fields()
+    [[m0]] = gram_matrix([field])
+    one = Polynomial.constant(action.d, 1)
+    assert orbit_invariance_check(field, m0) == Verdict(True)
+    assert orbit_invariance_check(field, one, m0) == Verdict(True)
 
 
-# -- batches: one coordinate-major evaluation per orbit -------------------
-#
-# A batch must give the same bits as evaluating each point alone, so the
-# comparisons below use ==, never a tolerance.
+@pytest.mark.parametrize("weights", [[1, 2], [2, 3], [1, 3], [1, 2, 3], [3, 1, 2], [-2, 5]])
+def test_m0_is_killing_invariant_at_exact_orbit_points(weights):
+    action = CircleAction(weights)
+    [field] = action.fundamental_fields()
+    [[m0]] = gram_matrix([field])
+    assert along(field, m0).is_zero()
+    assert orbit_invariance_check(field, m0).passed
+    # oracle: M0 takes one value along the orbit through a rational point
+    rng = random.Random(sum(weights))
+    for _ in range(5):
+        pt = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(action.d)]
+        moved = pt
+        for _ in range(3):
+            moved = rotate_exactly(weights, moved)
+            assert m0.evaluate(moved) == m0.evaluate(pt)
+
+
+def wrong_weight_field(weights, k, w_wrong):
+    """The circle's field with pair k rotated as (-w_k y, w' x)."""
+    [field] = CircleAction(weights).fundamental_fields()
+    comps = list(field.components)
+    comps[2 * k + 1] = w_wrong * Polynomial.variable(len(comps), 2 * k)
+    return PolyVectorField(comps)
+
+
+@pytest.mark.parametrize("weights, k, w_wrong", [([1, 2], 0, 2), ([1, 2], 1, 3), ([1, 2, 3], 2, -3)])
+def test_wrong_weight_field_is_not_killing(weights, k, w_wrong):
+    # (-w y, w' x) with w != w' moves |X|^2 = w^2 y^2 + w'^2 x^2 along its
+    # own flow: X(M0) = 2 w w' (w - w') x y
+    field = wrong_weight_field(weights, k, w_wrong)
+    [[m0]] = gram_matrix([field])
+    w = weights[k]
+    x, y = Polynomial.variable(field.d, 2 * k), Polynomial.variable(field.d, 2 * k + 1)
+    assert along(field, m0) == 2 * w * w_wrong * (w - w_wrong) * x * y
+    verdict = orbit_invariance_check(field, m0, name="M0")
+    assert not verdict.passed and verdict.detail == f"X(M0) = {along(field, m0)}"
+    one = Polynomial.constant(field.d, 1)
+    assert not orbit_invariance_check(field, one, m0).passed
+
+
+def test_wrong_weight_field_fails_the_taut_invariance_lines(monkeypatch):
+    field = wrong_weight_field([1, 2], 0, 2)  # X(M0) = -4 x0 x1
+    monkeypatch.setattr(CircleAction, "fundamental_fields", lambda self: [field])
+    lines = run_pipeline(catalog_scenario("weighted-hopf:1:2")).to_machine().splitlines()
+    m0 = "4*x3^2 + 4*x2^2 + 1*x1^2 + 4*x0^2"
+    assert lines[1:5] == [
+        "taut.detM1 = PASS max_dev=0.000e+00",  # decided on the weights, which are valid
+        "taut.orbit_volume = PASS max_dev=0.000e+00",
+        f"taut.invariance.u0 = FAIL X(u0) = (4*x0*x1) / ({m0})^2",
+        "taut.invariance.M0 = FAIL X(M0) = -4*x0*x1",
+    ]
+    assert lines[-1] == "overall = FAIL"
+
+
+def test_polynomial_batch_matches_each_point_bitwise():
+    d = 4
+    x = [Polynomial.variable(d, k) for k in range(d)]
+    polys = [
+        Polynomial(d),  # the zero polynomial
+        Polynomial.constant(d, Fraction(3, 7)),
+        x[0] * x[1] * Fraction(-5, 3) + x[2] * x[2] * x[3] + 2,
+        x[3] * x[3] * x[3] * x[3] - x[1] * Fraction(1, 9),
+    ]
+    points = sphere_points(d, 40, 3)
+    # a list of coordinate arrays, and one d x 40 array (no truth value)
+    for batch in ([np.array(column) for column in zip(*points)], np.array(points).T):
+        for p in polys:
+            assert per_point(p.evaluate(batch), 40) == [p.evaluate(pt) for pt in points], p
 
 
 def sphere_points(d, count, seed):
@@ -118,96 +205,22 @@ def per_point(value, count):
     return np.broadcast_to(value, (count,)).tolist()
 
 
-def test_polynomial_batch_matches_each_point_bitwise():
-    d = 4
-    x = [Polynomial.variable(d, k) for k in range(d)]
-    polys = [
-        Polynomial(d),  # the zero polynomial
-        Polynomial.constant(d, Fraction(3, 7)),
-        x[0] * x[1] * Fraction(-5, 3) + x[2] * x[2] * x[3] + 2,
-        x[3] * x[3] * x[3] * x[3] - x[1] * Fraction(1, 9),
-    ]
-    points = sphere_points(d, 40, 3)
-    # a list of coordinate arrays, and one d x 40 array (no truth value)
-    for batch in (coordinate_major(points), np.array(points).T):
-        for p in polys:
-            assert per_point(p.evaluate(batch), 40) == [p.evaluate(pt) for pt in points], p
-
-
 @pytest.mark.parametrize("weights", [[1, 2], [1, 3], [2, 3], [1, 2, 3]])
 def test_gram_matrix_equals_the_full_metric_pairing(weights):
-    # the Gram matrix sums along the diagonal what the d x d pairing sums
-    # over every entry: its off-diagonal terms are (v * 0.0) * v = +-0.0
-    # and v * 1 = v, so the two agree bit for bit, for g0 and for u0 g0
+    # the polynomial Gram matrix sums along the diagonal what the d x d
+    # pairing sums over every entry; at rational points the two agree
+    # exactly, for g0 and for u0 g0
     action = CircleAction(weights)
     fields = action.fundamental_fields()
-    points = sphere_points(action.d, 60, sum(weights))
-    batch = coordinate_major(points)
-
-    def bits(m):  # hex tells a -0.0 from 0.0, as == does not
-        return [x.hex() for x in m[0][0].tolist()]
-
-    m0 = gram_matrix(fields, batch)
-    assert bits(m0) == bits(gram_by_metric_pairing(fields, batch))
-    u0 = conformal_factor(m0, 1)
-    assert bits(gram_matrix(fields, batch, u0)) == bits(gram_by_metric_pairing(fields, batch, u0))
-    for pt in points[:5]:
-        assert gram_matrix(fields, pt) == gram_by_metric_pairing(fields, pt)
-    exact = [Fraction(k + 1, 7) for k in range(action.d)]
-    assert gram_matrix(fields, exact) == gram_by_metric_pairing(fields, exact)
-    u = conformal_factor(gram_matrix(fields, exact), 1)
-    assert gram_matrix(fields, exact, u) == gram_by_metric_pairing(fields, exact, u)
-
-
-@pytest.mark.parametrize("weights", [[1, 2], [1, 2, 3]])
-@pytest.mark.parametrize("metric_kind", ["euclidean", "rescaled"])
-def test_gram_and_conformal_factor_batch_match_each_point_bitwise(weights, metric_kind):
-    action = CircleAction(weights)
-    fields = action.fundamental_fields()
-    points = sphere_points(action.d, 60, sum(weights))
-    batch = coordinate_major(points)
-    if metric_kind == "euclidean":
-        u, units = 1, [1] * len(points)
-    else:  # u0 g0, with u0 formed on the batch and at each point alone
-        u = conformal_factor(gram_matrix(fields, batch), 1)
-        units = [conformal_factor(gram_matrix(fields, pt), 1) for pt in points]
-    m0 = gram_matrix(fields, batch, u)
-    singles = [gram_matrix(fields, pt, v) for pt, v in zip(points, units)]
-    assert m0[0][0].tolist() == [s[0][0] for s in singles]
-    u0 = conformal_factor(m0, 1)
-    assert u0.tolist() == [conformal_factor(s, 1) for s in singles]
-    _, verdict = rescaled_gram(m0, 1)
-    assert verdict.max_dev == max(rescaled_gram(s, 1)[1].max_dev for s in singles)
-
-
-def test_conformal_factor_batch_uses_python_pow():
-    # numpy's ** -1.0 takes a reciprocal shortcut that can round the last
-    # bit differently from Python's pow on this kind of value
-    det = 8.259991387009073
-    u0 = conformal_factor([[np.array([det, 2.0])]], 1)
-    assert u0.tolist() == [det ** -1.0, 0.5]
-    assert u0.tolist()[0] == conformal_factor([[det]], 1)
-
-
-def test_degenerate_point_anywhere_in_a_batch_is_detected():
-    action = hopf_action(1, 2)
-    batch = coordinate_major([[0.6, 0.0, 0.8, 0.0], [0.0, 0.0, 0.0, 0.0]])
-    with pytest.raises(DegenerateOrbit):
-        gram_matrix(action.fundamental_fields(), batch)
-
-
-@pytest.mark.parametrize("weights", [[1, 2], [1, 2, 3]])
-def test_batched_orbit_volume_matches_the_per_node_loop_bitwise(weights):
-    action = CircleAction(weights)
-    fields = action.fundamental_fields()
-
-    def m1(pt):  # the rescaled metric's Gram matrix at one node
-        u0 = conformal_factor(gram_by_metric_pairing(fields, pt), 1)
-        return gram_by_metric_pairing(fields, pt, u0)
-
-    for pt in sphere_points(action.d, 3, len(weights)):
-        want = orbit_volume_per_node(m1, weights, pt, 100)
-        assert orbit_volume(action, pt, nodes=100) == want
+    gram = gram_matrix(fields)
+    rng = random.Random(sum(weights))
+    for _ in range(5):
+        pt = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(action.d)]
+        m0 = [[p.evaluate(pt) for p in row] for row in gram]
+        assert m0 == gram_by_metric_pairing(fields, pt)
+        if m0[0][0]:
+            u = conformal_factor(m0, 1)
+            assert rescaled_gram(m0, 1)[0] == gram_by_metric_pairing(fields, pt, u) == [[1]]
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -26,7 +26,7 @@ from orbcheck.frame_bundle import (
     lift_group_action,
     seifert_fiber_report,
 )
-from orbcheck.pipeline import build_atlas
+from orbcheck.pipeline import build_atlas, run_pipeline
 from orbcheck.scenario import parse_scenario
 from orbcheck.verdict import Verdict
 
@@ -373,14 +373,24 @@ def test_cocycle_fails_where_no_candidate_lies_in_a_nonempty_overlap():
                                      "but no common point of their balls is certified")
 
 
-def test_catalog_football_13_fails_where_rotated_change_balls_meet():
+def test_catalog_football_shrinks_change_balls_that_would_meet_their_rotations():
     # |1 - zeta_13|^2 = 2 - 2 cos(2 pi/13) < (1/2)^2, so B(1, 1/4) meets its
     # Gamma_A-rotation, and the trivial Gamma_C cannot carry one image to
-    # the other: the catalog's football:k atlas is invalid for k >= 13
-    atlas = build_atlas(catalog_scenario("football:13"))
-    verdict = gluing_well_defined(atlas, "A", "C")
+    # the other; the catalog's balls have radius 1/k from k = 13 on
+    text = catalog_text("football:13")
+    assert text.count("radius = 1/13") == 4
+    assert gluing_well_defined(build_atlas(parse_scenario(text)), "A", "C").passed
+    old = parse_scenario(text.replace("radius = 1/13", "radius = 1/4"))
+    verdict = gluing_well_defined(build_atlas(old), "A", "C")
     assert verdict == Verdict(False, "choices g0 A->C #1 and g1 A->C #1 differ where their balls meet")
+    assert catalog_text("football:12").count("radius = 1/4") == 4
     assert gluing_well_defined(build_atlas(catalog_scenario("football:12")), "A", "C").passed
+
+
+@pytest.mark.parametrize("k", [13, 24, 64])
+def test_catalog_football_passes_from_13_on(k):
+    report = run_pipeline(catalog_scenario(f"football:{k}"))
+    assert report.overall, report.to_machine()
 
 
 def test_common_point_lies_in_every_ball():

@@ -4,10 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from orbcheck import foliated as fol
 from orbcheck.catalog import catalog_scenario, catalog_text
 from orbcheck.cyclotomic import CycMatrix
-from orbcheck.errors import DegenerateOrbit, MissingSection, ParseError
+from orbcheck.errors import MissingSection, ParseError
 from orbcheck.pipeline import Report, build_atlas, build_quotient, run_pipeline
 from orbcheck.scenario import parse_scenario
 from orbcheck.verdict import Verdict
@@ -101,17 +100,6 @@ def test_seifert_suite_decides_unitarity_once_per_change(monkeypatch, name, chan
     assert report.overall
     assert len(calls) == generators + changes
     assert Counter(calls[generators:]) == Counter(declared)
-
-
-def test_degenerate_orbit_fails_the_check_being_computed(monkeypatch):
-    def degenerate(*args, **kwargs):
-        raise DegenerateOrbit("non-positive Gram determinant along orbit")
-
-    monkeypatch.setattr(fol, "orbit_volume", degenerate)
-    report = run_pipeline(catalog_scenario("weighted-hopf:1:2"), samples=20)
-    lines = report.to_machine().splitlines()
-    assert lines[1].startswith("taut.detM1 = PASS")
-    assert lines[2:] == ["taut.orbit_volume = FAIL DegenerateOrbit", "overall = FAIL"]
 
 
 def test_rp2_skips_hlt_after_orientation_failure():
