@@ -7,7 +7,6 @@ Machine output is line oriented and deterministic.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .catalog import CATALOG_NAMES, catalog_scenario
@@ -88,26 +87,6 @@ def _read_scenario(target: str):
         return parse_scenario(fh.read())
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
-    return value
-
-
-def _tolerance(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a finite number of at least 0, got {text!r}")
-    return value
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="orbcheck", description="Orbifold structure checks")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -115,9 +94,6 @@ def main(argv=None) -> int:
     run = sub.add_parser("run", help="run a scenario file or catalog entry")
     run.add_argument("target", help="scenario file path, or catalog:<name>")
     run.add_argument("--format", choices=("human", "machine"), default="human")
-    inert = "; validated, but no check reads it: the taut suite is exact"
-    run.add_argument("--samples", type=_positive_int, default=None, help="override [check taut] samples" + inert)
-    run.add_argument("--tol", type=_tolerance, default=None, help="override [check taut] tol" + inert)
 
     sub.add_parser("list-catalog", help="list built-in scenarios")
 
@@ -143,7 +119,7 @@ def main(argv=None) -> int:
 
     try:
         scenario = _read_scenario(args.target)
-        report = run_pipeline(scenario, samples=args.samples, tol=args.tol)
+        report = run_pipeline(scenario)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

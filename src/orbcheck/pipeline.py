@@ -8,7 +8,7 @@ duality verdicts.  Failures become report entries, never aborts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -331,11 +331,8 @@ def run_quotient_pipeline(scenario: Scenario, report: Report):
 # -- entry point ----------------------------------------------------------
 
 
-def run_pipeline(scenario: Scenario, samples: Optional[int] = None, tol: Optional[float] = None) -> Report:
+def run_pipeline(scenario: Scenario) -> Report:
     report = Report(scenario.name)
-    overrides = {k: v for k, v in (("samples", samples), ("tol", tol)) if v is not None}
-    if overrides and scenario.geometry is not None:  # the caller's scenario stays as it is
-        scenario = replace(scenario, geometry=replace(scenario.geometry, **overrides))
     atlas = None
     if "atlas" in scenario.pipelines or "seifert" in scenario.pipelines:
         atlas = build_atlas(scenario)

@@ -105,9 +105,6 @@ class Polynomial:
             return Fraction(0) if (len(point) and isinstance(point[0], (int, Fraction))) else 0.0
         return acc
 
-    def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -41,10 +41,6 @@ class ChangeSection:
 @dataclass
 class GeometrySection:
     weights: list[int]
-    samples: int = 1000
-    orbits: int = 50
-    tol: float = 1e-9
-    nodes: int = 256
 
 
 @dataclass
@@ -91,7 +87,7 @@ class Scenario:
         if ("atlas" in self.pipelines or "seifert" in self.pipelines) and not self.charts:
             raise MissingSection("atlas/seifert pipelines require [chart] sections")
         if "taut" in self.pipelines and self.geometry is None:
-            raise MissingSection("taut pipeline requires [action] and [metric] sections")
+            raise MissingSection("taut pipeline requires an [action] section")
         if "quotient" in self.pipelines:
             if self.quotient is None:
                 raise MissingSection("quotient presentation required")
@@ -99,8 +95,6 @@ class Scenario:
         n = self.charts[0].n if self.charts else None
         chart_ids = set()
         for c in self.charts:
-            if c.id in chart_ids:
-                raise ShapeMismatch(f"[chart {c.id}] is declared twice")
             chart_ids.add(c.id)
             for key in ("n", "cyclotomic_order"):
                 mine, first = getattr(c, key), getattr(self.charts[0], key)
@@ -279,12 +273,15 @@ def parse_scenario(text: str) -> Scenario:
         current[2].append((lineno, key.strip(), value.strip()))
 
     scenario = Scenario(name="", pipelines=[])
-    geometry_kv: dict[str, tuple[int, str]] = {}
-    saw_geometry = False
+    seen: set[str] = set()
 
     for head_line, header, items in blocks:
         words = header.split()
-        kind = words[0]
+        kind = words[0] if words else ""  # a blank header [ ] is an unknown block
+        header = " ".join(words)
+        if header in seen and kind != "change":  # redundant changes over one overlap are valid
+            raise ParseError(head_line, f"[{header}] is declared twice")
+        seen.add(header)
         kv = {}
         for lineno, key, value in items:
             if key in kv:
@@ -303,7 +300,7 @@ def parse_scenario(text: str) -> Scenario:
                 lineno, _ = next(iter(kv.values()))
                 raise ParseError(lineno, f"unknown key {next(iter(kv))!r} in [{header}]")
 
-        if kind == "scenario":
+        if header == "scenario":
             ln, name = take("name")
             ln, pipes = take("pipelines")
             scenario.name = name
@@ -348,16 +345,34 @@ def parse_scenario(text: str) -> Scenario:
             scenario.changes.append(
                 ChangeSection(m.group(1), m.group(2), linear, offset, center, radius)
             )
-        elif kind == "action" and len(words) == 1:
-            saw_geometry = True
-            for key in list(kv):
-                geometry_kv[key] = kv.pop(key)
-        elif kind == "metric":
-            for key in list(kv):
-                geometry_kv["metric_" + key] = kv.pop(key)
-        elif kind == "check" and len(words) == 2 and words[1] == "taut":
-            for key in list(kv):
-                geometry_kv["taut_" + key] = kv.pop(key)
+        elif header == "action":
+            ln, atype = take("type", required=False, default="circle")
+            if atype.strip() != "circle":
+                raise ParseError(ln, f"taut pipeline currently handles circle actions, got {atype.strip()!r}")
+            ln, weights = take("weights")
+            try:
+                weights = [int(x) for x in weights.split(",")]
+            except ValueError:
+                raise ParseError(ln, f"malformed weights {weights!r}")
+            reject_unknown()
+            scenario.geometry = GeometrySection(weights)
+        elif header == "metric":
+            # the taut suite reads one metric, u times the Euclidean one
+            ln, metric = take("kind", required=False, default="round")
+            if metric.strip() != "round":
+                raise ParseError(ln, f"unsupported metric kind {metric.strip()!r}")
+            reject_unknown()
+        elif header == "check taut":
+            # the generated benchmark texts carry these sampling keys; the taut
+            # suite is exact, so they are range-checked and dropped
+            for key in ("samples", "orbits", "nodes"):
+                ln, value = take(key, required=False)
+                if value is not None and _parse_int(value, ln) < 1:
+                    raise ParseError(ln, f"{key} must be at least 1, got {value.strip()}")
+            ln, tol = take("tol", required=False)
+            if tol is not None and not 0 <= _parse_float(tol, ln) < math.inf:
+                raise ParseError(ln, f"tol must be a finite number of at least 0, got {tol.strip()!r}")
+            reject_unknown()
         elif kind == "complex":
             if len(words) != 2:
                 raise ParseError(head_line, "complex header must be [complex <id>]")
@@ -399,7 +414,7 @@ def parse_scenario(text: str) -> Scenario:
                 section.maps = [_parse_int(x, ln) for x in maps.split(",")]
             reject_unknown()
             scenario.actions[section.id] = section
-        elif kind == "quotient":
+        elif header == "quotient":
             ln, cx = take("complex")
             ln, act = take("action")
             ln, n = take("complex_dim_n")
@@ -412,8 +427,8 @@ def parse_scenario(text: str) -> Scenario:
         else:
             raise ParseError(head_line, f"unknown block [{header}]")
 
-    if saw_geometry or geometry_kv:
-        scenario.geometry = _build_geometry(geometry_kv)
+    if scenario.geometry is None and seen & {"metric", "check taut"}:
+        raise MissingSection("[metric] and [check taut] require an [action] block")
     if not scenario.name:
         raise ParseError(1, "missing [scenario] block with a name")
     scenario.validate()
@@ -447,42 +462,3 @@ def _parse_facets(text: str, line: int, vertices: int) -> list[tuple[int, ...]]:
         raise ParseError(line, f"vertex {unused[0]} lies in no facet")
     return facets
 
-
-def _build_geometry(kv: dict) -> GeometrySection:
-    kv = dict(kv)
-    ln, atype = kv.pop("type", (0, "circle"))
-    atype = atype.strip()
-    if atype not in ("circle", "torus"):
-        raise ParseError(ln, f"unsupported action type {atype!r}")
-    if atype != "circle":
-        raise ParseError(ln, "taut pipeline currently handles circle actions")
-    if "weights" not in kv:
-        raise MissingSection("[action] requires weights")
-    ln, weights = kv.pop("weights")
-    try:
-        weights = [int(x) for x in weights.split(",")]
-    except ValueError:
-        raise ParseError(ln, f"malformed weights {weights!r}")
-    # round and flat give one Gram matrix at the unit-sphere sample points
-    ln, metric_kind = kv.pop("metric_kind", (0, "round"))
-    if metric_kind.strip() not in ("round", "flat"):
-        raise ParseError(ln, f"unsupported metric kind {metric_kind.strip()!r}")
-    geo = GeometrySection(weights=weights)
-    for attr, conv in (
-        ("samples", _parse_int),
-        ("orbits", _parse_int),
-        ("tol", _parse_float),
-        ("nodes", _parse_int),
-    ):
-        if f"taut_{attr}" in kv:
-            ln, v = kv.pop(f"taut_{attr}")
-            value = conv(v, ln)
-            if conv is _parse_int and value < 1:
-                raise ParseError(ln, f"{attr} must be at least 1, got {value}")
-            if conv is _parse_float and not 0 <= value < math.inf:
-                raise ParseError(ln, f"{attr} must be a finite number of at least 0, got {v.strip()!r}")
-            setattr(geo, attr, value)
-    if kv:
-        ln, _ = next(iter(kv.values()))
-        raise ParseError(ln, f"unknown geometry key {next(iter(kv))!r}")
-    return geo

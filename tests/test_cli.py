@@ -85,12 +85,10 @@ def _edit(name, old, new):
 @pytest.mark.parametrize(
     "text, argv, expect",
     [
-        (None, ("catalog:weighted-hopf:1:2", "--samples", "0"), "--samples"),
-        (None, ("catalog:football:3", "--samples", "-3"), "--samples"),
+        (None, ("catalog:weighted-hopf:1:2", "--samples", "3"), "unrecognized arguments: --samples 3"),
         (_edit("weighted-hopf:1:2", "samples = 1000", "samples = 0"), (), "line 14: samples"),
         (_edit("weighted-hopf:1:2", "orbits = 50", "orbits = 0"), (), "line 15: orbits"),
         (_edit("weighted-hopf:1:2", "tol = 1e-9", "tol = 1e-9\nnodes = -1"), (), "line 17: nodes"),
-        (None, ("catalog:weighted-hopf:1:2", "--tol", "-1"), "--tol"),
         (_edit("weighted-hopf:1:2", "tol = 1e-9", "tol = nan"), (), "line 16: tol"),
         (_edit("football:2", "[change C -> B]", "[change C -> Q]"), (), "'Q'"),
         (_edit("football:2", "cyclotomic_order = 2", "cyclotomic_order = 0"), (), "line 9: cyclotomic_order"),
@@ -128,17 +126,18 @@ def _edit(name, old, new):
         (_edit("football:2", "radius = 1/4", "radius = 1/0"), (), "line 28: malformed rational '1/0'"),
         (_edit("weighted-hopf:1:2", "type = circle", "type = torus"), (), "line 7: taut pipeline currently handles circle actions"),
         (_edit("weighted-hopf:1:2", "kind = round", "kind = hello"), (), "line 11: unsupported metric kind 'hello'"),
+        (_edit("weighted-hopf:1:2", "kind = round", "kind = flat"), (), "line 11: unsupported metric kind 'flat'"),
+        (_edit("weighted-hopf:1:2", "[action]\ntype = circle\nweights = 1, 2\n", ""), (), "[metric] and [check taut] require an [action] block"),
         (_edit("torus7", "vertex_order = 1, 2, 3, 0, 4, 5, 6", "vertex_order = 1, 2, 3"), (), "line 9: vertex_order must permute 0..6"),
         (_edit("octahedron", "vertices = 6", "vertices = 9"), (), "line 8: vertex 6 lies in no facet"),
         (_edit("torus7", "facets = (0,1,3)", "facets = (0,0,3)"), (), "line 8: facet (0, 0, 3) repeats a vertex"),
+        ("[scenario]\nname = x\npipelines = quotient\n\n[ ]\n", (), "line 5: unknown block []"),
     ],
     ids=[
-        "samples-zero",
-        "samples-negative",
+        "unknown-run-option",
         "taut-samples-zero",
         "taut-orbits-zero",
         "taut-nodes-negative",
-        "tol-negative",
         "taut-tol-nan",
         "change-undeclared-chart",
         "cyclotomic-order-zero",
@@ -176,9 +175,12 @@ def _edit(name, old, new):
         "rational-zero-denominator",
         "taut-torus-type",
         "metric-kind-unknown",
+        "metric-kind-flat",
+        "metric-without-action",
         "vertex-order-short",
         "vertex-in-no-facet",
         "facet-repeats-vertex",
+        "blank-header",
     ],
 )
 def test_malformed_input_exits_two_without_traceback(tmp_path, capsys, text, argv, expect):
@@ -194,6 +196,39 @@ def test_malformed_input_exits_two_without_traceback(tmp_path, capsys, text, arg
     assert code == 2
     assert out.out == ""
     assert expect in out.err and "Traceback" not in out.err
+
+
+@pytest.mark.parametrize(
+    "name, block",
+    [
+        ("weighted-hopf:1:2", "[action]\nweights = 3, 0"),
+        ("weighted-hopf:1:2", "[check taut]\nsamples = 10"),
+        ("torus7", "[scenario]\nname = other\npipelines = quotient"),
+        ("torus7", "[quotient]\ncomplex = T\naction = I\ncomplex_dim_n = 1"),
+        ("torus7", "[action I]\ngroup = trivial"),
+        ("torus7", "[complex T]\nvertices = 3\nfacets = (0,1,2)"),
+    ],
+    ids=["action", "check-taut", "scenario", "quotient", "action-I", "complex-T"],
+)
+def test_a_repeated_block_exits_two_at_its_second_header(tmp_path, capsys, name, block):
+    from orbcheck.catalog import catalog_text
+
+    text = catalog_text(name)
+    path = tmp_path / "repeated.scn"
+    path.write_text(f"{text}\n{block}\n")
+    code, out, err = run_cli(capsys, "run", str(path), "--format", "machine")
+    header = block.splitlines()[0]
+    assert code == 2 and out == ""
+    assert f"line {len(text.splitlines()) + 2}: {header} is declared twice" in err
+
+
+def test_redundant_changes_over_one_overlap_may_repeat_their_header():
+    from orbcheck.catalog import catalog_text
+
+    text = catalog_text("football:3")
+    assert text.count("[change A -> B]") == 2
+    pairs = [(c.source, c.target) for c in parse_scenario(text).changes]
+    assert pairs.count(("A", "B")) == 2
 
 
 def test_non_unitary_change_fails_its_gluings(tmp_path, capsys):

@@ -47,7 +47,6 @@ def test_minimal_scenario_roundtrip():
     s = parse_scenario(MINIMAL)
     assert s.name == "demo"
     assert s.geometry.weights == [1, 2]
-    assert s.geometry.samples == 1000  # default
 
 
 def test_parse_errors_carry_line_numbers():
@@ -60,7 +59,7 @@ def test_parse_errors_carry_line_numbers():
         parse_scenario("stray line\n")
     assert exc.value.line == 1
 
-    dup = MINIMAL + "\n[metric]\nkind = round\nkind = flat\n"
+    dup = MINIMAL.replace("kind = round", "kind = round\nkind = round")
     with pytest.raises(ParseError):
         parse_scenario(dup)
 
