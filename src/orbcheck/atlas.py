@@ -20,11 +20,7 @@ from .cyclotomic import (
     vec_norm_sq,
     vec_sub,
 )
-from .errors import (
-    ClosureExceedsCap,
-    MultipleWitnesses,
-    NonUnitaryGenerator,
-)
+from .errors import ClosureExceedsCap, NonUnitaryGenerator
 from .verdict import Verdict
 
 
@@ -182,20 +178,19 @@ class OrbifoldAtlas:
 def equivalent_changes(
     phi: ChangeOfChart, phi_prime: ChangeOfChart, group_j: FiniteMatrixGroup
 ) -> Optional[CycMatrix]:
-    """The unique g in Gamma_j with phi' = g . phi, or None.
+    """The g in Gamma_j with phi' = g . phi, or None.
 
-    Raises MultipleWitnesses when two distinct group elements satisfy
-    the identity (a non-faithful configuration).
+    gU = U' with U unitary leaves one candidate, g = U' U^H, kept when it
+    lies in Gamma_j and g b = b'.
     """
     if not phi.same_source_domain(phi_prime) or phi.target != phi_prime.target:
         raise ValueError("changes must share source domain and target chart")
-    matches = []
-    for g in group_j:
-        if g @ phi.linear == phi_prime.linear and g.apply(phi.offset) == phi_prime.offset:
-            matches.append(g)
-    if len(matches) > 1:
-        raise MultipleWitnesses(f"{len(matches)} witnesses found")
-    return matches[0] if matches else None
+    if not phi.unitary:
+        raise ValueError("the first change's linear part must be unitary")
+    g = phi_prime.linear @ phi.linear.conjugate_transpose()
+    if g in group_j and g.apply(phi.offset) == phi_prime.offset:
+        return g
+    return None
 
 
 def image_containment(change: ChangeOfChart, target: Chart) -> Verdict:
@@ -228,11 +223,10 @@ def validate_atlas(atlas: OrbifoldAtlas) -> list[tuple[str, Verdict]]:
         for j in range(i + 1, len(changes)):
             a, b = changes[i], changes[j]
             if a.same_source_domain(b) and a.target == b.target:
-                group_j = atlas.chart(a.target).group
-                try:
-                    g = equivalent_changes(a, b, group_j)
-                    verdict = Verdict(g is not None, "found" if g is not None else "missing")
-                except MultipleWitnesses as exc:
-                    verdict = Verdict(False, str(exc))
+                if not a.unitary:
+                    verdict = Verdict(False, "linear part is not unitary")
+                else:
+                    found = equivalent_changes(a, b, atlas.chart(a.target).group) is not None
+                    verdict = Verdict(found, "found" if found else "missing")
                 out.append((f"witness.{a.source}.{a.target}", verdict))
     return out

@@ -20,7 +20,11 @@ EXPLANATIONS = {
         "Change images stay inside the target chart domain, exact for all points: U maps "
         "B(c, r) onto B(Uc + b, r), inside B(0, R) iff r <= R and |Uc + b|^2 <= (R - r)^2."
     ),
-    "atlas.witness": "Redundant changes over one overlap differ by a group element.",
+    "atlas.witness": (
+        "Redundant changes over one overlap differ by a group element: with U unitary, gU = U' "
+        "leaves one candidate g = U'U^H, kept when it lies in Gamma_j and g b = b'."
+    ),
+    "atlas.validate": "Every atlas.unitary, atlas.containment and atlas.witness check passes.",
     "seifert.free": (
         "The lifted action on frames has no fixed points off the identity. Decided once "
         "per chart and exact for every frame: g.xi = xi with xi invertible forces g = I, "
@@ -72,11 +76,21 @@ EXPLANATIONS = {
         "omega(J.,.) is positive definite transversally: float, on three fixed fixture "
         "points of a chart-level local model (theta, x, y) that does not depend on the scenario."
     ),
+    "quotient.action": (
+        "Z/k acts through the powers of one vertex permutation, and the generator decides it: "
+        "it is a permutation, its k-th power is the identity, and it maps every facet to a "
+        "simplex (so every power maps every simplex onto a simplex)."
+    ),
     "betti.full": "Rational Betti numbers of the covering complex.",
     "betti.inv": "Dimensions of the group-invariant cohomology.",
+    "kahler.class": (
+        "Some invariant degree-2 cocycle (the product-sum class first, when asked for) has a "
+        "top cup power pairing nonzero with the cycle. A FAIL names the error, e.g. NoKahlerClass."
+    ),
     "kahler.pairing": "Top cup power of the chosen class against the cycle.",
     "hlt": "Cup with omega^k maps invariant H^(n-k) isomorphically onto H^(n+k).",
     "pd": "The cup pairing to the fundamental class is nondegenerate.",
+    "overall": "PASS when every check of the report passes.",
 }
 
 

@@ -238,9 +238,8 @@ class InvariantCohomology:
         basis = self.cq.cohomology_basis(p)
         b = len(basis.reps)
         elements = self.action.elements
-        # a verified action's first element is the identity permutation,
-        # whose action matrix is I: start the sum there
-        assert self.action.perms[elements[0]] == list(range(len(self.action.complex.vertices)))
+        # g0 is the identity permutation, whose action matrix is I: start
+        # the sum there
         proj = [[Fraction(int(i == j)) for j in range(b)] for i in range(b)]
         for e in elements[1:]:
             mat = self.action_matrix(e, p)

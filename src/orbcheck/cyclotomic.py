@@ -147,10 +147,6 @@ class CyclotomicNumber:
         return cls.from_rational(order, 0)
 
     @classmethod
-    def one(cls, order: int) -> "CyclotomicNumber":
-        return cls.from_rational(order, 1)
-
-    @classmethod
     def from_rational(cls, order: int, value: Rat) -> "CyclotomicNumber":
         if not isinstance(value, (int, Fraction)):
             value = Fraction(value)

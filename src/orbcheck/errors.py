@@ -14,10 +14,6 @@ class ClosureExceedsCap(OrbcheckError):
     pass
 
 
-class MultipleWitnesses(OrbcheckError):
-    pass
-
-
 # foliated geometry
 class NonPositiveDeterminant(OrbcheckError):
     pass

@@ -287,24 +287,6 @@ class PolyVectorField:
         comps[k] = Polynomial.constant(d, 1)
         return cls(comps)
 
-    @classmethod
-    def constant(cls, values: Sequence[Rat]) -> "PolyVectorField":
-        d = len(values)
-        return cls([Polynomial.constant(d, v) for v in values])
-
-    @classmethod
-    def linear(cls, matrix: Sequence[Sequence[Rat]]) -> "PolyVectorField":
-        """The field x -> A x."""
-        d = len(matrix)
-        comps = []
-        for row in matrix:
-            p = Polynomial(d)
-            for k, a in enumerate(row):
-                if a:
-                    p = p + Polynomial.variable(d, k) * Fraction(a)
-            comps.append(p)
-        return cls(comps)
-
     def evaluate(self, point: Sequence):
         return [c.evaluate(point) for c in self.components]
 

@@ -201,57 +201,42 @@ def _staircases(p: int, q: int):
 
 
 class SimplicialGroupAction:
-    """A finite group acting by vertex permutations preserving the complex."""
+    """Z/k acting on a complex through the powers of one vertex permutation.
 
-    def __init__(
-        self,
-        complex_: SimplicialComplex,
-        elements: list[str],
-        table: dict[tuple[str, str], str],
-        vertex_maps: dict[str, dict],
-    ):
+    ``generator`` sends vertex position v to generator[v]; element g<i>
+    acts by its i-th power, ``perms["g<i>"]``, and g<i>^-1 is g<(k-i) mod k>.
+    """
+
+    def __init__(self, complex_: SimplicialComplex, k: int, generator: Sequence[int]):
         self.complex = complex_
-        self.elements = list(elements)
-        self.table = dict(table)
-        # store permutations on positions
+        self.k = k
+        self.generator = list(generator)
+        self.elements = [f"g{i}" for i in range(k)]
         self.perms: dict[str, list[int]] = {}
+        power = list(range(len(complex_.vertices)))
         for e in self.elements:
-            vm = vertex_maps[e]
-            perm = [complex_.position[vm[v]] for v in complex_.vertices]
-            self.perms[e] = perm
-        # a verified action's table puts the identity at (e, e^-1)
-        self.inverse = {a: b for (a, b), ab in self.table.items() if ab == self.elements[0]}
+            self.perms[e] = power
+            power = [self.generator[v] for v in power]
+        self.inverse = {f"g{i}": f"g{-i % k}" for i in range(k)}
 
     @classmethod
     def cyclic(cls, complex_: SimplicialComplex, k: int, generator_map: dict) -> "SimplicialGroupAction":
-        elements = [f"g{i}" for i in range(k)]
-        table = {
-            (f"g{i}", f"g{j}"): f"g{(i + j) % k}" for i in range(k) for j in range(k)
-        }
-        maps = {"g0": {v: v for v in complex_.vertices}}
-        current = dict(maps["g0"])
-        for i in range(1, k):
-            current = {v: generator_map[current[v]] for v in complex_.vertices}
-            maps[f"g{i}"] = dict(current)
-        return cls(complex_, elements, table, maps)
+        """Z/k generated by the vertex map v -> generator_map[v], on labels."""
+        return cls(complex_, k, [complex_.position[generator_map[v]] for v in complex_.vertices])
 
     @classmethod
     def trivial(cls, complex_: SimplicialComplex) -> "SimplicialGroupAction":
-        return cls.cyclic(complex_, 1, {v: v for v in complex_.vertices})
+        return cls(complex_, 1, range(len(complex_.vertices)))
 
     @classmethod
     def product(
         cls, product: ProductComplex, left: "SimplicialGroupAction", right: "SimplicialGroupAction"
     ) -> "SimplicialGroupAction":
-        """Diagonal-style product action (e, e) for matching element lists."""
-        elements = left.elements
-        table = left.table
-        maps = {}
-        for e in elements:
-            lm = {v: left.complex.vertices[left.perms[e][left.complex.position[v]]] for v in left.complex.vertices}
-            rm = {v: right.complex.vertices[right.perms[e][right.complex.position[v]]] for v in right.complex.vertices}
-            maps[e] = {(a, b): (lm[a], rm[b]) for (a, b) in product.complex.vertices}
-        return cls(product.complex, elements, table, maps)
+        """The diagonal action of two actions of one order: the generator is
+        sigma_L x sigma_R on product positions i * |R| + j, the order in
+        which product_complex lays out the vertex pairs."""
+        width = len(right.generator)
+        return cls(product.complex, left.k, [a * width + b for a in left.generator for b in right.generator])
 
     def map_simplex(self, e: str, s: Simplex) -> tuple[Simplex, int]:
         """Image simplex and the sign of the sorting permutation."""
@@ -287,27 +272,20 @@ class SimplicialGroupAction:
 
 
 def verify_action(action: SimplicialGroupAction) -> Verdict:
-    """Homomorphism against the multiplication table plus simpliciality,
-    decided on the facets."""
+    """The generator decides the action: it is a permutation, sigma^k = id
+    (so g<i> -> sigma^i is a homomorphism from Z/k), and it maps every facet
+    to a simplex.  The complex is the downward closure of its facets, so a
+    vertex bijection then maps every simplex to a simplex; it is injective
+    on each degree's finite simplex set, hence onto it, and so is every
+    power of it."""
     cx = action.complex
-    ident = action.elements[0]
-    if action.perms[ident] != list(range(len(cx.vertices))):
-        return Verdict(False, "first element must act as the identity")
-    for a in action.elements:
-        pa = action.perms[a]
-        if sorted(pa) != list(range(len(cx.vertices))):
-            return Verdict(False, f"element {a} is not a permutation")
-        for b in action.elements:
-            ab = action.table[(a, b)]
-            composed = [pa[action.perms[b][v]] for v in range(len(cx.vertices))]
-            if composed != action.perms[ab]:
-                return Verdict(False, f"homomorphism fails at ({a}, {b})")
-    # the complex is the downward closure of its facets and each element
-    # permutes the vertices, so faces of facets map to faces of images;
-    # the identity, checked above, maps every facet to itself
+    gen = action.generator
+    ident = list(range(len(cx.vertices)))
+    if sorted(gen) != ident:
+        return Verdict(False, "generator is not a permutation")
+    if [gen[v] for v in action.perms[action.elements[-1]]] != ident:
+        return Verdict(False, f"generator's order does not divide {action.k}")
     for f in cx.facets:
-        index = cx.index[len(f) - 1]
-        for e in action.elements[1:]:
-            if action.map_simplex(e, f)[0] not in index:
-                return Verdict(False, f"image of {f} under {e} is not a simplex")
+        if tuple(sorted(gen[v] for v in f)) not in cx.index[len(f) - 1]:
+            return Verdict(False, f"image of {f} under g1 is not a simplex")
     return Verdict(True, "homomorphism and simpliciality hold")

@@ -15,11 +15,7 @@ from orbcheck.atlas import (
 )
 from orbcheck.catalog import catalog_scenario
 from orbcheck.cyclotomic import CycMatrix, CyclotomicNumber, vec
-from orbcheck.errors import (
-    ClosureExceedsCap,
-    MultipleWitnesses,
-    NonUnitaryGenerator,
-)
+from orbcheck.errors import ClosureExceedsCap, NonUnitaryGenerator
 from orbcheck.pipeline import build_atlas
 from orbcheck.verdict import Verdict
 
@@ -117,18 +113,24 @@ def test_equivalent_changes_witness_and_absence():
     assert equivalent_changes(phi, shifted, group) is None
 
 
-def test_multiple_witnesses_detected():
-    # a duplicated element makes the witness non-unique
+def test_non_unitary_redundant_pair_fails_its_witness():
     ident = zmat(3, [[1]])
     ball = Ball(vec(3, [0]), Fraction(1, 4))
     phi = ChangeOfChart("A", "B", ident, vec(3, [0]), ball)
     trivial_group = make_group([ident])
     assert equivalent_changes(phi, phi, trivial_group) == ident
-    from orbcheck.atlas import FiniteMatrixGroup
+    # gU = U' has one candidate only when U is unitary; a singular U fits
+    # every g, so the witness fails with the containment check's reason
+    from orbcheck.atlas import OrbifoldAtlas
 
-    g = FiniteMatrixGroup((ident, ident))
-    with pytest.raises(MultipleWitnesses):
-        equivalent_changes(phi, phi, g)
+    z = CyclotomicNumber.zeta(3)
+    chart_a = Chart("A", 1, 3, None, trivial_group)
+    chart_b = Chart("B", 1, 3, None, group_closure([zmat(3, [[z]])]))
+    flat = ChangeOfChart("A", "B", zmat(3, [[0]]), vec(3, [0]), ball)
+    verdicts = dict(validate_atlas(OrbifoldAtlas([chart_a, chart_b], [flat, flat])))
+    assert verdicts["witness.A.B"] == Verdict(False, "linear part is not unitary")
+    with pytest.raises(ValueError):
+        equivalent_changes(flat, flat, chart_b.group)
 
 
 def test_validate_catalog_atlases_pass():

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from orbcheck.cli import main
@@ -24,6 +26,18 @@ def test_explain_known_and_unknown(capsys):
     assert code == 0  # prefix lookup
     code, _, err = run_cli(capsys, "explain", "nonsense")
     assert code == 2 and "unknown" in err
+
+
+def report_keys():
+    golden = Path(__file__).resolve().parent / "golden"
+    keys = {line.split(" = ")[0] for path in golden.glob("*.machine") for line in path.read_text().splitlines()}
+    return sorted(k for k in keys if not k.startswith("[")) + ["kahler.class"]
+
+
+@pytest.mark.parametrize("key", report_keys())
+def test_explain_covers_every_report_key(capsys, key):
+    code, out, err = run_cli(capsys, "explain", key)
+    assert code == 0 and err == "" and out.strip()
 
 
 def test_run_catalog_machine_format(capsys):
@@ -229,6 +243,23 @@ def test_redundant_changes_over_one_overlap_may_repeat_their_header():
     assert text.count("[change A -> B]") == 2
     pairs = [(c.source, c.target) for c in parse_scenario(text).changes]
     assert pairs.count(("A", "B")) == 2
+
+
+@pytest.mark.parametrize(
+    "old, new, detail",
+    [
+        ("maps = 0, 6, 5, 4, 3, 2, 1", "maps = 0, 0, 5, 4, 3, 2, 1", "generator is not a permutation"),
+        ("group = cyclic:2", "group = cyclic:3", "generator's order does not divide 3"),
+        ("group = cyclic:2", "group = cyclic:1", "generator's order does not divide 1"),
+    ],
+    ids=["not-a-permutation", "order-3", "order-1"],
+)
+def test_action_failures_name_the_generator(tmp_path, capsys, old, new, detail):
+    path = tmp_path / "bad-action.scn"
+    path.write_text(_edit("pillowcase", old, new))
+    code, out, err = run_cli(capsys, "run", str(path), "--format", "machine")
+    assert code == 1 and err == ""
+    assert out.splitlines() == ["[report pillowcase]", f"quotient.action = FAIL {detail}", "overall = FAIL"]
 
 
 def test_non_unitary_change_fails_its_gluings(tmp_path, capsys):

@@ -69,3 +69,67 @@ def test_numpy_is_imported_only_inside_functions(path):
     # the seifert and quotient suites never load numpy, and the taut
     # suite loads it on first use
     assert "numpy" not in import_time_modules(path.read_text(encoding="utf-8"))
+
+
+ROOT = SRC.parent.parent
+
+
+def raised_names(source: str) -> set:
+    """Names of what a module's raise statements raise."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            names.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
+    return names
+
+
+def referenced_names(source: str) -> set:
+    """Every name a module reads, as a bare name, an attribute or an import."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def probe_names(source: str) -> set:
+    """The dotted parts of every string in a module: the benchmark's span
+    table names the functions it wraps as "Class.method" strings."""
+    return {
+        part
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        for part in node.value.split(".")
+        if part.isidentifier()
+    }
+
+
+def test_dead_code_guards_detect_what_they_look_for():
+    assert raised_names("raise A('x')\nraise m.B\nraise\n") == {"A", "B"}
+    assert referenced_names("import os\nfrom a import b as c\nx.y(z)\n") == {"os", "b", "x", "y", "z"}
+    assert probe_names("T = [('a.b', 'Cls.meth', 1)]\n") == {"a", "b", "Cls", "meth"}
+
+
+def test_every_error_class_is_raised():
+    errors = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    declared = {node.name for node in errors.body if isinstance(node, ast.ClassDef)} - {"OrbcheckError"}
+    raised = set().union(*(raised_names(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")))
+    assert sorted(declared - raised) == []
+
+
+def test_every_module_level_definition_is_referenced():
+    defined = {
+        (path.name, node.name)
+        for path in SRC.glob("*.py")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    sources = [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    used = set().union(*(referenced_names(p.read_text(encoding="utf-8")) for p in sources))
+    used |= probe_names((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    assert sorted(f"{module}: {name}" for module, name in defined if name not in used) == []
