@@ -24,6 +24,7 @@ from typing import Optional
 from .errors import NoKahlerClass
 from .linalg import (
     TrackedEchelon,
+    add_scaled,
     build_echelon,
     dense_rank,
     dense_solve,
@@ -73,13 +74,7 @@ class CochainComplexQ:
         cols = self._delta_cols[p]
         out: dict[int, Fraction] = {}
         for s, v in cochain.items():
-            j = self.cx.index[p][s]
-            for row, c in cols[j].items():
-                nv = out.get(row, 0) + v * c
-                if nv:
-                    out[row] = nv
-                else:
-                    out.pop(row, None)
+            add_scaled(out, cols[self.cx.index[p][s]], v)
         return self.to_tuple_keyed(out, p + 1)
 
     def is_cocycle(self, cochain: Cochain, p: int) -> bool:
@@ -258,14 +253,8 @@ class InvariantCohomology:
         for vec in vectors:
             acc: Cochain = {}
             for coeff, rep in zip(vec, basis.reps):
-                if not coeff:
-                    continue
-                for s, v in rep.items():
-                    nv = acc.get(s, 0) + coeff * v
-                    if nv:
-                        acc[s] = nv
-                    else:
-                        acc.pop(s, None)
+                if coeff:
+                    add_scaled(acc, rep, coeff)
             cochains.append(acc)
         data = InvariantDegree(p, proj, vectors, cochains)
         self._data[p] = data
@@ -280,7 +269,7 @@ class InvariantCohomology:
         full = self.cq.coords(cochain, p)
         b = len(full)
         a = [[data.vectors[j][i] for j in range(data.dim)] for i in range(b)]
-        sol = dense_solve(a, full) if data.dim else ([] if all(x == 0 for x in full) else None)
+        sol = dense_solve(a, full)
         if sol is None:
             raise ValueError("class is not invariant")
         return sol
@@ -341,14 +330,13 @@ def lefschetz_verify(
     for alpha in src.cochains:
         image = cup_product(cq.cx, alpha, n - k, power, pdeg) if k else dict(alpha)
         cols.append(invariant.invariant_coords(image, n + k))
-    matrix = [[cols[j][i] for j in range(src.dim)] for i in range(tgt.dim)]
-    return _full_rank(matrix, src.dim, tgt.dim)
+    return _full_rank(cols, src.dim, tgt.dim)
 
 
 def _full_rank(matrix: list[list[Fraction]], source: int, target: int) -> Verdict:
     """Passes when the source and target dimensions agree and the matrix
     between them has full rank."""
-    rank = dense_rank(matrix) if source and target else 0
+    rank = dense_rank(matrix)
     return Verdict(source == target == rank, f"rank={rank} dims={source}x{target}")
 
 

@@ -6,6 +6,9 @@ u = u0 = det(M0)^(-1/m) the rescaled metric with det M1 = 1 and orbit
 volume 2*pi.  Its statements are polynomial identities over Q in the
 circle's field X, decided exactly for all points: M0 is a polynomial,
 and M0 (so u0 = 1/M0) is constant along the orbits iff X(M0) = 0.
+det M0 and its m-th root are exact at rational points: `dense_det`
+reads linalg's one sparse echelon and `rational_root` takes integer
+roots.
 The transverse Kahler positivity is checked in floating point at sample
 points; numpy is imported inside that function, so importing the
 package does not load it.
@@ -54,15 +57,10 @@ def gram_matrix(fields: Sequence[PolyVectorField]) -> list[list[Polynomial]]:
     ]
 
 
-def _det(mat: list[list]) -> Fraction:
-    """Determinant of a rational Gram matrix: for m = 1 the entry itself."""
-    return Fraction(mat[0][0]) if len(mat) == 1 else dense_det(mat)
-
-
 def conformal_factor(m0: list[list], m: int) -> Fraction:
     """u0 = det(M0)^(-1/m) of a rational Gram matrix, exactly; det M0
     must be positive with a rational m-th root."""
-    det = _det(m0)
+    det = dense_det(m0)
     if det <= 0:
         raise NonPositiveDeterminant(f"det M0 = {det}")
     root = rational_root(det, m)
@@ -76,7 +74,7 @@ def rescaled_gram(m0: list[list], m: int):
     verdict."""
     u0 = conformal_factor(m0, m)
     m1 = [[u0 * x for x in row] for row in m0]
-    det = _det(m1)
+    det = dense_det(m1)
     return m1, Verdict(det == 1, max_dev=abs(float(det - 1)))
 
 
@@ -104,7 +102,7 @@ def orbit_volume(action: CircleAction, point: Sequence) -> float:
     value at the point, and det M1 = 1 there exactly."""
     m0 = [[p.evaluate(point) for p in row] for row in gram_matrix(action.fundamental_fields())]
     m1, _ = rescaled_gram(m0, len(m0))
-    return 2 * math.pi * math.sqrt(_det(m1))
+    return 2 * math.pi * math.sqrt(dense_det(m1))
 
 
 def transverse_kahler_check(

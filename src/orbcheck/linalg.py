@@ -15,8 +15,9 @@ canonical against either kind of echelon, since a nonzero combination
 of pivot columns is nonzero at its largest pivot row.
 `TrackedEchelon` records the steps to write each pivot column as a
 combination of the inserted vectors (coordinates and kernel
-relations).  Small dense matrices go through one forward elimination,
-`_echelon`, read as a rank, a determinant or a solve.
+relations).  There is no second, dense elimination: a small dense
+matrix enters as sparse vectors of exact Fractions, and its rank,
+determinant and solve are read off these same echelons.
 """
 
 from __future__ import annotations
@@ -26,6 +27,18 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 SparseVec = dict  # row index -> int or Fraction
+
+
+def add_scaled(acc: SparseVec, v: SparseVec, c) -> SparseVec:
+    """acc += c * v in place, dropping the entries that cancel."""
+    get = acc.get
+    for i, x in v.items():
+        nv = get(i, 0) + c * x
+        if nv:
+            acc[i] = nv
+        else:
+            acc.pop(i, None)
+    return acc
 
 
 def reduce_against(
@@ -60,6 +73,7 @@ def reduce_against(
             continue
         pcol, pcoeff = piv
         factor = c * pcoeff if pcoeff == 1 or pcoeff == -1 else Fraction(c) / pcoeff
+        # add_scaled inlined: a row new to v also goes onto the heap
         for row, val in pcol.items():
             old = get(row)
             if old is None:
@@ -110,12 +124,7 @@ class TrackedEchelon:
         record: list = []
         reduce_against(v, self.pivots, record)
         for prow, factor in record:
-            for cj, cv in self.coords[prow].items():
-                nv = comb.get(cj, 0) - factor * cv
-                if nv:
-                    comb[cj] = nv
-                else:
-                    comb.pop(cj, None)
+            add_scaled(comb, self.coords[prow], -factor)
         return v, comb
 
     def add(self, residue: SparseVec, comb: SparseVec) -> None:
@@ -169,99 +178,59 @@ def kernel_search(
 # -- small dense matrices -------------------------------------------------
 
 
-def _echelon(rows: list[list], ncols: int):
-    """Forward elimination on a copy of rows, largest-magnitude pivots.
-
-    Pivots are sought in the first ncols columns; later columns ride
-    along (the right-hand side of a solve).  Entries become floats if any
-    entry is a float, Fractions otherwise.  Returns (m, cols, sign, num):
-    row i of m holds the pivot of column cols[i], the rows after
-    len(cols) are zero in the first ncols columns, sign is the parity of
-    the row swaps and num the entry type.
-    """
-    num = float if any(isinstance(x, float) for row in rows for x in row) else Fraction
-    m = [list(map(num, row)) for row in rows]
-    nrows = len(m)
-    width = len(m[0]) if m else 0
-    cols: list[int] = []
-    sign = 1
-    for col in range(ncols):
-        rank = len(cols)
-        if rank == nrows:
-            break
-        piv, best = rank, abs(m[rank][col])
-        for r in range(rank + 1, nrows):
-            if abs(m[r][col]) > best:
-                piv, best = r, abs(m[r][col])
-        if not best:
-            continue
-        pv = m[piv][col]
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-            sign = -sign
-        prow = m[rank]
-        for r in range(rank + 1, nrows):
-            row = m[r]
-            if row[col]:
-                f = row[col] / pv
-                for c in range(col + 1, width):
-                    row[c] -= f * prow[c]
-        cols.append(col)
-    return m, cols, sign, num
+def _sparse(vectors) -> list[SparseVec]:
+    """Dense vectors as sparse ones with exact Fraction entries."""
+    return [{i: Fraction(x) for i, x in enumerate(vec) if x} for vec in vectors]
 
 
-def dense_rank(rows: list[list[Fraction]]) -> int:
-    """Rank of a small dense matrix."""
-    return len(_echelon(rows, len(rows[0]) if rows else 0)[1])
+def dense_rank(rows: list[list]) -> int:
+    """Rank of a small dense matrix: the rank of its rows."""
+    return build_echelon(_sparse(rows))[1]
 
 
-def dense_det(rows: list[list]):
-    """Determinant; a float when any entry is a float, else a Fraction.
-
-    A singular matrix gives a zero of the same type.
-    """
-    m, cols, sign, num = _echelon(rows, len(rows))
-    if len(cols) < len(rows):
-        return num(0)
-    det = num(sign)
-    for i in range(len(rows)):
-        det *= m[i][i]
+def dense_det(rows: list[list]) -> Fraction:
+    """Exact determinant of a square matrix, read off the echelon of its
+    rows.  Reducing a row against earlier ones keeps the determinant, and
+    a reduced row has no entry right of its leading column, so the rows
+    ordered by leading column are triangular: the determinant is the
+    sign of that order times the product of the pivots."""
+    pivots, rank = build_echelon(_sparse(rows))
+    if rank < len(rows):
+        return Fraction(0)
+    order = list(pivots)
+    det = Fraction((-1) ** sum(a > b for i, a in enumerate(order) for b in order[i + 1 :]))
+    for _, pcoeff in pivots.values():
+        det *= pcoeff
     return det
 
 
-def dense_solve(a: list[list[Fraction]], b: list[Fraction]) -> Optional[list[Fraction]]:
-    """One solution of A x = b over Q (free variables zero), or None
-    when inconsistent."""
-    ncols = len(a[0]) if a else 0
-    m, cols, _, num = _echelon([list(row) + [rhs] for row, rhs in zip(a, b)], ncols)
-    if any(row[ncols] for row in m[len(cols):]):
+def dense_solve(a: list[list], b: list) -> Optional[list[Fraction]]:
+    """One solution of A x = b over Q, or None when inconsistent.  Only
+    the columns outside the span of earlier ones carry a coordinate, so
+    the free variables are zero."""
+    ech = TrackedEchelon()
+    kept = [j for j, col in enumerate(_sparse(zip(*a))) if ech.insert(col)]
+    coords = ech.express(_sparse([b])[0])
+    if coords is None:
         return None
-    x = [num(0)] * ncols
-    for i in reversed(range(len(cols))):
-        row, col = m[i], cols[i]
-        acc = row[ncols]
-        for c in cols[i + 1 :]:
-            acc -= row[c] * x[c]
-        x[col] = acc / row[col]
+    x = [Fraction(0)] * (len(a[0]) if a else 0)
+    for j, c in zip(kept, coords):
+        x[j] = c
     return x
+
+
+def _exact_root(n: int, m: int) -> Optional[int]:
+    """The integer m-th root of n >= 1, if there is one.  Integer Newton
+    steps from 2 ** ceil(bits / m), above the root, fall to floor(n ** (1/m))."""
+    x = 1 << -(-n.bit_length() // m)
+    while (y := ((m - 1) * x + n // x ** (m - 1)) // m) < x:
+        x = y
+    return x if x**m == n else None
 
 
 def rational_root(value: Fraction, m: int) -> Optional[Fraction]:
     """The positive rational m-th root of value, if one exists."""
     if value <= 0:
         return None
-
-    def iroot(n: int) -> Optional[int]:
-        if n == 0:
-            return 0
-        r = round(n ** (1.0 / m))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand**m == n:
-                return cand
-        return None
-
-    p = iroot(value.numerator)
-    q = iroot(value.denominator)
-    if p is None or q is None:
-        return None
-    return Fraction(p, q)
+    p, q = _exact_root(value.numerator, m), _exact_root(value.denominator, m)
+    return None if p is None or q is None else Fraction(p, q)

@@ -9,7 +9,6 @@ duality verdicts.  Failures become report entries, never aborts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from . import atlas as atlas_mod
@@ -19,6 +18,7 @@ from . import frame_bundle as fb
 from . import simplicial as simp
 from .cyclotomic import CycMatrix, CyclotomicNumber, vec
 from .errors import NoKahlerClass, NonOrientable, NotPseudomanifold, OrbcheckError
+from .linalg import add_scaled
 from .polyform import PolyForm, Polynomial, PolyVectorField
 from .scenario import ActionSection, ChartSection, ComplexSection, Scenario
 from .verdict import Verdict
@@ -243,13 +243,7 @@ def product_sum_kahler(setup: QuotientSetup) -> dict:
         else:
             raise NoKahlerClass("factor has no degree-2 class pairing with its cycle")
     omega = dict(setup.product.pullback_left(forms[0], 2))
-    for s, v in setup.product.pullback_right(forms[1], 2).items():
-        nv = omega.get(s, Fraction(0)) + v
-        if nv:
-            omega[s] = nv
-        else:
-            omega.pop(s, None)
-    return omega
+    return add_scaled(omega, setup.product.pullback_right(forms[1], 2), 1)
 
 
 def build_quotient(scenario: Scenario) -> QuotientSetup:

@@ -1,15 +1,17 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
-import numpy as np
 import pytest
 from helpers import bareiss_rank, build_echelon_full, modular_rank
 
 from orbcheck.catalog import catalog_scenario
 from orbcheck.cohomology import InvariantCohomology, kahler_class
+from orbcheck.foliated import conformal_factor
 from orbcheck.linalg import (
     TrackedEchelon,
+    add_scaled,
     build_echelon,
     dense_det,
     dense_rank,
@@ -216,14 +218,39 @@ def test_dense_helpers():
         det = dense_det(square)
         assert type(det) is Fraction and det == cofactor_det(square)
 
+        # a float entry enters as its exact binary value
         n = rng.randint(1, 6)
         floats = [[rng.uniform(-2.0, 2.0) for _ in range(n)] for _ in range(n)]
         det = dense_det(floats)
-        assert type(det) is float
-        assert det == pytest.approx(float(np.linalg.det(np.array(floats))), rel=1e-12)
+        assert type(det) is Fraction and det == cofactor_det([[Fraction(x) for x in row] for row in floats])
     singular_float = dense_det([[0.5, 1.0], [1.0, 2.0]])
-    assert type(singular_float) is float and singular_float == 0.0
+    assert type(singular_float) is Fraction and singular_float == 0
     assert type(dense_det([[1, 2], [2, 4]])) is Fraction
+
+    # the leading columns come out in every order; the sign follows it
+    for perm in permutations(range(4)):
+        matrix = [[int(perm[i] == j) for j in range(4)] for i in range(4)]
+        assert dense_det(matrix) == cycle_sign(perm)
+
+    assert dense_rank([]) == dense_rank([[], []]) == 0
+    assert dense_solve([], []) == [] and dense_solve([[], []], [0, 0]) == []
+    assert dense_solve([[], []], [0, Fraction(1, 2)]) is None
+
+    acc = {0: 1, 1: Fraction(1, 2)}
+    assert add_scaled(acc, {1: 1, 2: 3}, Fraction(-1, 2)) is acc
+    assert acc == {0: 1, 2: Fraction(-3, 2)}
+
+
+def cycle_sign(perm):
+    """(-1) ** (n - number of cycles)."""
+    seen, cycles = set(), 0
+    for start in range(len(perm)):
+        if start not in seen:
+            cycles += 1
+            while start not in seen:
+                seen.add(start)
+                start = perm[start]
+    return (-1) ** (len(perm) - cycles)
 
 
 def cofactor_det(m):
@@ -267,3 +294,14 @@ def test_rational_root():
     assert rational_root(Fraction(4, 9), 2) == Fraction(2, 3)
     assert rational_root(Fraction(8), 3) == 2
     assert rational_root(Fraction(2), 2) is None
+    # beyond a float's 53 bits and range the root stays exact
+    big = Fraction(3**40 + 2, 7)
+    assert rational_root(big**3, 3) == big
+    assert rational_root(big**3 + Fraction(1, 7**3), 3) is None
+    assert conformal_factor([[(10**20 + 1) ** 2]], 1) == Fraction(1, (10**20 + 1) ** 2)
+    assert rational_root(Fraction(10**400), 2) == 10**200
+    rng = random.Random(41)
+    for m in range(1, 7):
+        for _ in range(30):
+            r = Fraction(rng.randint(1, 10 ** rng.randint(1, 30)), rng.randint(1, 10 ** rng.randint(1, 30)))
+            assert rational_root(r**m, m) == r
