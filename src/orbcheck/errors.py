@@ -20,10 +20,6 @@ class NonPositiveDeterminant(OrbcheckError):
 
 
 # cohomology
-class DuplicateVertexInFacet(OrbcheckError):
-    pass
-
-
 class NotPseudomanifold(OrbcheckError):
     pass
 

@@ -3,18 +3,24 @@
 Simplices are stored as tuples of vertex *positions* in the declared
 order; coboundary signs, Alexander-Whitney cup products and the
 staircase product triangulation are all taken relative to that order.
-A complex builds its coboundary columns once, on first use; the
-orientation is read off delta_(d-1).
+A complex is the downward closure of its facets, except a product: its
+simplices come from the factors, one per (simplex, simplex, lattice
+path), and their projections give the pullbacks without a table pass.
+A complex builds its coboundary columns once, on first use, with each
+simplex's faces from combinations(); the orientation is read off
+delta_(d-1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from typing import Hashable, Sequence
+from operator import add
+from typing import Hashable, Optional, Sequence
 
-from .errors import DuplicateVertexInFacet, NonOrientable, NotPseudomanifold
+from .errors import NonOrientable, NotPseudomanifold
 from .verdict import Verdict
 
 Simplex = tuple  # sorted tuple of vertex positions
@@ -23,25 +29,21 @@ Simplex = tuple  # sorted tuple of vertex positions
 class SimplicialComplex:
     """Downward closure of a facet list over an ordered vertex set."""
 
-    def __init__(self, vertices: Sequence[Hashable], facets: Sequence[Sequence[Hashable]]):
+    def __init__(self, vertices: Sequence[Hashable], facets: Sequence[Sequence], simplices: Optional[dict] = None):
+        """``facets`` are vertex labels.  A product passes its position
+        facets with ``simplices``, its degree lists, each simplex once;
+        they stand in for the closure."""
         self.vertices = list(vertices)
         self.position = {v: i for i, v in enumerate(self.vertices)}
-        self.facets = []
-        for f in facets:
-            if len(set(f)) != len(f):
-                raise DuplicateVertexInFacet(f"facet {f} repeats a vertex")
-            self.facets.append(tuple(sorted(self.position[v] for v in f)))
+        if simplices is None:
+            self.facets = [tuple(sorted(self.position[v] for v in f)) for f in facets]
+            simplices = {}
+            for face in {c for f in self.facets for size in range(1, len(f) + 1) for c in combinations(f, size)}:
+                simplices.setdefault(len(face) - 1, []).append(face)
+        else:
+            self.facets = list(facets)
         self.dim = max(len(f) for f in self.facets) - 1
-        self.simplices: dict[int, list[Simplex]] = {p: [] for p in range(self.dim + 1)}
-        seen = set()
-        for f in self.facets:
-            for size in range(1, len(f) + 1):
-                for face in combinations(f, size):
-                    if face not in seen:
-                        seen.add(face)
-                        self.simplices[size - 1].append(face)
-        for p in self.simplices:
-            self.simplices[p].sort()
+        self.simplices: dict[int, list[Simplex]] = {p: sorted(simplices[p]) for p in range(self.dim + 1)}
         self.index: dict[int, dict[Simplex, int]] = {
             p: {s: i for i, s in enumerate(lst)} for p, lst in self.simplices.items()
         }
@@ -53,9 +55,9 @@ class SimplicialComplex:
     def coboundary(self, p: int) -> list[dict]:
         """Columns of delta_p : C^p -> C^(p+1), built once: the column of a
         p-simplex maps the index of each (p+1)-simplex tau it lies in to
-        (-1)^i, i the position in tau of the vertex it omits.  delta_(-1)
-        is the augmentation: the empty simplex lies in every vertex, with
-        sign +1."""
+        (-1)^i, i the position in tau of the vertex it omits.  The m-th
+        face combinations() gives omits vertex p+1-m.  delta_(-1) is the
+        augmentation: the empty simplex lies in every vertex, with sign +1."""
         cols = self._coboundary.get(p)
         if cols is None:
             if p < 0:
@@ -64,9 +66,10 @@ class SimplicialComplex:
                 cols = [{} for _ in self.simplices[p]]
                 if p < self.dim:
                     idx_p = self.index[p]
+                    signs = [(-1) ** (p + 1 - m) for m in range(p + 2)]
                     for row, tau in enumerate(self.simplices[p + 1]):
-                        for i in range(len(tau)):
-                            cols[idx_p[tau[:i] + tau[i + 1 :]]][row] = -1 if i % 2 else 1
+                        for face, sign in zip(combinations(tau, p + 1), signs):
+                            cols[idx_p[face]][row] = sign
             self._coboundary[p] = cols
         return cols
 
@@ -125,38 +128,27 @@ def pair_with_cycle(cochain: dict[Simplex, Fraction], cycle: dict[Simplex, int])
 
 @dataclass
 class ProductComplex:
-    """Staircase triangulation of a product, with cochain pullbacks."""
+    """Staircase triangulation of a product, with cochain pullbacks.
+
+    ``left_pairs[k]`` lists (s, sigma) for every k-simplex s whose left
+    projection sigma is a k-simplex, sorted by s; ``right_pairs`` the same
+    with tau."""
 
     complex: SimplicialComplex
     left: SimplicialComplex
     right: SimplicialComplex
-    _projections: dict = field(default_factory=dict, repr=False)
+    left_pairs: dict[int, list[tuple[Simplex, Simplex]]]
+    right_pairs: dict[int, list[tuple[Simplex, Simplex]]]
 
     def pullback_left(self, cochain: dict[Simplex, Fraction], degree: int) -> dict[Simplex, Fraction]:
-        return self._pullback(cochain, degree, 0, self.left)
+        return self._pullback(cochain, self.left_pairs[degree])
 
     def pullback_right(self, cochain: dict[Simplex, Fraction], degree: int) -> dict[Simplex, Fraction]:
-        return self._pullback(cochain, degree, 1, self.right)
+        return self._pullback(cochain, self.right_pairs[degree])
 
-    def _projection(self, degree, side, factor) -> list[tuple[Simplex, Simplex]]:
-        """(simplex, its projection) for every simplex of the degree whose
-        projection to the factor is nondegenerate; built once per side and
-        degree."""
-        table = self._projections.get((side, degree))
-        if table is None:
-            table = []
-            for s in self.complex.simplices[degree]:
-                proj = tuple(factor.position[self.complex.vertices[i][side]] for i in s)
-                # product order is lexicographic in factor positions, so the
-                # projected tuple is already weakly increasing
-                if len(set(proj)) == len(proj):
-                    table.append((s, proj))
-            self._projections[(side, degree)] = table
-        return table
-
-    def _pullback(self, cochain, degree, side, factor):
+    def _pullback(self, cochain, pairs):
         out: dict[Simplex, Fraction] = {}
-        for s, proj in self._projection(degree, side, factor):
+        for s, proj in pairs:
             val = cochain.get(proj)
             if val:
                 out[s] = val
@@ -164,40 +156,64 @@ class ProductComplex:
 
 
 def product_complex(left: SimplicialComplex, right: SimplicialComplex) -> ProductComplex:
-    """Product triangulated by monotone staircases in each cell."""
-    verts = [
-        (a, b)
-        for a in left.vertices
-        for b in right.vertices
-    ]
-    verts.sort(key=lambda ab: (left.position[ab[0]], right.position[ab[1]]))
+    """Product triangulated by monotone staircases in each cell.
+
+    Each k-simplex is one triple (sigma, tau, path): sigma and tau are
+    simplices of the factors, of dimensions p and q, and the path is a
+    monotone lattice path of k steps through [0..p] x [0..q] that covers
+    both.  Its vertex (i, j) sits at product position sigma_i * |R| + tau_j,
+    so the positions increase along the path, each simplex comes out once,
+    and its projections are sigma and tau.  The facets are the p + q
+    paths of each facet pair."""
+    width = len(right.vertices)
+    dim = left.dim + right.dim
+    simplices: dict[int, list[Simplex]] = {k: [] for k in range(dim + 1)}
+    left_pairs: dict[int, list] = {k: [] for k in range(dim + 1)}
+    right_pairs: dict[int, list] = {k: [] for k in range(dim + 1)}
+    for p, sigmas in left.simplices.items():
+        for q, taus in right.simplices.items():
+            for k in range(max(p, q), p + q + 1):
+                out, lpairs, rpairs = simplices[k], left_pairs[k], right_pairs[k]
+                for lane, cols in _paths(p, q, k):
+                    backs = [(tau, (*map(tau.__getitem__, cols),)) for tau in taus]
+                    for sigma in sigmas:
+                        front = [sigma[i] * width for i in lane]
+                        for tau, back in backs:
+                            s = (*map(add, front, back),)
+                            out.append(s)
+                            if p == k:
+                                lpairs.append((s, sigma))
+                            if q == k:
+                                rpairs.append((s, tau))
+    for pairs in (*left_pairs.values(), *right_pairs.values()):
+        pairs.sort()
     facets = []
     for sf in left.facets:
+        rows = [v * width for v in sf]
         for tf in right.facets:
-            p, q = len(sf) - 1, len(tf) - 1
-            for path in _staircases(p, q):
-                cell = [
-                    (left.vertices[sf[i]], right.vertices[tf[j]]) for i, j in path
-                ]
-                facets.append(cell)
-    return ProductComplex(SimplicialComplex(verts, facets), left, right)
+            for lane, cols in _paths(len(sf) - 1, len(tf) - 1, len(sf) + len(tf) - 2):
+                facets.append((*map(add, map(rows.__getitem__, lane), map(tf.__getitem__, cols)),))
+    verts = [(a, b) for a in left.vertices for b in right.vertices]
+    return ProductComplex(SimplicialComplex(verts, facets, simplices), left, right, left_pairs, right_pairs)
 
 
-def _staircases(p: int, q: int):
-    """Monotone lattice paths from (0,0) to (p,q), as vertex index paths."""
+@lru_cache(maxsize=None)
+def _paths(p: int, q: int, k: int) -> tuple:
+    """Monotone lattice paths of k steps (1,0), (0,1) or (1,1) from (0,0)
+    to (p,q), in that step order, each as its row and column index lists."""
     paths = []
 
-    def walk(i, j, acc):
+    def walk(i, j, lane, cols):
         if i == p and j == q:
-            paths.append(acc + [(i, j)])
+            if len(lane) == k + 1:
+                paths.append((tuple(lane), tuple(cols)))
             return
-        if i < p:
-            walk(i + 1, j, acc + [(i, j)])
-        if j < q:
-            walk(i, j + 1, acc + [(i, j)])
+        for di, dj in ((1, 0), (0, 1), (1, 1)):
+            if i + di <= p and j + dj <= q:
+                walk(i + di, j + dj, lane + [i + di], cols + [j + dj])
 
-    walk(0, 0, [])
-    return paths
+    walk(0, 0, [0], [0])
+    return tuple(paths)
 
 
 class SimplicialGroupAction:

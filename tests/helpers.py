@@ -13,7 +13,10 @@ every simplex: pullbacks over all p-simplices rather than a cochain's
 support, simpliciality over every degree rather than the facets, and
 orientation signs by scanning each facet for the vertex a ridge omits,
 and cup products over every (p + q)-simplex rather than one factor's
-support.  The full echelon reduces each column below its leading row as
+support.  The coboundary reference drops each vertex by slicing, and
+the product reference closes the staircase facets downward and projects
+every simplex, where the package enumerates (simplex, simplex, path)
+triples.  The full echelon reduces each column below its leading row as
 well, where the package stops at that row.  The eager gluing reference
 lifts by every group element before testing any ball, and pulls each
 change's ball back through the lifted frame, (gM)^H (c - g a), where the
@@ -28,10 +31,12 @@ from __future__ import annotations
 
 import cmath
 import heapq
+import itertools
 import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -408,6 +413,68 @@ def cup_by_walk(cx, alpha: dict, p: int, beta: dict, q: int) -> dict:
         if a and b:
             out[s] = a * b
     return out
+
+
+def coboundary_by_slicing(cx, p: int) -> list[dict]:
+    """Columns of delta_p by the slicing definition: the i-th face of each
+    (p+1)-simplex drops its i-th vertex and carries (-1)^i."""
+    cols = [{} for _ in cx.simplices[p]]
+    for row, tau in enumerate(cx.simplices.get(p + 1, [])):
+        for i in range(len(tau)):
+            cols[cx.index[p][tau[:i] + tau[i + 1 :]]][row] = (-1) ** i
+    return cols
+
+
+def product_by_closure(left, right) -> SimpleNamespace:
+    """The staircase product as the downward closure of its facets, with
+    pullbacks by projecting every simplex to each factor.  The staircases
+    of a facet pair (p, q) are its p + q step words in lexicographic order
+    with a left step before a right one, read off the positions of the p
+    left steps; vertices are label pairs in factor position order."""
+    vertices = sorted(
+        ((a, b) for a in left.vertices for b in right.vertices),
+        key=lambda ab: (left.position[ab[0]], right.position[ab[1]]),
+    )
+    position = {v: i for i, v in enumerate(vertices)}
+    facets = []
+    for sf in left.facets:
+        for tf in right.facets:
+            p, q = len(sf) - 1, len(tf) - 1
+            for left_steps in itertools.combinations(range(p + q), p):
+                i = j = 0
+                cell = [(i, j)]
+                for step in range(p + q):
+                    if step in left_steps:
+                        i += 1
+                    else:
+                        j += 1
+                    cell.append((i, j))
+                labels = [(left.vertices[sf[a]], right.vertices[tf[b]]) for a, b in cell]
+                facets.append(tuple(sorted(position[v] for v in labels)))
+    closure = {face for f in facets for k in range(1, len(f) + 1) for face in itertools.combinations(f, k)}
+    dim = max(len(f) for f in facets) - 1
+    simplices = {k: sorted(s for s in closure if len(s) == k + 1) for k in range(dim + 1)}
+    index = {k: {s: i for i, s in enumerate(lst)} for k, lst in simplices.items()}
+
+    def pullback(side, factor):
+        def pull(cochain, degree):
+            out = {}
+            for s in simplices[degree]:
+                proj = sorted(factor.position[vertices[v][side]] for v in s)
+                if len(set(proj)) == len(proj) and cochain.get(tuple(proj)):
+                    out[s] = cochain[tuple(proj)]
+            return out
+
+        return pull
+
+    return SimpleNamespace(
+        vertices=vertices,
+        facets=facets,
+        simplices=simplices,
+        index=index,
+        pullback_left=pullback(0, left),
+        pullback_right=pullback(1, right),
+    )
 
 
 def gluing_images_eager(atlas, cls, target) -> list:

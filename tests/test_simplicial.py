@@ -5,11 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import fundamental_cycle_by_scan, non_simplex_by_scan, pullback_by_scan, transform_cycle_by_scan
+from helpers import (
+    coboundary_by_slicing,
+    fundamental_cycle_by_scan,
+    non_simplex_by_scan,
+    product_by_closure,
+    pullback_by_scan,
+    transform_cycle_by_scan,
+)
 
 from orbcheck.catalog import catalog_scenario
 from orbcheck.cohomology import CochainComplexQ
-from orbcheck.errors import DuplicateVertexInFacet, NonOrientable, NotPseudomanifold
+from orbcheck.errors import NonOrientable, NotPseudomanifold
 from orbcheck.pipeline import build_quotient, build_simplicial, run_pipeline
 from orbcheck.simplicial import (
     SimplicialComplex,
@@ -47,11 +54,6 @@ def test_downward_closure_counts():
     # Euler characteristics: sphere 2, torus 0
     assert 6 - 12 + 8 == 2
     assert 7 - 21 + 14 == 0
-
-
-def test_duplicate_vertex_rejected():
-    with pytest.raises(DuplicateVertexInFacet):
-        SimplicialComplex(range(3), [(0, 1, 1)])
 
 
 def test_fundamental_cycle_boundary_free():
@@ -97,6 +99,58 @@ def test_product_complex_torus_counts():
     assert cx.count(4) == 14 * 14 * 6  # six staircases per cell pair
     euler = sum((-1) ** p * cx.count(p) for p in range(5))
     assert euler == 0
+
+
+def cycle3():
+    return SimplicialComplex(range(3), [(0, 1), (1, 2), (0, 2)])
+
+
+PRODUCT_CASES = {
+    "torus7xtorus7": lambda: (torus7(), torus7()),
+    "torus7xtorus7-mirrored": lambda: (torus7([1, 2, 3, 0, 4, 5, 6]), torus7([1, 2, 3, 0, 4, 5, 6])),
+    "torus7xtorus7-mixed": lambda: (torus7([6, 5, 4, 3, 2, 1, 0]), torus7([3, 0, 6, 1, 5, 2, 4])),
+    "torus7xoctahedron": lambda: (torus7(), octahedron()),
+    "octahedronxtorus7": lambda: (octahedron(), torus7()),
+    "cycle3xtorus7": lambda: (cycle3(), torus7()),
+    "nonpurexcycle3": lambda: (SimplicialComplex(range(4), [(0, 1, 2), (2, 3)]), cycle3()),
+}
+
+
+@pytest.mark.parametrize("name", PRODUCT_CASES)
+def test_product_triples_match_the_closure_of_the_staircases(name):
+    left, right = PRODUCT_CASES[name]()
+    prod = product_complex(left, right)
+    cx, ref = prod.complex, product_by_closure(left, right)
+    assert cx.vertices == ref.vertices
+    assert cx.facets == ref.facets
+    assert cx.simplices == ref.simplices
+    assert cx.index == ref.index
+    rng = random.Random(17)
+    for factor, pull, pull_ref in (
+        (left, prod.pullback_left, ref.pullback_left),
+        (right, prod.pullback_right, ref.pullback_right),
+    ):
+        cq = CochainComplexQ(factor)
+        for p in range(factor.dim + 1):
+            seeded = {s: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for s in factor.simplices[p] if rng.random() < 0.5}
+            for a in cq.cohomology_basis(p).reps + [seeded]:
+                assert list(pull(a, p).items()) == list(pull_ref(a, p).items()), (name, p)
+
+
+def test_complex_build_probe_sees_the_product(monkeypatch):
+    # the benchmark's complex_build probe sums the simplices of every
+    # complex built through SimplicialComplex.__init__
+    counts = []
+    original = SimplicialComplex.__init__
+
+    def probed(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        counts.append(sum(len(s) for s in self.simplices.values()))
+
+    monkeypatch.setattr(SimplicialComplex, "__init__", probed)
+    cx = build_quotient(catalog_scenario("t4-z2")).cx
+    assert counts == [42, 42, 7350]
+    assert sum(cx.count(p) for p in range(cx.dim + 1)) == 7350
 
 
 def test_cyclic_action_verifies_on_torus():
@@ -216,6 +270,25 @@ def catalog_complexes(name):
             yield product_complex(left, right).complex
         else:
             yield build_simplicial(section)
+
+
+@pytest.mark.parametrize("name", CATALOG_WITH_COMPLEXES)
+def test_coboundary_matches_the_slicing_definition_and_squares_to_zero(name):
+    complexes = list(catalog_complexes(name))
+    assert complexes
+    for cx in complexes:
+        for p in range(-1, cx.dim + 1):
+            cols = cx.coboundary(p)
+            if p >= 0:
+                assert cols == coboundary_by_slicing(cx, p), (name, p)
+            if p + 1 < cx.dim:
+                after = cx.coboundary(p + 1)
+                for col in cols:
+                    image = {}
+                    for row, sign in col.items():
+                        for r, c in after[row].items():
+                            image[r] = image.get(r, 0) + sign * c
+                    assert not any(image.values()), (name, p)
 
 
 def cycle_or_error(fn, cx):
