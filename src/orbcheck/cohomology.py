@@ -10,7 +10,10 @@ cleared by delta_(p-2)'s pivots and reduces each column down to its
 leading row only; residues reduce fully.  Actions are simplicial when
 their facets map to simplices, pullbacks walk a cochain's support, cup
 products walk alpha's support by front face, and the orientation is
-read off delta_(d-1).
+read off delta_(d-1).  Invariance is decided in the full cohomology
+basis: the columns of the averaging projector P average the pullbacks
+of the basis representatives, and a class is invariant iff P fixes its
+coordinates.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .linalg import (
     add_scaled,
     build_echelon,
     dense_rank,
-    dense_solve,
     kernel_search,
     reduce_against,
 )
@@ -44,7 +46,6 @@ Cochain = dict  # Simplex -> Fraction
 
 @dataclass
 class CohomologyBasis:
-    degree: int
     reps: list  # tuple-keyed cocycle representatives
     echelon: TrackedEchelon
 
@@ -125,7 +126,7 @@ class CochainComplexQ:
         if p in self._basis:
             return self._basis[p]
         b = self.betti(p)
-        basis = CohomologyBasis(p, [], TrackedEchelon())
+        basis = CohomologyBasis([], TrackedEchelon())
         if b == 0:
             self._basis[p] = basis
             return basis
@@ -200,14 +201,12 @@ def cup_power(cx: SimplicialComplex, alpha: Cochain, p: int, k: int) -> tuple[Co
 
 @dataclass
 class InvariantDegree:
-    degree: int
-    projector: list[list[Fraction]]
-    vectors: list[list[Fraction]]  # invariant classes, coords in the full basis
-    cochains: list  # matching cocycle representatives
+    projector: list[list[Fraction]]  # the average of the action matrices, in the full basis
+    cochains: list  # cocycles whose classes are a basis of the invariant classes
 
     @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return len(self.cochains)
 
 
 class InvariantCohomology:
@@ -218,61 +217,35 @@ class InvariantCohomology:
         self.action = action
         self._data: dict[int, InvariantDegree] = {}
 
-    def action_matrix(self, e: str, p: int) -> list[list[Fraction]]:
-        basis = self.cq.cohomology_basis(p)
-        b = len(basis.reps)
-        cols = []
-        for rep in basis.reps:
-            pulled = self.action.pullback_cochain(e, rep, p)
-            cols.append(self.cq.coords(pulled, p))
-        return [[cols[j][i] for j in range(b)] for i in range(b)]
-
     def degree(self, p: int) -> InvariantDegree:
         if p in self._data:
             return self._data[p]
-        basis = self.cq.cohomology_basis(p)
-        b = len(basis.reps)
-        elements = self.action.elements
-        # g0 is the identity permutation, whose action matrix is I: start
-        # the sum there
-        proj = [[Fraction(int(i == j)) for j in range(b)] for i in range(b)]
-        for e in elements[1:]:
-            mat = self.action_matrix(e, p)
-            for i in range(b):
-                for j in range(b):
-                    proj[i][j] += mat[i][j]
-        proj = [[x / len(elements) for x in row] for row in proj]
-        # invariant subspace = column space of the projector
+        reps = self.cq.cohomology_basis(p).reps
+        b = len(reps)
+        # column j averages g* rep_j over the group, in the full basis;
+        # element 0 is the identity, so the sum starts at e_j
+        cols = [[Fraction(int(i == j)) for i in range(b)] for j in range(b)]
+        for e in self.action.elements[1:]:
+            for col, rep in zip(cols, reps):
+                for i, x in enumerate(self.cq.coords(self.action.pullback_cochain(e, rep, p), p)):
+                    col[i] += x
+        cols = [[x / self.action.k for x in col] for col in cols]
+        # the invariant classes are the column space of the projector
         ech = TrackedEchelon()
-        vectors = []
-        for j in range(b):
-            col = {i: proj[i][j] for i in range(b) if proj[i][j]}
-            if ech.insert(col):
-                vectors.append([proj[i][j] for i in range(b)])
         cochains = []
-        for vec in vectors:
-            acc: Cochain = {}
-            for coeff, rep in zip(vec, basis.reps):
-                if coeff:
-                    add_scaled(acc, rep, coeff)
-            cochains.append(acc)
-        data = InvariantDegree(p, proj, vectors, cochains)
+        for col in cols:
+            if ech.insert({i: x for i, x in enumerate(col) if x}):
+                acc: Cochain = {}
+                for coeff, rep in zip(col, reps):
+                    if coeff:
+                        add_scaled(acc, rep, coeff)
+                cochains.append(acc)
+        data = InvariantDegree([list(row) for row in zip(*cols)], cochains)
         self._data[p] = data
         return data
 
     def invariant_betti(self, p: int) -> int:
         return self.degree(p).dim
-
-    def invariant_coords(self, cochain: Cochain, p: int) -> list[Fraction]:
-        """Coordinates of an invariant class in the invariant basis."""
-        data = self.degree(p)
-        full = self.cq.coords(cochain, p)
-        b = len(full)
-        a = [[data.vectors[j][i] for j in range(data.dim)] for i in range(b)]
-        sol = dense_solve(a, full)
-        if sol is None:
-            raise ValueError("class is not invariant")
-        return sol
 
 
 @dataclass
@@ -305,10 +278,9 @@ def kahler_class(
         power, deg = cup_power(cx, cand, 2, n)
         pairing = pair_with_cycle(power, cycle)
         if pairing:
-            # verify class-level invariance
-            try:
-                invariant.invariant_coords(cand, 2)
-            except ValueError:
+            # the class is invariant iff the projector fixes its coordinates
+            x = cq.coords(cand, 2)
+            if any(sum(a * b for a, b in zip(row, x)) != xi for row, xi in zip(invariant.degree(2).projector, x)):
                 continue
             # the cup power is multilinear, so scaling scales the pairing by scale^n
             scale = Fraction(lcm(*(v.denominator for v in cand.values())))
@@ -320,7 +292,9 @@ def kahler_class(
 def lefschetz_verify(
     invariant: InvariantCohomology, omega: KahlerClassRep, k: int
 ) -> Verdict:
-    """Cup with omega^k from invariant H^(n-k) to H^(n+k) is an isomorphism."""
+    """Cup with omega^k from invariant H^(n-k) to H^(n+k) is an isomorphism.
+    The images are invariant, as omega is, so their rank in the full
+    basis of H^(n+k) is the rank of the map."""
     n = omega.n
     cq = invariant.cq
     src = invariant.degree(n - k)
@@ -329,7 +303,7 @@ def lefschetz_verify(
     cols = []
     for alpha in src.cochains:
         image = cup_product(cq.cx, alpha, n - k, power, pdeg) if k else dict(alpha)
-        cols.append(invariant.invariant_coords(image, n + k))
+        cols.append(cq.coords(image, n + k))
     return _full_rank(cols, src.dim, tgt.dim)
 
 

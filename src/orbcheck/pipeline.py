@@ -252,7 +252,10 @@ def build_quotient(scenario: Scenario) -> QuotientSetup:
     prod = None
     factor_cq = None
     if section.product:
-        left, right = (build_simplicial(scenario.complexes[c]) for c in section.product)
+        a, b = section.product
+        # T * T shares one factor complex, and one cochain complex below
+        left = build_simplicial(scenario.complexes[a])
+        right = left if b == a else build_simplicial(scenario.complexes[b])
         prod = simp.product_complex(left, right)
         cx = prod.complex
     else:
@@ -270,7 +273,7 @@ def build_quotient(scenario: Scenario) -> QuotientSetup:
     cq = coh.CochainComplexQ(cx)
     if prod is not None:
         left_cq = coh.CochainComplexQ(prod.left)
-        right_cq = coh.CochainComplexQ(prod.right)
+        right_cq = left_cq if prod.right is prod.left else coh.CochainComplexQ(prod.right)
         seed_product_bases(cq, prod, left_cq, right_cq)
         factor_cq = (left_cq, right_cq)
     return QuotientSetup(cx, action, cq, prod, factor_cq, qs.n, qs.product_sum)
@@ -298,8 +301,9 @@ def run_quotient_pipeline(scenario: Scenario, report: Report):
 
     try:
         cycle = simp.fundamental_cycle(setup.cx)
-        # every power of g1 fixes the cycle once g1 does; g0 is the identity
-        if setup.action.k > 1 and setup.action.transform_cycle("g1", cycle) != cycle:
+        # every power of the generator fixes the cycle once it does, and
+        # a cycle is fixed by an element iff it is fixed by its inverse
+        if setup.action.k > 1 and setup.action.pullback_cochain(1, cycle, setup.cx.dim) != cycle:
             raise NonOrientable("fundamental cycle is not action-invariant")
     except (NonOrientable, NotPseudomanifold) as exc:
         report.check("pd.fundamental_cycle", Verdict(False, type(exc).__name__))

@@ -219,21 +219,19 @@ def _paths(p: int, q: int, k: int) -> tuple:
 class SimplicialGroupAction:
     """Z/k acting on a complex through the powers of one vertex permutation.
 
-    ``generator`` sends vertex position v to generator[v]; element g<i>
-    acts by its i-th power, ``perms["g<i>"]``, and g<i>^-1 is g<(k-i) mod k>.
+    ``generator`` sends vertex position v to generator[v]; the elements
+    are 0..k-1, element i acts by the i-th power ``perms[i]``, and its
+    inverse is -i % k.
     """
 
     def __init__(self, complex_: SimplicialComplex, k: int, generator: Sequence[int]):
         self.complex = complex_
         self.k = k
         self.generator = list(generator)
-        self.elements = [f"g{i}" for i in range(k)]
-        self.perms: dict[str, list[int]] = {}
-        power = list(range(len(complex_.vertices)))
-        for e in self.elements:
-            self.perms[e] = power
-            power = [self.generator[v] for v in power]
-        self.inverse = {f"g{i}": f"g{-i % k}" for i in range(k)}
+        self.elements = range(k)
+        self.perms: list[list[int]] = [list(range(len(complex_.vertices)))]
+        for _ in range(k - 1):
+            self.perms.append([self.generator[v] for v in self.perms[-1]])
 
     @classmethod
     def cyclic(cls, complex_: SimplicialComplex, k: int, generator_map: dict) -> "SimplicialGroupAction":
@@ -254,7 +252,7 @@ class SimplicialGroupAction:
         width = len(right.generator)
         return cls(product.complex, left.k, [a * width + b for a in left.generator for b in right.generator])
 
-    def map_simplex(self, e: str, s: Simplex) -> tuple[Simplex, int]:
+    def map_simplex(self, e: int, s: Simplex) -> tuple[Simplex, int]:
         """Image simplex and the sign of the sorting permutation."""
         perm = self.perms[e]
         image = [perm[v] for v in s]
@@ -267,11 +265,11 @@ class SimplicialGroupAction:
                     sign = -sign
         return tuple(arr), sign
 
-    def pullback_cochain(self, e: str, cochain: dict[Simplex, Fraction], degree: int) -> dict[Simplex, Fraction]:
+    def pullback_cochain(self, e: int, cochain: dict[Simplex, Fraction], degree: int) -> dict[Simplex, Fraction]:
         """(e* a)(s) = sign(e, s) * a(e . s) on a verified action, read off the
         support of a: t pulls back to s = e^-1 . t, and sorting e^-1 . t
         has the sign of the inverse sorting, sign(e, s)."""
-        inv = self.inverse[e]
+        inv = -e % self.k
         out: dict[Simplex, Fraction] = {}
         for t, val in cochain.items():
             if val:
@@ -279,17 +277,10 @@ class SimplicialGroupAction:
                 out[s] = sign * val
         return out
 
-    def transform_cycle(self, e: str, cycle: dict[Simplex, int]) -> dict[Simplex, int]:
-        out: dict[Simplex, int] = {}
-        for s, c in cycle.items():
-            image, sign = self.map_simplex(e, s)
-            out[image] = out.get(image, 0) + sign * c
-        return out
-
 
 def verify_action(action: SimplicialGroupAction) -> Verdict:
     """The generator decides the action: it is a permutation, sigma^k = id
-    (so g<i> -> sigma^i is a homomorphism from Z/k), and it maps every facet
+    (so i -> sigma^i is a homomorphism from Z/k), and it maps every facet
     to a simplex.  The complex is the downward closure of its facets, so a
     vertex bijection then maps every simplex to a simplex; it is injective
     on each degree's finite simplex set, hence onto it, and so is every
@@ -299,7 +290,7 @@ def verify_action(action: SimplicialGroupAction) -> Verdict:
     ident = list(range(len(cx.vertices)))
     if sorted(gen) != ident:
         return Verdict(False, "generator is not a permutation")
-    if [gen[v] for v in action.perms[action.elements[-1]]] != ident:
+    if [gen[v] for v in action.perms[-1]] != ident:
         return Verdict(False, f"generator's order does not divide {action.k}")
     for f in cx.facets:
         if tuple(sorted(gen[v] for v in f)) not in cx.index[len(f) - 1]:

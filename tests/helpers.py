@@ -301,7 +301,7 @@ def same_class_by_scan(cls, other):
     return None
 
 
-def pullback_by_scan(action, e: str, cochain: dict, degree: int) -> dict:
+def pullback_by_scan(action, e: int, cochain: dict, degree: int) -> dict:
     """(e* a)(s) = sign(e, s) a(e.s), walking every p-simplex of the
     complex instead of the support of a."""
     out = {}
@@ -310,15 +310,6 @@ def pullback_by_scan(action, e: str, cochain: dict, degree: int) -> dict:
         val = cochain.get(image)
         if val:
             out[s] = sign * val
-    return out
-
-
-def transform_cycle_by_scan(action, e: str, cycle: dict) -> dict:
-    """The push-forward of a signed facet sum, one facet at a time."""
-    out = {}
-    for s, c in cycle.items():
-        image, sign = sort_sign(action.perms[e], s)
-        out[image] = out.get(image, 0) + sign * c
     return out
 
 

@@ -148,6 +148,24 @@ def test_no_kahler_class_when_pairing_vanishes():
         kahler_class(inv, zero_cycle, 1)
 
 
+def test_kahler_class_skips_a_non_invariant_explicit_candidate():
+    # the antipodal map reverses H^2 of the octahedron, so its generator
+    # is no Kahler class of the quotient however it pairs; the pillowcase
+    # involution fixes H^2, so its generator is kept as given
+    for name, kept in (("rp2-antipodal", False), ("pillowcase", True)):
+        setup = build_quotient(catalog_scenario(name))
+        inv = InvariantCohomology(setup.cq, setup.action)
+        cycle = fundamental_cycle(setup.cx)
+        [rep] = setup.cq.cohomology_basis(2).reps
+        assert pair_with_cycle(rep, cycle)
+        if kept:
+            omega = kahler_class(inv, cycle, setup.n, explicit=rep)
+            assert omega.cochain == rep and omega.pairing == 1
+        else:
+            with pytest.raises(NoKahlerClass):
+                kahler_class(inv, cycle, setup.n, explicit=rep)
+
+
 QUOTIENT_CATALOG = ("pillowcase", "torus7", "t4-z2", "octahedron", "rp2-antipodal")
 
 
@@ -186,12 +204,18 @@ def test_betti_inv_matches_the_transfer_oracle(name):
 def test_projector_starting_from_the_identity_matches_the_full_sum(name):
     # degree() adds I for the first element instead of its action matrix
     setup = build_quotient(catalog_scenario(name))
-    inv = InvariantCohomology(setup.cq, setup.action)
-    elements = setup.action.elements
+    cq, action = setup.cq, setup.action
+    inv = InvariantCohomology(cq, action)
+    elements = action.elements
+
+    def action_matrix(e, p):
+        cols = [cq.coords(action.pullback_cochain(e, rep, p), p) for rep in cq.cohomology_basis(p).reps]
+        return [list(row) for row in zip(*cols)]
+
     for p in range(setup.cx.dim + 1):
-        b = len(setup.cq.cohomology_basis(p).reps)
-        assert inv.action_matrix(elements[0], p) == [[int(i == j) for j in range(b)] for i in range(b)]
-        mats = [inv.action_matrix(e, p) for e in elements]
+        b = len(cq.cohomology_basis(p).reps)
+        assert action_matrix(elements[0], p) == [[int(i == j) for j in range(b)] for i in range(b)]
+        mats = [action_matrix(e, p) for e in elements]
         full = [[Fraction(sum(m[i][j] for m in mats), len(elements)) for j in range(b)] for i in range(b)]
         assert inv.degree(p).projector == full
 
