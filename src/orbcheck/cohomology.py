@@ -4,16 +4,17 @@ Alexander-Whitney cup products, and the Lefschetz / duality verdicts.
 Cochains exposed to callers are dicts keyed by sorted vertex-position
 tuples; the linear algebra runs on integer-indexed sparse vectors.
 Coboundary entries are the ints +-1, and cochain values stay ints until
-a non-unit pivot or a rational input (an averaged class, a normalized
-Kahler form) brings in a Fraction.  delta_(p-1)'s echelon skips the columns
-cleared by delta_(p-2)'s pivots and reduces each column down to its
-leading row only; residues reduce fully.  Actions are simplicial when
-their facets map to simplices, pullbacks walk a cochain's support, cup
-products walk alpha's support by front face, and the orientation is
-read off delta_(d-1).  Invariance is decided in the full cohomology
-basis: the columns of the averaging projector P average the pullbacks
-of the basis representatives, and a class is invariant iff P fixes its
-coordinates.
+a non-unit pivot, a rational input or a non-integral entry of the
+averaging projector brings in a Fraction; the Kahler cochain is scaled
+back to ints.  delta_(p-1)'s echelon skips the columns cleared by
+delta_(p-2)'s pivots, keeps each apparent column as its own pivot, and
+reduces the others down to their leading row only; residues reduce
+fully.  Actions are simplicial when their facets map to simplices,
+pullbacks walk a cochain's support, cup products walk alpha's support
+by front face, and the orientation is read off delta_(d-1).
+Invariance is decided in the full cohomology basis: the columns of the
+averaging projector P average the pullbacks of the basis
+representatives, and a class is invariant iff P fixes its coordinates.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .simplicial import (
 )
 from .verdict import Verdict
 
-Cochain = dict  # Simplex -> Fraction
+Cochain = dict  # Simplex -> int or Fraction
 
 
 @dataclass
@@ -71,15 +72,19 @@ class CochainComplexQ:
         simplices = self.cx.simplices[p]
         return {simplices[i]: v for i, v in vec.items() if v}
 
-    def apply_delta(self, cochain: Cochain, p: int) -> Cochain:
-        cols = self._delta_cols[p]
+    def _delta(self, cochain: Cochain, p: int) -> dict:
+        """delta_p of a tuple-keyed cochain, indexed."""
+        cols, idx = self._delta_cols[p], self.cx.index[p]
         out: dict[int, Fraction] = {}
         for s, v in cochain.items():
-            add_scaled(out, cols[self.cx.index[p][s]], v)
-        return self.to_tuple_keyed(out, p + 1)
+            add_scaled(out, cols[idx[s]], v)
+        return out
+
+    def apply_delta(self, cochain: Cochain, p: int) -> Cochain:
+        return self.to_tuple_keyed(self._delta(cochain, p), p + 1)
 
     def is_cocycle(self, cochain: Cochain, p: int) -> bool:
-        return p == self.dim or not self.apply_delta(cochain, p)
+        return p == self.dim or not self._delta(cochain, p)
 
     # -- ranks and betti ---------------------------------------------
 
@@ -94,7 +99,9 @@ class CochainComplexQ:
     def image_echelon(self, p: int) -> dict:
         """Echelonized image of delta_(p-1) inside C^p.  Its columns at the
         pivot rows of delta_(p-2)'s echelon go in empty (clearing): as delta^2
-        = 0 and a pivot is its column's largest row, they reduce to zero."""
+        = 0 and a pivot is its column's largest row, they reduce to zero.
+        An apparent column is its own pivot, so pivot columns can be the
+        delta columns themselves: neither may be mutated."""
         if p not in self._image_echelon:
             if p == 0 or p > self.dim:
                 self._image_echelon[p] = {}
@@ -190,7 +197,7 @@ def cup_product(cx: SimplicialComplex, alpha: Cochain, p: int, beta: Cochain, q:
 def cup_power(cx: SimplicialComplex, alpha: Cochain, p: int, k: int) -> tuple[Cochain, int]:
     """k-fold cup power of a p-cochain; returns (cochain, degree)."""
     if k == 0:
-        unit = {s: Fraction(1) for s in cx.simplices[0]}
+        unit = dict.fromkeys(cx.simplices[0], 1)
         return unit, 0
     acc, deg = dict(alpha), p
     for _ in range(k - 1):
@@ -230,7 +237,8 @@ class InvariantCohomology:
                 for i, x in enumerate(self.cq.coords(self.action.pullback_cochain(e, rep, p), p)):
                     col[i] += x
         cols = [[x / self.action.k for x in col] for col in cols]
-        # the invariant classes are the column space of the projector
+        # the invariant classes are the column space of the projector; an
+        # integral entry combines the reps as an int
         ech = TrackedEchelon()
         cochains = []
         for col in cols:
@@ -238,7 +246,7 @@ class InvariantCohomology:
                 acc: Cochain = {}
                 for coeff, rep in zip(col, reps):
                     if coeff:
-                        add_scaled(acc, rep, coeff)
+                        add_scaled(acc, rep, coeff.numerator if coeff.denominator == 1 else coeff)
                 cochains.append(acc)
         data = InvariantDegree([list(row) for row in zip(*cols)], cochains)
         self._data[p] = data
@@ -283,8 +291,8 @@ def kahler_class(
             if any(sum(a * b for a, b in zip(row, x)) != xi for row, xi in zip(invariant.degree(2).projector, x)):
                 continue
             # the cup power is multilinear, so scaling scales the pairing by scale^n
-            scale = Fraction(lcm(*(v.denominator for v in cand.values())))
-            scaled = {s: v * scale for s, v in cand.items()}
+            scale = lcm(*(v.denominator for v in cand.values()))
+            scaled = {s: v.numerator * (scale // v.denominator) for s, v in cand.items()}
             return KahlerClassRep(scaled, n, scale**n * pairing)
     raise NoKahlerClass("no invariant degree-2 class has nonzero top cup power")
 

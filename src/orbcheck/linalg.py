@@ -10,6 +10,10 @@ terminates without fill surprises.  `reduce_against` is the one sparse
 reduction.  `build_echelon` stops each column at its leading row, the
 first row counting down without a pivot, as persistence reduction
 does: the pivot rows and the rank do not depend on the rows below.
+A column whose largest row has no pivot yet (an apparent pair, in
+Ripser's terms) needs no step at all: it becomes its own pivot column,
+neither copied nor reduced, so pivot columns can be the caller's dicts
+and are only ever read.
 Residues and `TrackedEchelon` reduce fully, and a full residue is
 canonical against either kind of echelon, since a nonzero combination
 of pivot columns is nonzero at its largest pivot row.
@@ -54,6 +58,7 @@ def reduce_against(
     c * pivot on a +-1 pivot, which keeps integer entries integer; any
     other pivot takes the exact Fraction.  With a `record` list, each
     step appends (pivot row, factor): v lost factor times that column.
+    The pivot columns are only read.
     With `lead`, reduction stops at the first nonzero row without a
     pivot, which is then v's largest row; the rows below stay as they
     are.
@@ -92,17 +97,23 @@ def reduce_against(
 
 def build_echelon(columns: Iterable[SparseVec]) -> tuple[dict, int]:
     """Column echelon of a sparse matrix; returns (pivots, rank).  Each
-    column is reduced down to its leading row only."""
+    column is reduced down to its leading row only.  A column whose
+    largest row has no pivot yet (an apparent pair) is already reduced
+    that far: it becomes a pivot column as it is, uncopied.  So the
+    caller's dicts may be pivot columns, and nothing may mutate them
+    afterwards; only the other columns are copied and reduced."""
     pivots: dict[int, tuple[SparseVec, Fraction]] = {}
-    rank = 0
     for col in columns:
-        v = dict(col)
-        reduce_against(v, pivots, lead=True)
-        if v:
-            r = max(v)
-            pivots[r] = (v, v[r])
-            rank += 1
-    return pivots, rank
+        if not col:
+            continue
+        r = max(col)
+        if r in pivots:
+            col = reduce_against(dict(col), pivots, lead=True)
+            if not col:
+                continue
+            r = max(col)
+        pivots[r] = (col, col[r])
+    return pivots, len(pivots)
 
 
 class TrackedEchelon:
@@ -179,7 +190,8 @@ def kernel_search(
 
 
 def _sparse(vectors) -> list[SparseVec]:
-    """Dense vectors as sparse ones with exact Fraction entries."""
+    """Dense vectors as sparse ones with exact Fraction entries, fresh
+    dicts that `build_echelon` may keep as its pivot columns."""
     return [{i: Fraction(x) for i, x in enumerate(vec) if x} for vec in vectors]
 
 

@@ -238,7 +238,8 @@ def product_sum_kahler(setup: QuotientSetup) -> dict:
         for rep in cq.cohomology_basis(2).reps:
             pairing = simp.pair_with_cycle(rep, cycle)
             if pairing:
-                forms.append({s: v / pairing for s, v in rep.items()})
+                # an exact quotient stays an int
+                forms.append({s: v / pairing if v % pairing else v // pairing for s, v in rep.items()})
                 break
         else:
             raise NoKahlerClass("factor has no degree-2 class pairing with its cycle")

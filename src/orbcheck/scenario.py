@@ -443,20 +443,29 @@ def _parse_radius(text: str, line: int) -> Fraction:
 
 
 def _parse_facets(text: str, line: int, vertices: int) -> list[tuple[int, ...]]:
-    """Facets of distinct vertices in 0..vertices-1 that together use every vertex."""
+    """Distinct facets of distinct vertices in 0..vertices-1 that together
+    use every vertex, written (a,b,...) and separated by whitespace."""
+    facet = r"\(([^)]*)\)"
     facets = []
-    for part in re.findall(r"\(([^)]*)\)", text):
+    for part in re.findall(facet, text):
         try:
             facets.append(tuple(int(x) for x in part.split(",")))
         except ValueError:
             raise ParseError(line, f"malformed facet ({part})")
     if not facets:
         raise ParseError(line, "no facets given")
+    stray = " ".join(re.sub(facet, " ", text).split())
+    if stray:
+        raise ParseError(line, f"stray text {stray!r} outside the facet parentheses")
+    seen = set()
     for f in facets:
         if min(f) < 0 or max(f) >= vertices:
             raise ParseError(line, f"facet {f} has a vertex outside 0..{vertices - 1}")
         if len(set(f)) != len(f):
             raise ParseError(line, f"facet {f} repeats a vertex")
+        if frozenset(f) in seen:
+            raise ParseError(line, f"facet {f} is listed twice")
+        seen.add(frozenset(f))
     unused = sorted(set(range(vertices)).difference(*facets))
     if unused:
         raise ParseError(line, f"vertex {unused[0]} lies in no facet")

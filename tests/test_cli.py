@@ -145,6 +145,9 @@ def _edit(name, old, new):
         (_edit("torus7", "vertex_order = 1, 2, 3, 0, 4, 5, 6", "vertex_order = 1, 2, 3"), (), "line 9: vertex_order must permute 0..6"),
         (_edit("octahedron", "vertices = 6", "vertices = 9"), (), "line 8: vertex 6 lies in no facet"),
         (_edit("torus7", "facets = (0,1,3)", "facets = (0,0,3)"), (), "line 8: facet (0, 0, 3) repeats a vertex"),
+        (_edit("octahedron", "(3,5,1)", "(3,5,1) 3,4 (junk"), (), "line 8: stray text '3,4 (junk' outside the facet parentheses"),
+        (_edit("octahedron", "(3,5,1)", "(3,5,1) (3,5,1)"), (), "line 8: facet (3, 5, 1) is listed twice"),
+        (_edit("octahedron", "(3,5,1)", "(3,5,1) (1,3,5)"), (), "line 8: facet (1, 3, 5) is listed twice"),
         ("[scenario]\nname = x\npipelines = quotient\n\n[ ]\n", (), "line 5: unknown block []"),
     ],
     ids=[
@@ -194,6 +197,9 @@ def _edit(name, old, new):
         "vertex-order-short",
         "vertex-in-no-facet",
         "facet-repeats-vertex",
+        "facet-stray-text",
+        "facet-listed-twice",
+        "facet-listed-twice-reordered",
         "blank-header",
     ],
 )

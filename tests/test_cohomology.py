@@ -18,7 +18,7 @@ from orbcheck.cohomology import (
 )
 from orbcheck.errors import NoKahlerClass
 from orbcheck.linalg import build_echelon, reduce_against
-from orbcheck.pipeline import build_quotient, run_pipeline
+from orbcheck.pipeline import build_quotient, product_sum_kahler, run_pipeline
 from orbcheck.simplicial import (
     SimplicialComplex,
     SimplicialGroupAction,
@@ -299,3 +299,56 @@ def test_echelon_probe_reads_one_column_per_simplex(monkeypatch):
     monkeypatch.setattr(cohomology, "build_echelon", probed)
     assert CochainComplexQ(cx).betti_numbers() == [1, 4, 6, 4, 1]
     assert next(expected, None) is None
+
+
+def test_coboundary_columns_stay_as_built_through_a_full_run(monkeypatch):
+    # an apparent column is its own pivot, so the echelons share the
+    # coboundary columns: a whole t4-z2 run must leave them as built
+    built = []
+    original = SimplicialComplex.coboundary
+
+    def recording(self, p):
+        fresh = p not in self._coboundary
+        cols = original(self, p)
+        if fresh:
+            built.append((cols, [dict(c) for c in cols]))
+        return cols
+
+    monkeypatch.setattr(SimplicialComplex, "coboundary", recording)
+    assert run_pipeline(catalog_scenario("t4-z2")).overall
+    assert len(built) >= 5 and all(cols == copy for cols, copy in built)
+    cq = build_quotient(catalog_scenario("t4-z2")).cq
+    for p in range(1, cq.dim + 1):
+        delta = {id(c) for c in cq._delta_cols[p - 1]}
+        assert any(id(col) in delta for col, _ in cq.image_echelon(p).values()), p
+
+
+@pytest.mark.parametrize("name", ("pillowcase", "torus7", "t4-z2", "octahedron"))
+def test_integral_cochains_hold_ints(name):
+    setup = build_quotient(catalog_scenario(name))
+    inv = InvariantCohomology(setup.cq, setup.action)
+    for p in range(setup.cq.dim + 1):
+        data = inv.degree(p)
+        # the projector is Fraction-valued; its entries here are integral,
+        # so the invariant cochains combine the reps as ints
+        assert all(type(x) is Fraction and x.denominator == 1 for row in data.projector for x in row)
+        assert all(type(v) is int for c in data.cochains for v in c.values())
+    explicit = product_sum_kahler(setup) if setup.product_sum else None
+    assert explicit is None or all(type(v) is int for v in explicit.values())
+    omega = kahler_class(inv, fundamental_cycle(setup.cx), setup.n, explicit)
+    assert all(type(v) is int for v in omega.cochain.values())
+    assert type(omega.pairing) is Fraction
+    unit, deg = cup_power(setup.cx, omega.cochain, 2, 0)
+    assert deg == 0 and all(type(v) is int and v == 1 for v in unit.values())
+
+
+def test_a_rational_kahler_candidate_is_scaled_back_to_ints():
+    cx = torus7()
+    cq = CochainComplexQ(cx)
+    inv = InvariantCohomology(cq, SimplicialGroupAction.trivial(cx))
+    rep = inv.degree(2).cochains[0]
+    cycle = fundamental_cycle(cx)
+    third = {s: Fraction(v, 3) for s, v in rep.items()}
+    omega = kahler_class(inv, cycle, 1, third)
+    assert omega.cochain == rep and all(type(v) is int for v in omega.cochain.values())
+    assert omega.pairing == pair_with_cycle(rep, cycle) and type(omega.pairing) is Fraction

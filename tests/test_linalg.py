@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import prod
 from pathlib import Path
 
 import pytest
 from helpers import bareiss_rank, build_echelon_full, modular_rank
 
+from orbcheck import linalg
 from orbcheck.catalog import catalog_scenario
 from orbcheck.cohomology import InvariantCohomology, kahler_class
 from orbcheck.foliated import conformal_factor
@@ -134,6 +136,48 @@ def test_t9xt9_golden_runs_on_integer_echelons():
     assert any(abs(x) == 2 for col, _ in full for x in col.values())
     # stopping at the leading row leaves fewer entries to reduce against
     assert sum(len(col) for col, _ in pivots) < sum(len(col) for col, _ in full)
+    # most columns are apparent: their pivot is the coboundary column itself
+    apparent = []
+    for p, ech in enumerate(echelons, 1):
+        delta = {id(c) for c in cq._delta_cols[p - 1]}
+        apparent.append(sum(id(col) in delta for col, _ in ech.values()))
+    assert apparent == [80, 1076, 2697, 1776]
+
+
+def test_apparent_columns_are_pivots_as_they_are_and_the_rest_reduced():
+    # a column whose largest row has no pivot yet is its own pivot column,
+    # uncopied; the others are copied and reduced.  Either way the pivot
+    # rows are the full echelon's and no input column changes.
+    rng = random.Random(53)
+    mixed = 0
+    for _ in range(80):
+        rows, ncols = rng.randint(2, 9), rng.randint(1, 9)
+        cols = [
+            {i: rng.choice((1, -1)) for i in rng.sample(range(rows), rng.randint(0, min(4, rows)))}
+            for _ in range(ncols)
+        ]
+        before = [dict(c) for c in cols]
+        pivots, rank = build_echelon(cols)
+        full, full_rank = build_echelon_full(cols)
+        assert pivots.keys() == full.keys() and rank == full_rank == modular_rank(cols, rows)
+        assert cols == before
+        kept = sum(1 for col, _ in pivots.values() if any(col is c for c in cols))
+        mixed += 0 < kept < rank
+    assert mixed >= 20
+
+
+def test_dense_det_signs_rows_that_are_all_apparent_out_of_order(monkeypatch):
+    # row i leads at column perm[i] and has its other entries left of it,
+    # so every row is apparent: none is reduced, and the sign still comes
+    # from the order of the leading columns
+    calls = []
+    monkeypatch.setattr(linalg, "reduce_against", lambda *args, **kw: calls.append(args))
+    rng = random.Random(59)
+    for perm in permutations(range(4)):
+        lead = [rng.choice((1, -1, 2, Fraction(1, 3))) for _ in range(4)]
+        m = [[lead[i] if j == perm[i] else (rng.randint(-2, 2) if j < perm[i] else 0) for j in range(4)] for i in range(4)]
+        assert dense_det(m) == cycle_sign(perm) * prod(lead) == cofactor_det(m)
+    assert not calls
 
 
 def test_echelon_columns_stop_at_their_leading_row():
