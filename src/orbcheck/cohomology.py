@@ -8,10 +8,13 @@ a non-unit pivot, a rational input or a non-integral entry of the
 averaging projector brings in a Fraction; the Kahler cochain is scaled
 back to ints.  delta_(p-1)'s echelon skips the columns cleared by
 delta_(p-2)'s pivots, keeps each apparent column as its own pivot, and
-reduces the others down to their leading row only; residues reduce
-fully.  Actions are simplicial when their facets map to simplices,
-pullbacks walk a cochain's support, cup products walk alpha's support
-by front face, and the orientation is read off delta_(d-1).
+reduces the others down to their leading row only.  Each degree keeps
+one echelon, a copy of that image echelon plus representative i
+labelled ~i, so a class's coordinates are one reduction: the negated
+labels left on it.  Actions are simplicial when their facets map to
+simplices, pullbacks walk a cochain's support, cup products walk
+alpha's support by front face, and the orientation is read off
+delta_(d-1).
 Invariance is decided in the full cohomology basis: the columns of the
 averaging projector P average the pullbacks of the basis
 representatives, and a class is invariant iff P fixes its coordinates.
@@ -27,10 +30,10 @@ from typing import Optional
 
 from .errors import NoKahlerClass
 from .linalg import (
-    TrackedEchelon,
     add_scaled,
     build_echelon,
     dense_rank,
+    insert,
     kernel_search,
     reduce_against,
 )
@@ -48,7 +51,7 @@ Cochain = dict  # Simplex -> int or Fraction
 @dataclass
 class CohomologyBasis:
     reps: list  # tuple-keyed cocycle representatives
-    echelon: TrackedEchelon
+    pivots: dict  # delta_(p-1)'s image echelon, then rep i labelled ~i
 
 
 class CochainComplexQ:
@@ -68,10 +71,6 @@ class CochainComplexQ:
         idx = self.cx.index[p]
         return {idx[s]: v for s, v in cochain.items() if v}
 
-    def to_tuple_keyed(self, vec: dict, p: int) -> Cochain:
-        simplices = self.cx.simplices[p]
-        return {simplices[i]: v for i, v in vec.items() if v}
-
     def _delta(self, cochain: Cochain, p: int) -> dict:
         """delta_p of a tuple-keyed cochain, indexed."""
         cols, idx = self._delta_cols[p], self.cx.index[p]
@@ -79,9 +78,6 @@ class CochainComplexQ:
         for s, v in cochain.items():
             add_scaled(out, cols[idx[s]], v)
         return out
-
-    def apply_delta(self, cochain: Cochain, p: int) -> Cochain:
-        return self.to_tuple_keyed(self._delta(cochain, p), p + 1)
 
     def is_cocycle(self, cochain: Cochain, p: int) -> bool:
         return p == self.dim or not self._delta(cochain, p)
@@ -121,59 +117,50 @@ class CochainComplexQ:
     def betti_numbers(self) -> list[int]:
         return [self.betti(p) for p in range(self.dim + 1)]
 
-    def residue(self, vec: dict, p: int) -> dict:
-        """Canonical representative of a cochain modulo coboundaries."""
-        v = dict(vec)
-        reduce_against(v, self.image_echelon(p))
-        return v
-
     # -- cohomology bases --------------------------------------------
 
     def cohomology_basis(self, p: int, candidates: Optional[list[Cochain]] = None) -> CohomologyBasis:
+        """Cocycles whose classes are a basis of H^p: the candidates, or
+        kernel vectors of delta_p, each kept when its class is new.  The
+        pivots start as a copy of delta_(p-1)'s image echelon, since
+        `image_echelon(p + 1)` clears columns by that dict's keys."""
         if p in self._basis:
             return self._basis[p]
         b = self.betti(p)
-        basis = CohomologyBasis([], TrackedEchelon())
-        if b == 0:
-            self._basis[p] = basis
-            return basis
-        if candidates is not None:
+        basis = CohomologyBasis([], dict(self.image_echelon(p)))
+
+        def keep(cocycle: Cochain) -> bool:
+            if insert(basis.pivots, {**self.to_indexed(cocycle, p), ~len(basis.reps): 1}):
+                basis.reps.append(cocycle)
+                return True
+            return False
+
+        if b and candidates is not None:
             for cand in candidates:
                 if not self.is_cocycle(cand, p):
                     raise ValueError(f"candidate in degree {p} is not a cocycle")
-                res = self.residue(self.to_indexed(cand, p), p)
-                if basis.echelon.insert(res):
-                    basis.reps.append(dict(cand))
+                keep(dict(cand))
             if len(basis.reps) != b:
                 raise ValueError(
                     f"candidates span {len(basis.reps)} of {b} dimensions in degree {p}"
                 )
-        else:
+        elif b:
             simplices = self.cx.simplices[p]
-
-            def keep(comb: dict) -> bool:
-                cocycle = {simplices[j]: c for j, c in comb.items()}
-                res = self.residue(self.to_indexed(cocycle, p), p)
-                if basis.echelon.insert(res):
-                    basis.reps.append(cocycle)
-                    return True
-                return False
-
-            rank = kernel_search(self._delta_cols[p], keep, b)
-            self._rank[p] = rank
+            kernel_search(self._delta_cols[p], lambda comb: keep({simplices[j]: c for j, c in comb.items()}), b)
             if len(basis.reps) != b:
                 raise AssertionError("kernel search did not span cohomology")
         self._basis[p] = basis
         return basis
 
     def coords(self, cochain: Cochain, p: int) -> list[Fraction]:
-        """Coordinates of a cocycle's class in the degree-p basis."""
+        """Coordinates of a cocycle's class in the degree-p basis: the
+        negated labels left when it reduces to labels alone."""
         basis = self.cohomology_basis(p)
-        res = self.residue(self.to_indexed(cochain, p), p)
-        out = basis.echelon.express(res)
-        if out is None:
+        v = self.to_indexed(cochain, p)
+        reduce_against(v, basis.pivots, lead=True)
+        if max(v, default=-1) >= 0:
             raise ValueError("cochain is not in the span of the cohomology basis")
-        return out
+        return [-v.get(~i, 0) for i in range(len(basis.reps))]
 
 
 def cup_product(cx: SimplicialComplex, alpha: Cochain, p: int, beta: Cochain, q: int) -> Cochain:
@@ -239,10 +226,10 @@ class InvariantCohomology:
         cols = [[x / self.action.k for x in col] for col in cols]
         # the invariant classes are the column space of the projector; an
         # integral entry combines the reps as an int
-        ech = TrackedEchelon()
+        pivots: dict = {}
         cochains = []
         for col in cols:
-            if ech.insert({i: x for i, x in enumerate(col) if x}):
+            if insert(pivots, {i: x for i, x in enumerate(col) if x}):
                 acc: Cochain = {}
                 for coeff, rep in zip(col, reps):
                     if coeff:

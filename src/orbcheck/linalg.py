@@ -14,14 +14,15 @@ A column whose largest row has no pivot yet (an apparent pair, in
 Ripser's terms) needs no step at all: it becomes its own pivot column,
 neither copied nor reduced, so pivot columns can be the caller's dicts
 and are only ever read.
-Residues and `TrackedEchelon` reduce fully, and a full residue is
-canonical against either kind of echelon, since a nonzero combination
-of pivot columns is nonzero at its largest pivot row.
-`TrackedEchelon` records the steps to write each pivot column as a
-combination of the inserted vectors (coordinates and kernel
-relations).  There is no second, dense elimination: a small dense
-matrix enters as sparse vectors of exact Fractions, and its rank,
-determinant and solve are read off these same echelons.
+A full residue is canonical against either kind of echelon, since a
+nonzero combination of pivot columns is nonzero at its largest pivot
+row.  Coordinates and kernel relations ride in the vectors: a labelled
+vector carries its combination at label rows ~j = -1 - j, below every
+real row, so no label is ever a pivot and the one reduction moves the
+labels along with the real entries (R = D V).  There is no second,
+dense elimination: a small dense matrix enters as sparse vectors of
+exact Fractions, and its rank, determinant and solve are read off these
+same echelons.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ def add_scaled(acc: SparseVec, v: SparseVec, c) -> SparseVec:
 def reduce_against(
     v: SparseVec,
     pivots: dict[int, tuple[SparseVec, Fraction]],
-    record: Optional[list] = None,
     lead: bool = False,
 ) -> SparseVec:
     """Reduce v in place against an echelon set; returns the residue.
@@ -56,9 +56,8 @@ def reduce_against(
     Every pivot column has its pivot at its maximum row, so reduction
     only introduces entries at smaller rows.  The factor c / pivot is
     c * pivot on a +-1 pivot, which keeps integer entries integer; any
-    other pivot takes the exact Fraction.  With a `record` list, each
-    step appends (pivot row, factor): v lost factor times that column.
-    The pivot columns are only read.
+    other pivot takes the exact Fraction.  The pivot columns are only
+    read.
     With `lead`, reduction stops at the first nonzero row without a
     pivot, which is then v's largest row; the rows below stay as they
     are.
@@ -90,8 +89,6 @@ def reduce_against(
                     v[row] = nv
                 else:
                     del v[row]
-        if record is not None:
-            record.append((r, factor))
     return v
 
 
@@ -116,46 +113,18 @@ def build_echelon(columns: Iterable[SparseVec]) -> tuple[dict, int]:
     return pivots, len(pivots)
 
 
-class TrackedEchelon:
-    """Echelon set that writes each pivot column as a combination of the
-    vectors inserted so far, keyed by their labels."""
-
-    def __init__(self):
-        self.pivots: dict[int, tuple[SparseVec, Fraction]] = {}
-        self.coords: dict[int, SparseVec] = {}  # pivot row -> combination
-
-    def reduce(self, v: SparseVec, comb: SparseVec) -> tuple[SparseVec, SparseVec]:
-        """Residue of a copy of v, and comb minus the combination removed.
-
-        Started from comb = {label: 1} for a vector labelled `label`, the
-        residue equals the returned combination of the inserted vectors;
-        an empty residue makes that combination a kernel relation.
-        """
-        v = dict(v)
-        record: list = []
-        reduce_against(v, self.pivots, record)
-        for prow, factor in record:
-            add_scaled(comb, self.coords[prow], -factor)
-        return v, comb
-
-    def add(self, residue: SparseVec, comb: SparseVec) -> None:
-        r = max(residue)
-        self.pivots[r] = (residue, residue[r])
-        self.coords[r] = comb
-
-    def insert(self, v: SparseVec) -> bool:
-        """Insert v as the next basis vector unless it lies in the span."""
-        residue, comb = self.reduce(v, {len(self.coords): 1})
-        if residue:
-            self.add(residue, comb)
-        return bool(residue)
-
-    def express(self, v: SparseVec) -> Optional[list[Fraction]]:
-        """Coordinates of v in the inserted basis, or None if outside."""
-        residue, comb = self.reduce(v, {})
-        if residue:
-            return None
-        return [-comb.get(i, 0) for i in range(len(self.coords))]
+def insert(pivots: dict[int, tuple[SparseVec, Fraction]], v: SparseVec) -> bool:
+    """Reduce v in place down to its leading row; if a real row (>= 0)
+    is left, v becomes the pivot column there.  A labelled vector
+    carries its combination at rows below every real one (label j at
+    row ~j), so the labels left on a v that reduced to them alone are
+    the relation it satisfies."""
+    reduce_against(v, pivots, lead=True)
+    r = max(v, default=-1)
+    if r < 0:
+        return False
+    pivots[r] = (v, v[r])
+    return True
 
 
 def kernel_search(
@@ -165,25 +134,20 @@ def kernel_search(
 ) -> int:
     """Echelonize columns while harvesting kernel combinations.
 
-    A column that reduces to zero gives a combination of columns in the
-    kernel, which is offered to `keep`.  Tracking stops once `want`
-    kernel vectors were accepted (the remaining pass still counts rank).
-    Returns the rank.
+    Column j enters labelled ~j; one that reduces to labels alone gives
+    a combination of columns in the kernel, which is offered to `keep`.
+    The search stops at the `want`-th accepted kernel vector and reads
+    no column after it.  Returns the rank of the columns read.
     """
-    ech = TrackedEchelon()
+    pivots: dict[int, tuple[SparseVec, Fraction]] = {}
     found = 0
     for j, col in enumerate(columns):
-        if found < want:
-            residue, comb = ech.reduce(col, {j: 1})
-            if residue:
-                ech.add(residue, comb)
-            elif keep(comb):
-                found += 1
-        else:
-            residue = reduce_against(dict(col), ech.pivots)
-            if residue:
-                ech.add(residue, {})
-    return len(ech.pivots)
+        v = {**col, ~j: 1}
+        if not insert(pivots, v) and keep({~r: c for r, c in v.items()}):
+            found += 1
+            if found == want:
+                break
+    return len(pivots)
 
 
 # -- small dense matrices -------------------------------------------------
@@ -220,15 +184,13 @@ def dense_solve(a: list[list], b: list) -> Optional[list[Fraction]]:
     """One solution of A x = b over Q, or None when inconsistent.  Only
     the columns outside the span of earlier ones carry a coordinate, so
     the free variables are zero."""
-    ech = TrackedEchelon()
-    kept = [j for j, col in enumerate(_sparse(zip(*a))) if ech.insert(col)]
-    coords = ech.express(_sparse([b])[0])
-    if coords is None:
+    pivots: dict[int, tuple[SparseVec, Fraction]] = {}
+    for j, col in enumerate(_sparse(zip(*a))):
+        insert(pivots, {**col, ~j: 1})
+    v = _sparse([b])[0]
+    if insert(pivots, v):  # a real row is left: b is outside the span
         return None
-    x = [Fraction(0)] * (len(a[0]) if a else 0)
-    for j, c in zip(kept, coords):
-        x[j] = c
-    return x
+    return [-Fraction(v.get(~j, 0)) for j in range(len(a[0]) if a else 0)]
 
 
 def _exact_root(n: int, m: int) -> Optional[int]:

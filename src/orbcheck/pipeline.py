@@ -20,7 +20,7 @@ from .cyclotomic import CycMatrix, CyclotomicNumber, vec
 from .errors import NoKahlerClass, NonOrientable, NotPseudomanifold, OrbcheckError
 from .linalg import add_scaled
 from .polyform import PolyForm, Polynomial, PolyVectorField
-from .scenario import ActionSection, ChartSection, ComplexSection, Scenario
+from .scenario import CLOSURE_CAP, ActionSection, ChartSection, ComplexSection, Scenario
 from .verdict import Verdict
 
 
@@ -67,8 +67,6 @@ class Report:
 
 
 # -- atlas construction ---------------------------------------------------
-
-CLOSURE_CAP = 64  # largest chart group a scenario may generate
 
 
 def build_chart(section: ChartSection) -> atlas_mod.Chart:

@@ -17,6 +17,7 @@ from typing import Optional
 from .errors import MissingSection, ParseError, ShapeMismatch, UnknownPipeline
 
 KNOWN_PIPELINES = ("atlas", "seifert", "taut", "quotient")
+CLOSURE_CAP = 64  # largest group a scenario may generate, and largest cyclotomic order
 
 
 @dataclass
@@ -305,6 +306,11 @@ def parse_scenario(text: str) -> Scenario:
             ln, pipes = take("pipelines")
             scenario.name = name
             scenario.pipelines = [p.strip() for p in pipes.split(",") if p.strip()]
+            if not scenario.pipelines:
+                raise ParseError(ln, "pipelines names no pipeline")
+            twice = [p for i, p in enumerate(scenario.pipelines) if p in scenario.pipelines[:i]]
+            if twice:
+                raise ParseError(ln, f"pipeline {twice[0]!r} is named twice")
             reject_unknown()
         elif kind == "chart":
             if len(words) != 2:
@@ -317,8 +323,8 @@ def parse_scenario(text: str) -> Scenario:
             rad = None if radius.strip() == "inf" else _parse_radius(radius, ln)
             ln, order = take("cyclotomic_order")
             order = _parse_int(order, ln)
-            if order < 1:
-                raise ParseError(ln, f"cyclotomic_order must be at least 1, got {order}")
+            if not 1 <= order <= CLOSURE_CAP:
+                raise ParseError(ln, f"cyclotomic_order must be 1..{CLOSURE_CAP}, got {order}")
             ln, gens = take("generators")
             gen_list = []
             gens = gens.strip()
@@ -407,8 +413,8 @@ def parse_scenario(text: str) -> Scenario:
                 section.factors = (parts[0], parts[1])
             elif section.group != "trivial":
                 prefix, _, k = section.group.partition(":")
-                if prefix != "cyclic" or not k.isdigit() or int(k) < 1:
-                    raise ParseError(ln, "group must be trivial, product or cyclic:<k> with k >= 1")
+                if prefix != "cyclic" or not k.isdigit() or not 1 <= int(k) <= CLOSURE_CAP:
+                    raise ParseError(ln, f"group must be trivial, product or cyclic:<k> with k in 1..{CLOSURE_CAP}")
                 section.order = int(k)
                 ln, maps = take("maps")
                 section.maps = [_parse_int(x, ln) for x in maps.split(",")]

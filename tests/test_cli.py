@@ -149,6 +149,11 @@ def _edit(name, old, new):
         (_edit("octahedron", "(3,5,1)", "(3,5,1) (3,5,1)"), (), "line 8: facet (3, 5, 1) is listed twice"),
         (_edit("octahedron", "(3,5,1)", "(3,5,1) (1,3,5)"), (), "line 8: facet (1, 3, 5) is listed twice"),
         ("[scenario]\nname = x\npipelines = quotient\n\n[ ]\n", (), "line 5: unknown block []"),
+        (_edit("pillowcase", "pipelines = quotient", "pipelines ="), (), "line 4: pipelines names no pipeline"),
+        (_edit("pillowcase", "pipelines = quotient", "pipelines = ,"), (), "line 4: pipelines names no pipeline"),
+        (_edit("football:2", "seifert, quotient", "seifert, atlas, quotient"), (), "line 4: pipeline 'atlas' is named twice"),
+        (_edit("pillowcase", "group = cyclic:2\nmaps = 0, 6, 5, 4, 3, 2, 1", "group = cyclic:100000000000\nmaps = 0, 1, 2, 3, 4, 5, 6"), (), "line 12: group"),
+        (_edit("football:2", "cyclotomic_order = 2", "cyclotomic_order = 100000"), (), "line 9: cyclotomic_order must be 1..64, got 100000"),
     ],
     ids=[
         "unknown-run-option",
@@ -201,6 +206,11 @@ def _edit(name, old, new):
         "facet-listed-twice",
         "facet-listed-twice-reordered",
         "blank-header",
+        "pipelines-empty",
+        "pipelines-comma",
+        "pipeline-named-twice",
+        "cyclic-order-above-cap",
+        "cyclotomic-order-above-cap",
     ],
 )
 def test_malformed_input_exits_two_without_traceback(tmp_path, capsys, text, argv, expect):

@@ -57,8 +57,8 @@ def test_cocycle_and_coboundary_structure():
     for rep in basis.reps:
         assert cq.is_cocycle(rep, 1)
     # a coboundary has zero coordinates
-    bump = {cq.cx.simplices[0][3]: Fraction(1)}
-    cob = cq.apply_delta(bump, 0)
+    simplices = cq.cx.simplices[1]
+    cob = {simplices[i]: Fraction(x) for i, x in cq.cx.coboundary(0)[3].items()}  # delta of the bump at vertex 3
     assert cq.coords(cob, 1) == [Fraction(0), Fraction(0)]
 
 
@@ -244,7 +244,29 @@ def test_leading_term_echelons_keep_the_full_lows_ranks_and_residues(name):
         for _ in range(5):
             v = {i: Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for i in rng.sample(range(cx.count(p)), min(6, cx.count(p)))}
             v = {i: x for i, x in v.items() if x}
-            assert cq.residue(v, p) == reduce_against(dict(v), full), (name, p)
+            assert reduce_against(dict(v), cq.image_echelon(p)) == reduce_against(dict(v), full), (name, p)
+
+
+@pytest.mark.parametrize("name", ("pillowcase", "torus7", "t4-z2", "octahedron", "rp2-antipodal", "football:3"))
+def test_coords_read_back_a_combination_of_reps_plus_a_coboundary(name):
+    cx = build_quotient(catalog_scenario(name)).cx
+    cq = CochainComplexQ(cx)
+    rng = random.Random(53)
+    for p in range(cx.dim + 1):
+        reps = cq.cohomology_basis(p).reps
+        for _ in range(3):
+            c = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in reps]
+            cochain = {}
+            for ci, rep in zip(c, reps):
+                for s, x in rep.items():
+                    cochain[s] = cochain.get(s, 0) + ci * x
+            if p:  # plus delta of a random (p-1)-cochain, column by column
+                for col in cx.coboundary(p - 1):
+                    y = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                    for i, x in col.items():
+                        s = cx.simplices[p][i]
+                        cochain[s] = cochain.get(s, 0) + y * x
+            assert cq.coords(cochain, p) == c, (name, p)
 
 
 def _seeded_cochain(rng, simplices):

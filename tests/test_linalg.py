@@ -12,12 +12,12 @@ from orbcheck.catalog import catalog_scenario
 from orbcheck.cohomology import InvariantCohomology, kahler_class
 from orbcheck.foliated import conformal_factor
 from orbcheck.linalg import (
-    TrackedEchelon,
     add_scaled,
     build_echelon,
     dense_det,
     dense_rank,
     dense_solve,
+    insert,
     kernel_search,
     rational_root,
     reduce_against,
@@ -307,7 +307,7 @@ def cofactor_det(m):
     )
 
 
-def test_tracked_echelon_coordinates_rebuild_inserted_vectors():
+def test_labelled_echelon_coordinates_rebuild_inserted_vectors():
     def combine(coeffs, vectors):
         acc = {}
         for c, v in zip(coeffs, vectors):
@@ -315,23 +315,42 @@ def test_tracked_echelon_coordinates_rebuild_inserted_vectors():
                 acc[i] = acc.get(i, Fraction(0)) + c * x
         return {i: x for i, x in acc.items() if x}
 
+    def express(pivots, v, k):
+        # the negated labels of v reduced to labels alone, or None
+        v = reduce_against(dict(v), pivots)
+        return None if max(v, default=-1) >= 0 else [-v.get(~j, 0) for j in range(k)]
+
     rng = random.Random(29)
     gens = [{i: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for i in range(8)} for _ in range(4)]
-    ech = TrackedEchelon()
+    pivots = {}
     basis = []
     for _ in range(10):  # vectors of a span of dimension at most 4
         v = combine([rng.randint(-2, 2) for _ in gens], gens)
-        if ech.insert(v):
+        if insert(pivots, {**v, ~len(basis): 1}):
             basis.append(v)
     assert len(basis) == bareiss_rank([[v.get(i, 0) for i in range(8)] for v in basis])
     for k, v in enumerate(basis):
-        assert ech.express(v) == [Fraction(int(j == k)) for j in range(len(basis))]
+        assert express(pivots, v, len(basis)) == [Fraction(int(j == k)) for j in range(len(basis))]
     for _ in range(10):
         target = combine([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in basis], basis)
-        assert combine(ech.express(target), basis) == target
+        assert combine(express(pivots, target, len(basis)), basis) == target
     outside = {i: Fraction(rng.randint(-3, 3)) for i in range(8)}
     span_rank = bareiss_rank([[v.get(i, 0) for i in range(8)] for v in basis + [outside]])
-    assert (ech.express(outside) is None) == (span_rank > len(basis))
+    assert (express(pivots, outside, len(basis)) is None) == (span_rank > len(basis))
+
+
+def test_kernel_search_reads_no_column_after_its_last_wanted_vector():
+    class Unread(dict):
+        def keys(self):
+            raise AssertionError("a column after the last wanted kernel vector was read")
+
+        __iter__ = items = keys
+
+    # c1 = c0 and c3 = c2: the second relation is the last one wanted
+    cols = [{0: 1}, {0: 1}, {1: 1}, {1: 1}, Unread({2: 1})]
+    found = []
+    assert kernel_search(cols, lambda comb: found.append(comb) or True, want=2) == 2
+    assert found == [{1: 1, 0: -1}, {3: 1, 2: -1}]
 
 
 def test_rational_root():
