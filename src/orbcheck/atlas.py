@@ -175,22 +175,24 @@ class OrbifoldAtlas:
         return sorted({(c.source, c.target) for c in self.changes})
 
 
+def carrying_element(
+    group: FiniteMatrixGroup, u: CycMatrix, b: CycVector, u_prime: CycMatrix, b_prime: CycVector
+) -> Optional[CycMatrix]:
+    """The g in the group with gU = U' and gb = b', or None.  U is
+    unitary, so g = U' U^H is the one candidate."""
+    g = u_prime @ u.conjugate_transpose()
+    return g if g in group and g.apply(b) == b_prime else None
+
+
 def equivalent_changes(
     phi: ChangeOfChart, phi_prime: ChangeOfChart, group_j: FiniteMatrixGroup
 ) -> Optional[CycMatrix]:
-    """The g in Gamma_j with phi' = g . phi, or None.
-
-    gU = U' with U unitary leaves one candidate, g = U' U^H, kept when it
-    lies in Gamma_j and g b = b'.
-    """
+    """The g in Gamma_j with phi' = g . phi, or None."""
     if not phi.same_source_domain(phi_prime) or phi.target != phi_prime.target:
         raise ValueError("changes must share source domain and target chart")
     if not phi.unitary:
         raise ValueError("the first change's linear part must be unitary")
-    g = phi_prime.linear @ phi.linear.conjugate_transpose()
-    if g in group_j and g.apply(phi.offset) == phi_prime.offset:
-        return g
-    return None
+    return carrying_element(group_j, phi.linear, phi.offset, phi_prime.linear, phi_prime.offset)
 
 
 def image_containment(change: ChangeOfChart, target: Chart) -> Verdict:

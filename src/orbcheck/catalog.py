@@ -8,7 +8,7 @@ Parameterized names use colons: football:3, weighted-hopf:1:2.
 from __future__ import annotations
 
 from .errors import UnknownCatalogEntry
-from .scenario import Scenario, parse_scenario
+from .scenario import CLOSURE_CAP, Scenario, parse_scenario
 
 _TORUS7_FACETS = " ".join(
     f"({i},{(i + 1) % 7},{(i + 3) % 7}) ({i},{(i + 2) % 7},{(i + 3) % 7})"
@@ -25,8 +25,8 @@ def _football(k: int) -> str:
     smooth chart, with a redundant change pair over a shared overlap.
     The change balls about 1 have radius 1/4, or 1/k from k = 13 on:
     B(1, r) misses its Z/k-rotations iff 2r < |1 - zeta_k| = 2 sin(pi/k)."""
-    if k < 2:
-        raise UnknownCatalogEntry("football parameter must be >= 2")
+    if not 2 <= k <= CLOSURE_CAP:
+        raise UnknownCatalogEntry(f"football parameter must be 2..{CLOSURE_CAP}, got {k}")
     ball = "1/4" if k <= 12 else f"1/{k}"
     return f"""
 [scenario]

@@ -8,13 +8,14 @@ a non-unit pivot, a rational input or a non-integral entry of the
 averaging projector brings in a Fraction; the Kahler cochain is scaled
 back to ints.  delta_(p-1)'s echelon skips the columns cleared by
 delta_(p-2)'s pivots, keeps each apparent column as its own pivot, and
-reduces the others down to their leading row only.  Each degree keeps
-one echelon, a copy of that image echelon plus representative i
-labelled ~i, so a class's coordinates are one reduction: the negated
-labels left on it.  Actions are simplicial when their facets map to
-simplices, pullbacks walk a cochain's support, cup products walk
-alpha's support by front face, and the orientation is read off
-delta_(d-1).
+reduces the others down to their leading row only; its size is the
+rank of delta_(p-1).  Every pivot enters through `linalg.insert`.  Each
+degree keeps one echelon, a copy of that image echelon plus
+representative i labelled ~i, so a class's coordinates are one
+reduction: the negated labels left on it.  Actions are simplicial when
+their facets map to simplices, pullbacks walk a cochain's support, cup
+products walk alpha's support by front face, and the orientation is
+read off delta_(d-1).
 Invariance is decided in the full cohomology basis: the columns of the
 averaging projector P average the pullbacks of the basis
 representatives, and a class is invariant iff P fixes its coordinates.
@@ -62,7 +63,6 @@ class CochainComplexQ:
         self.dim = cx.dim
         self._delta_cols: dict[int, list[dict]] = {p: cx.coboundary(p) for p in range(self.dim + 1)}
         self._image_echelon: dict[int, dict] = {}
-        self._rank: dict[int, int] = {}
         self._basis: dict[int, CohomologyBasis] = {}
 
     # -- indexing helpers --------------------------------------------
@@ -85,12 +85,9 @@ class CochainComplexQ:
     # -- ranks and betti ---------------------------------------------
 
     def rank_delta(self, p: int) -> int:
-        """Rank of the coboundary C^p -> C^(p+1)."""
-        if p < 0 or p >= self.dim:
-            return 0
-        if p not in self._rank:
-            self.image_echelon(p + 1)
-        return self._rank[p]
+        """Rank of the coboundary C^p -> C^(p+1): one pivot per dimension
+        of its image."""
+        return len(self.image_echelon(p + 1))
 
     def image_echelon(self, p: int) -> dict:
         """Echelonized image of delta_(p-1) inside C^p.  Its columns at the
@@ -99,14 +96,12 @@ class CochainComplexQ:
         An apparent column is its own pivot, so pivot columns can be the
         delta columns themselves: neither may be mutated."""
         if p not in self._image_echelon:
-            if p == 0 or p > self.dim:
+            if p <= 0 or p > self.dim:
                 self._image_echelon[p] = {}
             else:
                 cleared = self.image_echelon(p - 1)
                 cols = [{} if j in cleared else col for j, col in enumerate(self._delta_cols[p - 1])]
-                pivots, rank = build_echelon(cols)
-                self._image_echelon[p] = pivots
-                self._rank[p - 1] = rank
+                self._image_echelon[p] = build_echelon(cols)[0]
         return self._image_echelon[p]
 
     def betti(self, p: int) -> int:
@@ -157,7 +152,7 @@ class CochainComplexQ:
         negated labels left when it reduces to labels alone."""
         basis = self.cohomology_basis(p)
         v = self.to_indexed(cochain, p)
-        reduce_against(v, basis.pivots, lead=True)
+        reduce_against(v, basis.pivots)
         if max(v, default=-1) >= 0:
             raise ValueError("cochain is not in the span of the cohomology basis")
         return [-v.get(~i, 0) for i in range(len(basis.reps))]

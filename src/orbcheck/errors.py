@@ -40,10 +40,6 @@ class ParseError(OrbcheckError):
         self.message = message
 
 
-class UnknownPipeline(OrbcheckError):
-    pass
-
-
 class MissingSection(OrbcheckError):
     pass
 

@@ -75,7 +75,7 @@ def rescaled_gram(m0: list[list], m: int):
     u0 = conformal_factor(m0, m)
     m1 = [[u0 * x for x in row] for row in m0]
     det = dense_det(m1)
-    return m1, Verdict(det == 1, max_dev=abs(float(det - 1)))
+    return m1, Verdict(det == 1)
 
 
 def orbit_invariance_check(
@@ -141,7 +141,7 @@ def transverse_kahler_check(
         sym_dev = max(sym_dev, float(np.max(np.abs(bmat - bmat.T))))
         eigs = np.linalg.eigvalsh(0.5 * (bmat + bmat.T))
         min_eig = min(min_eig, float(eigs.min()))
-    positive = Verdict(sym_dev <= tol and min_eig > tol, f"min eigenvalue {min_eig:.3e}", sym_dev)
+    positive = Verdict(sym_dev <= tol and min_eig > tol, f"min eigenvalue {min_eig:.3e}")
     return {"closed": closed, "kernel": kernel, "positive": positive}
 
 

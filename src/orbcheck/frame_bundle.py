@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Optional
 
-from .atlas import Ball, FiniteMatrixGroup, OrbifoldAtlas, stabilizer
+from .atlas import Ball, FiniteMatrixGroup, OrbifoldAtlas, carrying_element, stabilizer
 from .cyclotomic import CycMatrix, CycVector, vec_sub
 from .verdict import Verdict
 
@@ -77,17 +77,11 @@ class FrameClass:
     choice: str = ""
 
     def same_class(self, other: "FrameClass") -> Optional[CycMatrix]:
-        """The group element carrying other's representative to ours, or None.
-
-        g xi' = xi leaves one candidate, h = xi xi'^H, as xi' is unitary.
-        """
+        """The group element carrying other's representative to ours, or None."""
         if self.chart != other.chart:
             return None
         ours, theirs = self.representative, other.representative
-        h = ours.frame @ theirs.frame.conjugate_transpose()
-        if h in self.group and h.apply(theirs.basepoint) == ours.basepoint:
-            return h
-        return None
+        return carrying_element(self.group, theirs.frame, theirs.basepoint, ours.frame, ours.basepoint)
 
     def meets(self, other: "FrameClass") -> bool:
         return all(a.meets(b) for a in self.region for b in other.region)

@@ -7,22 +7,19 @@ where a non-unit pivot or a rational input needs one.  Every pivot
 column stores its largest nonzero row (its leading row) as the pivot,
 so reduction can walk rows in decreasing order with a lazy heap and
 terminates without fill surprises.  `reduce_against` is the one sparse
-reduction.  `build_echelon` stops each column at its leading row, the
-first row counting down without a pivot, as persistence reduction
-does: the pivot rows and the rank do not depend on the rows below.
-A column whose largest row has no pivot yet (an apparent pair, in
-Ripser's terms) needs no step at all: it becomes its own pivot column,
-neither copied nor reduced, so pivot columns can be the caller's dicts
-and are only ever read.
-A full residue is canonical against either kind of echelon, since a
-nonzero combination of pivot columns is nonzero at its largest pivot
-row.  Coordinates and kernel relations ride in the vectors: a labelled
-vector carries its combination at label rows ~j = -1 - j, below every
-real row, so no label is ever a pivot and the one reduction moves the
-labels along with the real entries (R = D V).  There is no second,
-dense elimination: a small dense matrix enters as sparse vectors of
-exact Fractions, and its rank, determinant and solve are read off these
-same echelons.
+reduction, and it stops a vector at its leading row, the first row
+counting down without a pivot, as persistence reduction does: the pivot
+rows and the rank do not depend on the rows below.  `insert` is the one
+step that adds a pivot column.  A vector whose largest row has no pivot
+yet (an apparent pair, in Ripser's terms) needs no reduction at all: it
+becomes a pivot column as it is, so pivot columns can be the caller's
+dicts and are only ever read.  Coordinates and kernel relations ride in
+the vectors: a labelled vector carries its combination at label rows
+~j = -1 - j, below every real row, so no label is ever a pivot and the
+one reduction moves the labels along with the real entries (R = D V).
+There is no second, dense elimination: a small dense matrix enters as
+sparse vectors of exact Fractions, and its rank, determinant and solve
+are read off these same echelons.
 """
 
 from __future__ import annotations
@@ -46,21 +43,15 @@ def add_scaled(acc: SparseVec, v: SparseVec, c) -> SparseVec:
     return acc
 
 
-def reduce_against(
-    v: SparseVec,
-    pivots: dict[int, tuple[SparseVec, Fraction]],
-    lead: bool = False,
-) -> SparseVec:
-    """Reduce v in place against an echelon set; returns the residue.
+def reduce_against(v: SparseVec, pivots: dict[int, tuple[SparseVec, Fraction]]) -> SparseVec:
+    """Reduce v in place down to its leading row; returns v.
 
     Every pivot column has its pivot at its maximum row, so reduction
     only introduces entries at smaller rows.  The factor c / pivot is
     c * pivot on a +-1 pivot, which keeps integer entries integer; any
-    other pivot takes the exact Fraction.  The pivot columns are only
-    read.
-    With `lead`, reduction stops at the first nonzero row without a
-    pivot, which is then v's largest row; the rows below stay as they
-    are.
+    other pivot takes the exact Fraction.  Reduction stops at the first
+    nonzero row without a pivot, which is then v's largest row; the rows
+    below stay as they are.  The pivot columns are only read.
     """
     heap = [-r for r in v]
     heapq.heapify(heap)
@@ -72,9 +63,7 @@ def reduce_against(
             continue
         piv = pivots.get(r)
         if piv is None:
-            if lead:
-                break
-            continue
+            break
         pcol, pcoeff = piv
         factor = c * pcoeff if pcoeff == 1 or pcoeff == -1 else Fraction(c) / pcoeff
         # add_scaled inlined: a row new to v also goes onto the heap
@@ -92,39 +81,34 @@ def reduce_against(
     return v
 
 
-def build_echelon(columns: Iterable[SparseVec]) -> tuple[dict, int]:
-    """Column echelon of a sparse matrix; returns (pivots, rank).  Each
-    column is reduced down to its leading row only.  A column whose
-    largest row has no pivot yet (an apparent pair) is already reduced
-    that far: it becomes a pivot column as it is, uncopied.  So the
-    caller's dicts may be pivot columns, and nothing may mutate them
-    afterwards; only the other columns are copied and reduced."""
-    pivots: dict[int, tuple[SparseVec, Fraction]] = {}
-    for col in columns:
-        if not col:
-            continue
-        r = max(col)
-        if r in pivots:
-            col = reduce_against(dict(col), pivots, lead=True)
-            if not col:
-                continue
-            r = max(col)
-        pivots[r] = (col, col[r])
-    return pivots, len(pivots)
-
-
 def insert(pivots: dict[int, tuple[SparseVec, Fraction]], v: SparseVec) -> bool:
     """Reduce v in place down to its leading row; if a real row (>= 0)
-    is left, v becomes the pivot column there.  A labelled vector
+    is left, v becomes the pivot column there.  An apparent v, whose
+    largest row has no pivot yet, goes in as it is.  A labelled vector
     carries its combination at rows below every real one (label j at
     row ~j), so the labels left on a v that reduced to them alone are
     the relation it satisfies."""
-    reduce_against(v, pivots, lead=True)
-    r = max(v, default=-1)
+    r = max(v) if v else -1
+    if r in pivots:
+        reduce_against(v, pivots)
+        r = max(v) if v else -1
     if r < 0:
         return False
     pivots[r] = (v, v[r])
     return True
+
+
+def build_echelon(columns: Iterable[SparseVec]) -> tuple[dict, int]:
+    """Column echelon of a sparse matrix; returns (pivots, rank).  Each
+    column is reduced down to its leading row only.  An apparent column
+    goes in uncopied, so the caller's dicts may be pivot columns, and
+    nothing may mutate them afterwards; only the other columns are
+    copied and reduced."""
+    pivots: dict[int, tuple[SparseVec, Fraction]] = {}
+    for col in columns:
+        if col:
+            insert(pivots, dict(col) if max(col) in pivots else col)
+    return pivots, len(pivots)
 
 
 def kernel_search(

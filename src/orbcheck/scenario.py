@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import MissingSection, ParseError, ShapeMismatch, UnknownPipeline
+from .errors import MissingSection, ParseError, ShapeMismatch
 
 KNOWN_PIPELINES = ("atlas", "seifert", "taut", "quotient")
 CLOSURE_CAP = 64  # largest group a scenario may generate, and largest cyclotomic order
@@ -82,9 +82,6 @@ class Scenario:
     quotient: Optional[QuotientSection] = None
 
     def validate(self):
-        for p in self.pipelines:
-            if p not in KNOWN_PIPELINES:
-                raise UnknownPipeline(f"unknown pipeline {p!r}")
         if ("atlas" in self.pipelines or "seifert" in self.pipelines) and not self.charts:
             raise MissingSection("atlas/seifert pipelines require [chart] sections")
         if "taut" in self.pipelines and self.geometry is None:
@@ -311,6 +308,9 @@ def parse_scenario(text: str) -> Scenario:
             twice = [p for i, p in enumerate(scenario.pipelines) if p in scenario.pipelines[:i]]
             if twice:
                 raise ParseError(ln, f"pipeline {twice[0]!r} is named twice")
+            unknown = [p for p in scenario.pipelines if p not in KNOWN_PIPELINES]
+            if unknown:
+                raise ParseError(ln, f"unknown pipeline {unknown[0]!r}")
             reject_unknown()
         elif kind == "chart":
             if len(words) != 2:

@@ -9,4 +9,3 @@ from dataclasses import dataclass
 class Verdict:
     passed: bool
     detail: str = ""  # rendered after PASS/FAIL in the report line
-    max_dev: float = 0.0  # largest deviation seen by a tolerance check

@@ -16,8 +16,9 @@ and cup products over every (p + q)-simplex rather than one factor's
 support.  The coboundary reference drops each vertex by slicing, and
 the product reference closes the staircase facets downward and projects
 every simplex, where the package enumerates (simplex, simplex, path)
-triples.  The full echelon reduces each column below its leading row as
-well, where the package stops at that row.  The eager gluing reference
+triples.  The full reduction clears a vector below its leading row as
+well, where the package stops at that row, and the full echelon reduces
+each column that way.  The eager gluing reference
 lifts by every group element before testing any ball, and pulls each
 change's ball back through the lifted frame, (gM)^H (c - g a), where the
 package computes M^H (g^H c - a).
@@ -366,30 +367,39 @@ def fundamental_cycle_by_scan(cx) -> dict:
     return signs
 
 
+def reduce_full(v: dict, pivots: dict) -> dict:
+    """Reduce v in place all the way down; returns the residue.  Each row
+    of v, largest first, is cleared against a pivot where one exists; a
+    row without one stays and the reduction goes on below it.  The
+    residue has no entry at a pivot row, so it is canonical: every
+    echelon of one span gives the same residue, since a nonzero
+    combination of pivot columns is nonzero at its largest pivot row."""
+    heap = [-r for r in v]
+    heapq.heapify(heap)
+    while heap:
+        r = -heapq.heappop(heap)
+        c = v.get(r)
+        if not c or r not in pivots:
+            continue
+        pcol, pcoeff = pivots[r]
+        factor = c * pcoeff if pcoeff in (1, -1) else Fraction(c) / pcoeff
+        for row, val in pcol.items():
+            if row not in v:
+                heapq.heappush(heap, -row)
+            nv = v.get(row, 0) - factor * val
+            if nv:
+                v[row] = nv
+            else:
+                del v[row]
+    return v
+
+
 def build_echelon_full(columns) -> tuple[dict, int]:
-    """Column echelon with every column reduced all the way down: each
-    row of the column, largest first, is cleared against an earlier pivot
-    where one exists.  Returns (pivots, rank) like ``build_echelon``."""
+    """Column echelon with every column reduced all the way down by
+    ``reduce_full``.  Returns (pivots, rank) like ``build_echelon``."""
     pivots = {}
     for col in columns:
-        v = dict(col)
-        heap = [-r for r in v]
-        heapq.heapify(heap)
-        while heap:
-            r = -heapq.heappop(heap)
-            c = v.get(r)
-            if not c or r not in pivots:
-                continue
-            pcol, pcoeff = pivots[r]
-            factor = c * pcoeff if pcoeff in (1, -1) else Fraction(c) / pcoeff
-            for row, val in pcol.items():
-                if row not in v:
-                    heapq.heappush(heap, -row)
-                nv = v.get(row, 0) - factor * val
-                if nv:
-                    v[row] = nv
-                else:
-                    del v[row]
+        v = reduce_full(dict(col), pivots)
         if v:
             r = max(v)
             pivots[r] = (v, v[r])

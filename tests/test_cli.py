@@ -82,6 +82,14 @@ def test_unknown_catalog_entry_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("k", ("1", "65"))
+def test_football_outside_the_cap_is_an_unknown_catalog_entry(capsys, k):
+    # the catalog rejects the name itself; no generated text reaches the parser
+    code, out, err = run_cli(capsys, "run", f"catalog:football:{k}")
+    assert code == 2 and out == ""
+    assert f"football parameter must be 2..64, got {k}" in err and "parse error" not in err
+
+
 def test_human_format_marks_failures(capsys):
     code, out, _ = run_cli(capsys, "run", "catalog:rp2-antipodal")
     assert code == 1
@@ -152,6 +160,7 @@ def _edit(name, old, new):
         (_edit("pillowcase", "pipelines = quotient", "pipelines ="), (), "line 4: pipelines names no pipeline"),
         (_edit("pillowcase", "pipelines = quotient", "pipelines = ,"), (), "line 4: pipelines names no pipeline"),
         (_edit("football:2", "seifert, quotient", "seifert, atlas, quotient"), (), "line 4: pipeline 'atlas' is named twice"),
+        (_edit("football:2", "seifert, quotient", "seifert, warp, quotient"), (), "line 4: unknown pipeline 'warp'"),
         (_edit("pillowcase", "group = cyclic:2\nmaps = 0, 6, 5, 4, 3, 2, 1", "group = cyclic:100000000000\nmaps = 0, 1, 2, 3, 4, 5, 6"), (), "line 12: group"),
         (_edit("football:2", "cyclotomic_order = 2", "cyclotomic_order = 100000"), (), "line 9: cyclotomic_order must be 1..64, got 100000"),
     ],
@@ -209,6 +218,7 @@ def _edit(name, old, new):
         "pipelines-empty",
         "pipelines-comma",
         "pipeline-named-twice",
+        "pipeline-unknown",
         "cyclic-order-above-cap",
         "cyclotomic-order-above-cap",
     ],

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import bareiss_rank, build_echelon_full, cup_by_walk, invariant_betti, modular_rank
+from helpers import bareiss_rank, build_echelon_full, cup_by_walk, invariant_betti, modular_rank, reduce_full
 
 from orbcheck import cohomology
 from orbcheck.catalog import catalog_scenario
@@ -17,7 +17,7 @@ from orbcheck.cohomology import (
     poincare_duality_verify,
 )
 from orbcheck.errors import NoKahlerClass
-from orbcheck.linalg import build_echelon, reduce_against
+from orbcheck.linalg import build_echelon
 from orbcheck.pipeline import build_quotient, product_sum_kahler, run_pipeline
 from orbcheck.simplicial import (
     SimplicialComplex,
@@ -244,7 +244,8 @@ def test_leading_term_echelons_keep_the_full_lows_ranks_and_residues(name):
         for _ in range(5):
             v = {i: Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for i in rng.sample(range(cx.count(p)), min(6, cx.count(p)))}
             v = {i: x for i, x in v.items() if x}
-            assert reduce_against(dict(v), cq.image_echelon(p)) == reduce_against(dict(v), full), (name, p)
+            # the full residue is canonical: the leading-term echelon gives it too
+            assert reduce_full(dict(v), cq.image_echelon(p)) == reduce_full(dict(v), full), (name, p)
 
 
 @pytest.mark.parametrize("name", ("pillowcase", "torus7", "t4-z2", "octahedron", "rp2-antipodal", "football:3"))

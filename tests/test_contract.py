@@ -1,9 +1,14 @@
-"""The scenario contract is decided in one module: input errors are raised only there."""
+"""Contracts decided in one place: input errors are raised only by their
+owner module, and a pivot column enters an echelon only through
+``linalg.insert``."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+from orbcheck import linalg
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "orbcheck"
 
@@ -11,7 +16,6 @@ OWNERS = {
     "ParseError": "scenario.py",
     "MissingSection": "scenario.py",
     "ShapeMismatch": "scenario.py",
-    "UnknownPipeline": "scenario.py",
     "UnknownCatalogEntry": "catalog.py",
 }
 
@@ -41,3 +45,67 @@ def test_each_owner_raises_its_errors():
 def test_input_errors_raised_only_by_their_owner(path):
     found = raised(path.read_text(encoding="utf-8"))
     assert [f"line {ln}: {name}" for ln, name in found if OWNERS.get(name, path.name) != path.name] == []
+
+
+def _names_pivots(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "pivots") or (
+        isinstance(node, ast.Attribute) and node.attr == "pivots"
+    )
+
+
+def pivot_stores(source: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of every store into a dict named
+    ``pivots``: an item assignment, or a call of its update, setdefault
+    or __setitem__."""
+    out = []
+
+    def walk(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store) and _names_pivots(node.value):
+            out.append((where, node.lineno))
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("update", "setdefault", "__setitem__")
+            and _names_pivots(node.func.value)
+        ):
+            out.append((where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            walk(child, where)
+
+    walk(ast.parse(source), None)
+    return out
+
+
+def keyword_calls(source: str, keyword: str) -> list[int]:
+    """Lines of every call that passes the keyword argument."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and any(k.arg == keyword for k in node.keywords)
+    ]
+
+
+def test_pivot_store_and_keyword_detection():
+    source = (
+        "def f(pivots, b):\n    pivots[1] = 2\n    b.pivots.update({})\n    x = pivots[1]\n"
+        "    def g(p):\n        p[1] = 2\n        b.pivots[3] += 1\n    reduce(x, lead=True)\n"
+    )
+    assert pivot_stores(source) == [("f", 2), ("f", 3), ("g", 7)]
+    assert keyword_calls(source, "lead") == [8]
+
+
+def test_only_linalg_insert_stores_a_pivot_column():
+    stores = [
+        f"{path.name}:{line} in {where}"
+        for path in sorted(SRC.glob("*.py"))
+        for where, line in pivot_stores(path.read_text(encoding="utf-8"))
+    ]
+    assert len(stores) == 1 and stores[0].startswith("linalg.py:") and stores[0].endswith(" in insert"), stores
+
+
+def test_reduction_has_one_mode():
+    assert list(inspect.signature(linalg.reduce_against).parameters) == ["v", "pivots"]
+    for path in sorted(SRC.glob("*.py")):
+        assert keyword_calls(path.read_text(encoding="utf-8"), "lead") == [], path.name

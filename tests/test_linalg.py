@@ -5,7 +5,7 @@ from math import prod
 from pathlib import Path
 
 import pytest
-from helpers import bareiss_rank, build_echelon_full, modular_rank
+from helpers import bareiss_rank, build_echelon_full, modular_rank, reduce_full
 
 from orbcheck import linalg
 from orbcheck.catalog import catalog_scenario
@@ -81,10 +81,10 @@ def test_residue_of_a_fraction_vector_against_an_integer_echelon():
         pivots, rank = build_echelon(int_cols(m))
         v = {i: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for i in range(rows)}
         v = {i: x for i, x in v.items() if x}
-        res = reduce_against(dict(v), pivots)
+        res = reduce_full(dict(v), pivots)
         assert not any(r in res for r in pivots)
         # the full residue is canonical: the fully reduced echelon gives it too
-        assert res == reduce_against(dict(v), build_echelon_full(int_cols(m))[0])
+        assert res == reduce_full(dict(v), build_echelon_full(int_cols(m))[0])
         # v - residue lies in the column span
         diff = [v.get(i, 0) - res.get(i, 0) for i in range(rows)]
         assert bareiss_rank([row + [d] for row, d in zip(m, diff)]) == bareiss_rank(m) == rank
@@ -178,6 +178,25 @@ def test_dense_det_signs_rows_that_are_all_apparent_out_of_order(monkeypatch):
         m = [[lead[i] if j == perm[i] else (rng.randint(-2, 2) if j < perm[i] else 0) for j in range(4)] for i in range(4)]
         assert dense_det(m) == cycle_sign(perm) * prod(lead) == cofactor_det(m)
     assert not calls
+
+
+def test_apparent_labelled_vectors_go_in_with_no_reduction(monkeypatch):
+    # a vector whose largest row has no pivot yet goes in as it is, and a
+    # zero column is a kernel relation at once; only the rest are reduced
+    calls = []
+    real = linalg.reduce_against
+    monkeypatch.setattr(linalg, "reduce_against", lambda v, pivots: calls.append(dict(v)) or real(v, pivots))
+    pivots = {}
+    v = {0: 1, 2: -1, ~0: 1}
+    assert insert(pivots, v) and pivots == {2: (v, -1)} and pivots[2][0] is v
+    assert not insert(pivots, {~1: 1}) and not calls
+    cols = [{0: 1}, {}, {0: 2, 1: 1}, {1: 3, 4: 1}]
+    found = []
+    assert kernel_search(cols, lambda comb: found.append(comb) or True, want=2) == 3
+    assert found == [{1: 1}] and not calls
+    found.clear()
+    assert kernel_search(cols + [{0: 5}], lambda comb: found.append(comb) or True, want=2) == 3
+    assert found == [{1: 1}, {4: 1, 0: -5}] and calls == [{0: 5, ~4: 1}]
 
 
 def test_echelon_columns_stop_at_their_leading_row():

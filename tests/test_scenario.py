@@ -7,7 +7,6 @@ from orbcheck.errors import (
     MissingSection,
     ParseError,
     UnknownCatalogEntry,
-    UnknownPipeline,
 )
 from orbcheck.scenario import (
     parse_matrix,
@@ -72,7 +71,7 @@ def test_unknown_keys_and_blocks_rejected():
 
 
 def test_unknown_pipeline_rejected():
-    with pytest.raises(UnknownPipeline):
+    with pytest.raises(ParseError, match="unknown pipeline 'warp'"):
         parse_scenario(MINIMAL.replace("pipelines = taut", "pipelines = warp"))
 
 
