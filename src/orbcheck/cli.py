@@ -84,11 +84,17 @@ EXPLANATIONS = {
     "betti.full": "Rational Betti numbers of the covering complex.",
     "betti.inv": "Dimensions of the group-invariant cohomology.",
     "kahler.class": (
-        "Some invariant degree-2 cocycle (the product-sum class first, when asked for) has a "
-        "top cup power pairing nonzero with the cycle. A FAIL names the error, e.g. NoKahlerClass."
+        "On each orbit of the connected components, some invariant degree-2 cocycle (the product-sum "
+        "class first, when asked for) restricted to the orbit has a top cup power pairing nonzero with "
+        "the cycle; omega sums those restrictions. A FAIL names the error, e.g. NoKahlerClass."
     ),
     "kahler.pairing": "Top cup power of the chosen class against the cycle.",
     "hlt": "Cup with omega^k maps invariant H^(n-k) isomorphically onto H^(n+k).",
+    "pd.fundamental_cycle": (
+        "The complex is an oriented pseudomanifold and the group keeps its orientation: it is pure, every "
+        "ridge lies in two facets, the facet signs agree across every ridge, and the generator keeps the "
+        "orientation on each orbit of the ridge-connected components."
+    ),
     "pd": "The cup pairing to the fundamental class is nondegenerate.",
     "overall": "PASS when every check of the report passes.",
 }

@@ -12,13 +12,13 @@ reduces the others down to their leading row only; its size is the
 rank of delta_(p-1).  Every pivot enters through `linalg.insert`.  Each
 degree keeps one echelon, a copy of that image echelon plus
 representative i labelled ~i, so a class's coordinates are one
-reduction: the negated labels left on it.  Actions are simplicial when
-their facets map to simplices, pullbacks walk a cochain's support, cup
-products walk alpha's support by front face, and the orientation is
-read off delta_(d-1).
-Invariance is decided in the full cohomology basis: the columns of the
-averaging projector P average the pullbacks of the basis
-representatives, and a class is invariant iff P fixes its coordinates.
+reduction: the negated labels left on it.  Pullbacks walk a cochain's
+support, cup products walk alpha's support by front face, or scale the
+other's support by a 0-cochain's values, and a duality row is one cap
+product of the cycle with a cochain.  Invariance is decided in the full
+cohomology basis: the columns of the averaging projector P average the
+pullbacks of the basis representatives, and a class is invariant iff P
+fixes its coordinates.  The Kahler class is chosen on each component orbit.
 """
 
 from __future__ import annotations
@@ -158,18 +158,28 @@ class CochainComplexQ:
         return [-v.get(~i, 0) for i in range(len(basis.reps))]
 
 
+def _starting(simplices: list[Simplex], front: Simplex) -> list[Simplex]:
+    """The simplices of a sorted list that begin with front: they are
+    contiguous, between front and front + (inf,)."""
+    lo = bisect_left(simplices, front)
+    return simplices[lo : bisect_left(simplices, front + (inf,), lo)]
+
+
 def cup_product(cx: SimplicialComplex, alpha: Cochain, p: int, beta: Cochain, q: int) -> Cochain:
     """Alexander-Whitney cup product on the fixed vertex order: each
     front face in alpha's support, times beta on the back faces of the
-    (p+q)-simplices that begin with it.  Those simplices are contiguous
-    in the sorted simplex list, between front and front + (inf,)."""
+    (p+q)-simplices that begin with it.  A 0-cochain's cup scales the
+    other's support by its value at the first or last vertex."""
+    if p == 0:
+        return {s: a * b for s, b in beta.items() if b and (a := alpha.get(s[:1]))}
+    if q == 0:
+        return {s: a * b for s, a in alpha.items() if a and (b := beta.get(s[-1:]))}
     simplices = cx.simplices[p + q]
     out: Cochain = {}
     for front, a in alpha.items():
         if not a:
             continue
-        lo = bisect_left(simplices, front)
-        for s in simplices[lo : bisect_left(simplices, front + (inf,), lo)]:
+        for s in _starting(simplices, front):
             b = beta.get(s[p:])
             if b:
                 out[s] = a * b
@@ -196,6 +206,9 @@ class InvariantDegree:
     @property
     def dim(self) -> int:
         return len(self.cochains)
+
+    def fixes(self, x: list) -> bool:  # a class is invariant iff the projector fixes its coordinates
+        return all(sum(a * b for a, b in zip(row, x)) == xi for row, xi in zip(self.projector, x))
 
 
 class InvariantCohomology:
@@ -251,32 +264,40 @@ def kahler_class(
     n: int,
     explicit: Optional[Cochain] = None,
 ) -> KahlerClassRep:
-    """An invariant 2-cocycle with nonvanishing top cup power.
+    """An invariant 2-cocycle whose top cup power pairs nonzero with the
+    cycle on every component orbit, normalized to integers.
 
-    Scans the invariant degree-2 basis (or verifies an explicit
-    candidate) and normalizes to an integer top pairing.
+    The invariant 0-cocycles are constant on each orbit of the connected
+    components, so their values sort the vertices into the orbits.  Each
+    orbit keeps the first candidate (an explicit one, then the invariant
+    degree-2 basis) that is an invariant cocycle whose restriction to the
+    orbit has a top power pairing nonzero.  The orbits share no vertex,
+    so omega, the sum of the kept restrictions, pairs as their sum.
     """
     cq = invariant.cq
     cx = cq.cx
-    candidates = []
-    if explicit is not None:
-        candidates.append(explicit)
-    candidates.extend(invariant.degree(2).cochains)
-    for cand in candidates:
-        if not cq.is_cocycle(cand, 2):
-            continue
-        power, deg = cup_power(cx, cand, 2, n)
-        pairing = pair_with_cycle(power, cycle)
-        if pairing:
-            # the class is invariant iff the projector fixes its coordinates
-            x = cq.coords(cand, 2)
-            if any(sum(a * b for a, b in zip(row, x)) != xi for row, xi in zip(invariant.degree(2).projector, x)):
+    candidates = ([] if explicit is None else [explicit]) + invariant.degree(2).cochains
+    orbits: dict = {}
+    vertices = cx.simplices[0]
+    for v, key in zip(vertices, zip(*(map(c.get, vertices) for c in invariant.degree(0).cochains))):
+        orbits.setdefault(key, set()).add(v[0])
+    omega, pairing = {}, Fraction(0)
+    for orbit in orbits.values():
+        for cand in candidates:
+            if not cq.is_cocycle(cand, 2):
                 continue
-            # the cup power is multilinear, so scaling scales the pairing by scale^n
-            scale = lcm(*(v.denominator for v in cand.values()))
-            scaled = {s: v.numerator * (scale // v.denominator) for s, v in cand.items()}
-            return KahlerClassRep(scaled, n, scale**n * pairing)
-    raise NoKahlerClass("no invariant degree-2 class has nonzero top cup power")
+            part = {s: v for s, v in cand.items() if s[0] in orbit}
+            part_pairing = pair_with_cycle(cup_power(cx, part, 2, n)[0], cycle)
+            if part_pairing and invariant.degree(2).fixes(cq.coords(cand, 2)):
+                omega.update(part)
+                pairing += part_pairing
+                break
+        else:
+            raise NoKahlerClass("no invariant degree-2 class has nonzero top cup power on a component orbit")
+    # the cup power is multilinear, so scaling scales the pairing by scale^n
+    scale = lcm(*(v.denominator for v in omega.values()))
+    scaled = {s: v.numerator * (scale // v.denominator) for s, v in omega.items()}
+    return KahlerClassRep(scaled, n, scale**n * pairing)
 
 
 def lefschetz_verify(
@@ -307,18 +328,22 @@ def _full_rank(matrix: list[list[Fraction]], source: int, target: int) -> Verdic
 def poincare_duality_verify(
     invariant: InvariantCohomology, cycle: dict[Simplex, int], n: int
 ) -> list[Verdict]:
-    """Cup pairing of invariant H^p with H^(2n-p) against the cycle, p = 0..2n."""
+    """Cup pairing of invariant H^p with H^(2n-p) against the cycle, p = 0..2n.
+    <a cup b, z> = <b, z cap a>: one walk over a's support by front face
+    builds the cycle z cap a as a map from back face to value, and each
+    entry of a's row pairs b with it."""
     cq = invariant.cq
+    facets = cq.cx.simplices[2 * n]
     out = []
     for p in range(2 * n + 1):
         src = invariant.degree(p)
         tgt = invariant.degree(2 * n - p)
         matrix = []
         for a in src.cochains:
-            row = []
-            for b in tgt.cochains:
-                prod = cup_product(cq.cx, a, p, b, 2 * n - p)
-                row.append(pair_with_cycle(prod, cycle))
-            matrix.append(row)
+            cap: Cochain = {}
+            for front, x in a.items():
+                for s in _starting(facets, front):
+                    cap[s[p:]] = cap.get(s[p:], 0) + x * cycle[s]
+            matrix.append([pair_with_cycle(b, cap) for b in tgt.cochains])
         out.append(_full_rank(matrix, src.dim, tgt.dim))
     return out

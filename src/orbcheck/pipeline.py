@@ -299,11 +299,8 @@ def run_quotient_pipeline(scenario: Scenario, report: Report):
     report.info("betti.inv", ",".join(str(b) for b in inv_betti))
 
     try:
-        cycle = simp.fundamental_cycle(setup.cx)
-        # every power of the generator fixes the cycle once it does, and
-        # a cycle is fixed by an element iff it is fixed by its inverse
-        if setup.action.k > 1 and setup.action.pullback_cochain(1, cycle, setup.cx.dim) != cycle:
-            raise NonOrientable("fundamental cycle is not action-invariant")
+        # every power of the generator fixes the cycle once it does
+        cycle = simp.fundamental_cycle(setup.cx, setup.action)
     except (NonOrientable, NotPseudomanifold) as exc:
         report.check("pd.fundamental_cycle", Verdict(False, type(exc).__name__))
         return

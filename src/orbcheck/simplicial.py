@@ -8,7 +8,8 @@ simplices come from the factors, one per (simplex, simplex, lattice
 path), and their projections give the pullbacks without a table pass.
 A complex builds its coboundary columns once, on first use, with each
 simplex's faces from combinations(); the orientation is read off
-delta_(d-1).
+delta_(d-1), and made invariant by following the generator from one
+facet per ridge-connected component.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class SimplicialComplex:
         return all(len(f) == self.dim + 1 for f in self.facets)
 
 
-def fundamental_cycle(complex_: SimplicialComplex) -> dict[Simplex, int]:
+def fundamental_cycle(complex_: SimplicialComplex, action: Optional[SimplicialGroupAction] = None) -> dict[Simplex, int]:
     """Coherent orientation signs on facets, read off delta_(d-1).
 
     Raises NotPseudomanifold unless the complex is pure and every ridge
@@ -86,6 +87,12 @@ def fundamental_cycle(complex_: SimplicialComplex) -> dict[Simplex, int]:
     NonOrientable.  The signed facet sum has boundary zero: every ridge
     column sums to zero (verified).  For d = 0 the one ridge is the empty
     simplex.
+
+    Given a verified action, the cycle is invariant: g* maps the cycle of
+    a ridge-connected component to a multiple of another's, fixed by the
+    sign(g, s) of one facet s.  The generator's image of each component's
+    first facet seeds the next component of its orbit, and an orbit
+    closing on the opposite sign raises NonOrientable.
     """
     if not complex_.is_pure():
         raise NotPseudomanifold("complex is not pure")
@@ -104,17 +111,26 @@ def fundamental_cycle(complex_: SimplicialComplex) -> dict[Simplex, int]:
     for start in range(len(across)):
         if signs[start]:
             continue
-        signs[start] = 1
-        stack = [start]
-        while stack:
-            f = stack.pop()
-            for g, rel in across[f]:
-                needed = rel * signs[f]
-                if not signs[g]:
-                    signs[g] = needed
-                    stack.append(g)
-                elif signs[g] != needed:
-                    raise NonOrientable("orientation propagation contradiction")
+        seed, sign = start, 1
+        # orient the component of seed, then the next one of its orbit
+        while not signs[seed]:
+            signs[seed] = sign
+            stack = [seed]
+            while stack:
+                f = stack.pop()
+                for g, rel in across[f]:
+                    needed = rel * signs[f]
+                    if not signs[g]:
+                        signs[g] = needed
+                        stack.append(g)
+                    elif signs[g] != needed:
+                        raise NonOrientable("orientation propagation contradiction")
+            if action is None or action.k == 1:
+                break
+            image, sign = action.map_simplex(1, complex_.simplices[d][seed])
+            sign, seed = sign * signs[seed], complex_.index[d][image]
+        if signs[seed] != sign:
+            raise NonOrientable("the generator reverses the orientation of a component orbit")
 
     if any(sum(signs[f] * a for f, a in col.items()) for col in ridges):
         raise AssertionError("propagated orientation has nonzero boundary")

@@ -13,8 +13,12 @@ every simplex: pullbacks over all p-simplices rather than a cochain's
 support, simpliciality over every degree rather than the facets, and
 orientation signs by scanning each facet for the vertex a ridge omits,
 and cup products over every (p + q)-simplex rather than one factor's
-support.  The coboundary reference drops each vertex by slicing, and
-the product reference closes the staircase facets downward and projects
+support; the duality matrix pairs each such cup with the cycle, where
+the package caps the cycle with a source cochain, and component orbits
+are joined by union-find over ridges and the generator, where the
+package follows the generator from one facet per component.  The
+coboundary reference drops each vertex by slicing, and the product
+reference closes the staircase facets downward and projects
 every simplex, where the package enumerates (simplex, simplex, path)
 triples.  The full reduction clears a vector below its leading row as
 well, where the package stops at that row, and the full echelon reduces
@@ -414,6 +418,37 @@ def cup_by_walk(cx, alpha: dict, p: int, beta: dict, q: int) -> dict:
         if a and b:
             out[s] = a * b
     return out
+
+
+def duality_matrix_by_cup(cx, sources: list, p: int, targets: list, q: int, cycle: dict) -> list[list[Fraction]]:
+    """<a cup b, z> for every a in sources and b in targets: each cup
+    product over every (p + q)-simplex, then paired with the cycle."""
+    return [
+        [Fraction(sum(v * cycle.get(s, 0) for s, v in cup_by_walk(cx, a, p, b, q).items())) for b in targets]
+        for a in sources
+    ]
+
+
+def component_orbits_by_scan(cx, generator: list[int]) -> int:
+    """The number of orbits of a vertex permutation on the ridge-connected
+    components: classes of facets joined when they share a ridge, found
+    by scanning each facet's ridges, or when the generator maps one to
+    the other."""
+    facets = sorted(set(cx.facets))
+    parent = {f: f for f in facets}
+
+    def root(f):
+        while parent[f] != f:
+            f = parent[f]
+        return f
+
+    by_ridge = {}
+    for f in facets:
+        for i in range(len(f)):
+            other = by_ridge.setdefault(f[:i] + f[i + 1 :], f)
+            parent[root(other)] = root(f)
+        parent[root(tuple(sorted(generator[v] for v in f)))] = root(f)
+    return sum(1 for f in facets if root(f) == f)
 
 
 def coboundary_by_slicing(cx, p: int) -> list[dict]:

@@ -5,6 +5,26 @@ import pytest
 from orbcheck.cli import main
 from orbcheck.errors import MissingSection, ParseError
 from orbcheck.scenario import parse_scenario
+from test_simplicial import TWO_SPHERE_ACTIONS, two_spheres_text
+
+OCTAHEDRON_REFLECTION = """
+[scenario]
+name = octahedron-reflection
+pipelines = quotient
+
+[complex O]
+vertices = 6
+facets = (0,1,2) (0,2,4) (0,4,5) (0,5,1) (3,1,2) (3,2,4) (3,4,5) (3,5,1)
+
+[action R]
+group = cyclic:2
+maps = 3, 1, 2, 0, 4, 5
+
+[quotient]
+complex = O
+action = R
+complex_dim_n = 1
+"""
 
 
 def run_cli(capsys, *argv):
@@ -476,3 +496,27 @@ def test_zero_dimensional_quotient_orients_through_the_empty_ridge(tmp_path, cap
         *tail,
         "overall = FAIL",
     ]
+
+
+@pytest.mark.parametrize(
+    "target, code, line",
+    [
+        ("reflected-swap", 0, "overall = PASS"),
+        ("plain-swap", 0, "overall = PASS"),
+        ("trivial", 0, "hlt.k1 = ISO rank=2 dims=2x2"),
+        ("cyclic4-swap", 1, "pd.fundamental_cycle = FAIL NonOrientable"),
+        ("octahedron-reflection", 1, "pd.fundamental_cycle = FAIL NonOrientable"),
+        ("catalog:rp2-antipodal", 1, "pd.fundamental_cycle = FAIL NonOrientable"),
+    ],
+)
+def test_disconnected_and_reflected_quotients_orient_by_component_orbit(tmp_path, capsys, target, code, line):
+    # a swap of two spheres orients whether or not it reflects; CP^1 + CP^1
+    # takes a Kahler class on each sphere; a reflection of each sphere does not orient
+    if not target.startswith("catalog:"):
+        text = two_spheres_text(target) if target in TWO_SPHERE_ACTIONS else OCTAHEDRON_REFLECTION
+        path = tmp_path / f"{target}.scn"
+        path.write_text(text)
+        target = str(path)
+    got, out, err = run_cli(capsys, "run", target, "--format", "machine")
+    assert (got, err) == (code, "") and line in out.splitlines()
+    assert ("overall = PASS" in out) == (code == 0)

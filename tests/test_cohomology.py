@@ -3,7 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import bareiss_rank, build_echelon_full, cup_by_walk, invariant_betti, modular_rank, reduce_full
+from helpers import (
+    bareiss_rank,
+    build_echelon_full,
+    cup_by_walk,
+    duality_matrix_by_cup,
+    invariant_betti,
+    modular_rank,
+    reduce_full,
+)
 
 from orbcheck import cohomology
 from orbcheck.catalog import catalog_scenario
@@ -19,6 +27,7 @@ from orbcheck.cohomology import (
 from orbcheck.errors import NoKahlerClass
 from orbcheck.linalg import build_echelon
 from orbcheck.pipeline import build_quotient, product_sum_kahler, run_pipeline
+from orbcheck.scenario import parse_scenario
 from orbcheck.simplicial import (
     SimplicialComplex,
     SimplicialGroupAction,
@@ -26,7 +35,7 @@ from orbcheck.simplicial import (
     pair_with_cycle,
     product_complex,
 )
-from test_simplicial import OCTA_FACETS, TORUS_FACETS, octahedron, torus7
+from test_simplicial import OCTA_FACETS, TORUS_FACETS, octahedron, torus7, two_spheres_text
 
 
 def delta_dense(cq, p):
@@ -297,6 +306,37 @@ def test_cup_by_front_face_matches_the_walk_over_every_simplex(name):
             pairs += [(_seeded_cochain(rng, cx.simplices[p]), _seeded_cochain(rng, cx.simplices[q])) for _ in range(3)]
             for alpha, beta in pairs:
                 assert cup_product(cx, alpha, p, beta, q) == cup_by_walk(cx, alpha, p, beta, q), (name, p, q)
+
+
+DUALITY_SCENARIOS = {
+    **{name: lambda name=name: catalog_scenario(name) for name in ("t4-z2", "torus7", "pillowcase", "octahedron")},
+    **{f"football:{k}": lambda k=k: catalog_scenario(f"football:{k}") for k in (2, 3, 4)},
+    **{name: lambda name=name: parse_scenario(two_spheres_text(name)) for name in ("trivial", "reflected-swap")},
+}
+
+
+@pytest.mark.parametrize("name", DUALITY_SCENARIOS)
+def test_duality_rows_by_cap_match_the_cup_then_pair_oracle(monkeypatch, name):
+    setup = build_quotient(DUALITY_SCENARIOS[name]())
+    inv = InvariantCohomology(setup.cq, setup.action)
+    cycle = fundamental_cycle(setup.cx, setup.action)
+    matrices = []
+    original = cohomology._full_rank
+
+    def recording(matrix, source, target):
+        matrices.append(matrix)
+        return original(matrix, source, target)
+
+    monkeypatch.setattr(cohomology, "_full_rank", recording)
+    verdicts = poincare_duality_verify(inv, cycle, setup.n)
+    top = 2 * setup.n
+    expect = [
+        duality_matrix_by_cup(setup.cx, inv.degree(p).cochains, p, inv.degree(top - p).cochains, top - p, cycle)
+        for p in range(top + 1)
+    ]
+    assert matrices == expect and all(v.passed for v in verdicts), name
+    assert all(type(x) is Fraction for m in matrices for row in m for x in row)
+    assert matrices[0] and matrices[0][0][0]
 
 
 @pytest.mark.parametrize("name", CLEARING_COMPLEXES)

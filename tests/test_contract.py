@@ -1,6 +1,7 @@
 """Contracts decided in one place: input errors are raised only by their
-owner module, and a pivot column enters an echelon only through
-``linalg.insert``."""
+owner module, a pivot column enters an echelon only through
+``linalg.insert``, and the quotient suite makes no walk whose result it
+already knows."""
 
 import ast
 import inspect
@@ -109,3 +110,37 @@ def test_reduction_has_one_mode():
     assert list(inspect.signature(linalg.reduce_against).parameters) == ["v", "pivots"]
     for path in sorted(SRC.glob("*.py")):
         assert keyword_calls(path.read_text(encoding="utf-8"), "lead") == [], path.name
+
+
+def calls_in(source: str, function: str) -> set[str]:
+    """Names called inside the named function: a bare name, or the last
+    part of an attribute."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == function:
+            return {
+                call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", None)
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call)
+            }
+    raise LookupError(function)
+
+
+def test_call_detection():
+    source = "def f(a):\n    a.b.pullback_cochain(1)\n    g(h(2))\n\ndef k():\n    cup_product()\n"
+    assert calls_in(source, "f") == {"pullback_cochain", "g", "h"}
+    assert calls_in(source, "k") == {"cup_product"}
+    with pytest.raises(LookupError):
+        calls_in(source, "missing")
+
+
+@pytest.mark.parametrize(
+    "module, function, call",
+    [
+        # the generator's sign at one facet per component decides invariance
+        ("pipeline.py", "run_quotient_pipeline", "pullback_cochain"),
+        # each duality row is one cap product, not one cup per entry
+        ("cohomology.py", "poincare_duality_verify", "cup_product"),
+    ],
+)
+def test_removed_walks_stay_removed(module, function, call):
+    assert call not in calls_in((SRC / module).read_text(encoding="utf-8"), function)

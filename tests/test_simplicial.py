@@ -1,4 +1,5 @@
 import ast
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -7,7 +8,9 @@ import pytest
 
 from helpers import (
     coboundary_by_slicing,
+    component_orbits_by_scan,
     fundamental_cycle_by_scan,
+    invariant_betti,
     non_simplex_by_scan,
     product_by_closure,
     pullback_by_scan,
@@ -17,6 +20,7 @@ from orbcheck.catalog import catalog_scenario
 from orbcheck.cohomology import CochainComplexQ
 from orbcheck.errors import NonOrientable, NotPseudomanifold
 from orbcheck.pipeline import build_quotient, build_simplicial, run_pipeline
+from orbcheck.scenario import parse_scenario
 from orbcheck.simplicial import (
     SimplicialComplex,
     SimplicialGroupAction,
@@ -35,6 +39,42 @@ TORUS_FACETS = [
     f for i in range(7)
     for f in ((i, (i + 1) % 7, (i + 3) % 7), (i, (i + 2) % 7, (i + 3) % 7))
 ]
+
+
+TWO_OCTAHEDRA = OCTA_FACETS + [tuple(v + 6 for v in f) for f in OCTA_FACETS]
+
+# two octahedra on vertices 0-5 and 6-11 (S^2 + S^2), each action with
+# whether an invariant orientation exists
+TWO_SPHERE_ACTIONS = {
+    "reflected-swap": ("cyclic:2", "9, 7, 8, 6, 10, 11, 3, 1, 2, 0, 4, 5", True),
+    "plain-swap": ("cyclic:2", "6, 7, 8, 9, 10, 11, 0, 1, 2, 3, 4, 5", True),
+    "trivial": ("trivial", None, True),
+    # the square reflects each sphere through (0 3)
+    "cyclic4-swap": ("cyclic:4", "6, 7, 8, 9, 10, 11, 3, 1, 2, 0, 4, 5", False),
+}
+
+
+def two_spheres_text(name: str) -> str:
+    group, maps, _ = TWO_SPHERE_ACTIONS[name]
+    facets = " ".join("({},{},{})".format(*f) for f in TWO_OCTAHEDRA)
+    action = f"group = {group}" + (f"\nmaps = {maps}" if maps else "")
+    return f"""
+[scenario]
+name = {name}
+pipelines = quotient
+
+[complex S]
+vertices = 12
+facets = {facets}
+
+[action A]
+{action}
+
+[quotient]
+complex = S
+action = A
+complex_dim_n = 1
+"""
 
 
 def octahedron():
@@ -324,3 +364,76 @@ def test_orientation_failures_keep_their_kind():
             fn(rp2_six)
         with pytest.raises(NotPseudomanifold):
             fn(SimplicialComplex(range(5), [(0, 1, 2), (0, 3, 4)]))
+
+
+def octahedron_automorphisms() -> list[list[int]]:
+    facets = {tuple(sorted(f)) for f in OCTA_FACETS}
+    return [
+        list(perm)
+        for perm in itertools.permutations(range(6))
+        if all(tuple(sorted(perm[v] for v in f)) in facets for f in facets)
+    ]
+
+
+def two_sphere_generators(count: int, seed: int) -> list[list[int]]:
+    """Seeded automorphisms of two octahedra: a pair of octahedral
+    automorphisms (a, b) either acts on each sphere or swaps them,
+    v -> a(v) + 6 and v + 6 -> b(v)."""
+    rng = random.Random(seed)
+    autos = octahedron_automorphisms()
+    out = []
+    for _ in range(count):
+        a, b = rng.choice(autos), rng.choice(autos)
+        if rng.random() < 0.5:
+            out.append(a + [w + 6 for w in b])
+        else:
+            out.append([w + 6 for w in a] + b)
+    return out
+
+
+def invariant_orientation_by_oracle(cx, generator: list[int]) -> bool:
+    """An invariant orientation exists iff every component orients and
+    each component orbit keeps its orientation: the invariant top Betti
+    number counts the orbits whose orientation the group keeps."""
+    perms = [list(range(len(generator)))]
+    while len(perms) == 1 or perms[-1] != perms[0]:
+        perms.append([generator[v] for v in perms[-1]])
+    try:
+        fundamental_cycle_by_scan(cx)
+    except NonOrientable:
+        return False
+    return invariant_betti(cx.simplices, perms[:-1])[-1] == component_orbits_by_scan(cx, generator)
+
+
+def orientation_cases():
+    for name in TWO_SPHERE_ACTIONS:
+        setup = build_quotient(parse_scenario(two_spheres_text(name)))
+        yield name, setup.cx, setup.action
+    for name in ("pillowcase", "torus7", "t4-z2", "octahedron", "rp2-antipodal", "football:3"):
+        setup = build_quotient(catalog_scenario(name))
+        yield name, setup.cx, setup.action
+    yield "octahedron-reflection", octahedron(), SimplicialGroupAction.cyclic(octahedron(), 2, {0: 3, 1: 1, 2: 2, 3: 0, 4: 4, 5: 5})
+    cx = SimplicialComplex(range(12), TWO_OCTAHEDRA)
+    for i, generator in enumerate(two_sphere_generators(24, seed=31)):
+        yield f"two-spheres-{i}", cx, permutation_action(cx, generator)
+
+
+def test_orientation_by_component_orbit_matches_the_betti_oracle():
+    words = set()
+    for name, cx, action in orientation_cases():
+        assert verify_action(action).passed, name
+        expect = invariant_orientation_by_oracle(cx, action.generator)
+        assert expect == TWO_SPHERE_ACTIONS.get(name, (None, None, expect))[2], name
+        words.add(expect)
+        cycle = cycle_or_error(lambda c: fundamental_cycle(c, action), cx)
+        assert isinstance(cycle, dict) == expect, name
+        if expect:
+            assert set(cycle) == set(cx.simplices[cx.dim]) and {abs(c) for c in cycle.values()} == {1}, name
+            assert all(pullback_by_scan(action, e, cycle, cx.dim) == cycle for e in action.elements), name
+            # one component keeps the signs that the action-free orientation gives
+            if component_orbits_by_scan(cx, list(range(cx.count(0)))) == 1:
+                assert cycle == fundamental_cycle(cx), name
+        else:
+            assert cycle is NonOrientable, name
+    assert words == {True, False}
+
