@@ -331,19 +331,20 @@ def poincare_duality_verify(
     """Cup pairing of invariant H^p with H^(2n-p) against the cycle, p = 0..2n.
     <a cup b, z> = <b, z cap a>: one walk over a's support by front face
     builds the cycle z cap a as a map from back face to value, and each
-    entry of a's row pairs b with it."""
-    cq = invariant.cq
-    facets = cq.cx.simplices[2 * n]
-    out = []
-    for p in range(2 * n + 1):
-        src = invariant.degree(p)
-        tgt = invariant.degree(2 * n - p)
-        matrix = []
-        for a in src.cochains:
+    entry of a's row pairs b with it.  Only p = n..2n are walked: on
+    cocycles <b cup a, z> = (-1)^(p(2n-p)) <a cup b, z> by Steenrod's cup-1
+    formula, so the matrix for p < n is, up to that sign, the transpose of
+    the one for 2n - p, and has its rank."""
+    facets = invariant.cq.cx.simplices[2 * n]
+    matrices = {}
+    for p in range(n, 2 * n + 1):
+        matrix = matrices[p] = []
+        for a in invariant.degree(p).cochains:
             cap: Cochain = {}
             for front, x in a.items():
                 for s in _starting(facets, front):
                     cap[s[p:]] = cap.get(s[p:], 0) + x * cycle[s]
-            matrix.append([pair_with_cycle(b, cap) for b in tgt.cochains])
-        out.append(_full_rank(matrix, src.dim, tgt.dim))
-    return out
+            matrix.append([pair_with_cycle(b, cap) for b in invariant.degree(2 * n - p).cochains])
+        if p > n:
+            matrices[2 * n - p] = [list(row) for row in zip(*matrix)]
+    return [_full_rank(matrices[p], invariant.degree(p).dim, invariant.degree(2 * n - p).dim) for p in range(2 * n + 1)]

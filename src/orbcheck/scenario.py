@@ -4,6 +4,9 @@ This module owns the scenario contract.  The parser checks single values,
 reports malformed input with line numbers and rejects unknown keys, so
 golden scenario texts stay unambiguous; ``Scenario.validate`` checks every
 rule that spans blocks.  The builders in ``pipeline`` check nothing again.
+Values have one grammar: ``parse_number`` reads every number and its
+range, and ``_groups`` every bracketed list, so no number in the text
+can crash the parser or make it build something of that size.
 """
 
 from __future__ import annotations
@@ -146,18 +149,45 @@ def _is_square(matrix: list, n: int) -> bool:
     return len(matrix) == n and all(len(row) == n for row in matrix)
 
 
-_RATIONAL = re.compile(r"^-?\d+(/\d*[1-9]\d*)?$")  # no zero denominator
-
-
-def parse_rational(text: str, line: int) -> Fraction:
+def _echo(text: str, quote: bool = True) -> str:
+    """text for an error message, stripped and cut after 40 characters."""
     text = text.strip()
-    if not _RATIONAL.match(text):
-        raise ParseError(line, f"malformed rational {text!r}")
-    return Fraction(text)
+    shown = repr(text[:40]) if quote else text[:40]
+    return shown if len(text) <= 40 else f"{shown}... ({len(text)} characters)"
+
+
+_RATIONAL = re.compile(r"\s*[-+]?[0-9]+(/[0-9]+)?\s*")
+
+
+def parse_number(text: str, line: int, key: str = "", lo=None, hi=None, rational: bool = False, many: bool = False):
+    """The one reader of numbers.  An integer is ASCII digits after an
+    optional sign, and a rational may add / and a denominator of digits
+    that is not 0; with ``many``, text is a comma-separated list of
+    integers.  Given ``lo`` (and ``hi``), a value outside the range or a
+    malformed one reads "<key> must be ..."; otherwise a malformed one
+    reads "malformed <key>".  A number with more digits than ``int()``
+    converts (``sys.get_int_max_str_digits()``) is malformed."""
+    try:
+        if not text.isascii() or "_" in text:
+            raise ValueError
+        if many:
+            return [int(x) for x in text.split(",")]
+        if rational and not _RATIONAL.fullmatch(text):
+            raise ValueError
+        value = Fraction(text) if rational else int(text)
+        if (lo is None or lo <= value) and (hi is None or value <= hi):
+            return value
+        shown = _echo(text, quote=False)
+    except (ValueError, ZeroDivisionError):
+        shown = _echo(text)
+    if lo is None:
+        raise ParseError(line, f"malformed {key or ('rational' if rational else 'integer')} {shown}")
+    raise ParseError(line, f"{key} must be {f'at least {lo}' if hi is None else f'{lo}..{hi}'}, got {shown}")
 
 
 def parse_z_polynomial(text: str, line: int) -> list[Fraction]:
-    """Coefficients of a polynomial in z, e.g. "z^2 + 1/2" or "-z"."""
+    """Coefficients of a polynomial in z, e.g. "z^2 + 1/2" or "-z"; a power
+    of z is at most CLOSURE_CAP, the largest cyclotomic order."""
     text = text.strip()
     if not text:
         raise ParseError(line, "empty polynomial")
@@ -174,77 +204,65 @@ def parse_z_polynomial(text: str, line: int) -> list[Fraction]:
         if "z" in term:
             head, _, tail = term.partition("z")
             head = head.strip().rstrip("*").strip()
-            coeff = parse_rational(head, line) if head else Fraction(1)
+            coeff = parse_number(head, line, rational=True) if head else Fraction(1)
             tail = tail.strip()
             if tail.startswith("^"):
-                try:
-                    power = int(tail[1:])
-                except ValueError:
-                    raise ParseError(line, f"malformed power in {text!r}")
+                power = parse_number(tail[1:], line, "power of z", 0, CLOSURE_CAP)
             elif tail:
-                raise ParseError(line, f"malformed term in {text!r}")
+                raise ParseError(line, f"malformed term in {_echo(text)}")
             else:
                 power = 1
         else:
-            coeff = parse_rational(term, line)
+            coeff = parse_number(term, line, rational=True)
             power = 0
         coeffs[power] = coeffs.get(power, Fraction(0)) + sign * coeff
     top = max(coeffs) if coeffs else 0
     return [coeffs.get(k, Fraction(0)) for k in range(top + 1)]
 
 
-def _split_top_level(text: str, sep: str, open_: str = "[(", close: str = "])") -> list[str]:
-    parts, depth, buf = [], 0, []
-    for ch in text:
-        if ch in open_:
-            depth += 1
-        elif ch in close:
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(buf))
-            buf = []
-        else:
-            buf.append(ch)
-    parts.append("".join(buf))
-    return [p.strip() for p in parts if p.strip()]
+# per opening bracket: a group that may hold groups one level deep, the
+# text that separates groups, and the brackets' name
+_GROUP = {
+    "(": (re.compile(r"\(((?:[^()]|\([^()]*\))*)\)"), " ", "parentheses"),
+    "[": (re.compile(r"\[((?:[^][]|\[[^][]*\])*)\]"), ",", "brackets"),
+}
+
+
+def _groups(text: str, line: int, what: str, open_: str = "[", one: bool = False) -> list[str]:
+    """The insides of the bracket groups that text lists, in order: facets
+    (a,b,...) separated by whitespace, matrix rows and vectors [...]
+    separated by commas.  The one stray-text rule: outside the groups only
+    whitespace and the separator may stand.  With ``one``, text is one group."""
+    pattern, sep, brackets = _GROUP[open_]
+    groups = pattern.findall(text)
+    if len(groups) != 1 if one else not groups:
+        raise ParseError(line, f"malformed {what} {_echo(text)}" if one else f"no {what}s given")
+    stray = " ".join(pattern.sub(" ", text).replace(sep, " ").split())
+    if stray:
+        raise ParseError(line, f"stray text {_echo(stray)} outside the {what} {brackets}")
+    return groups
+
+
+def parse_vector(text: str, line: int) -> list[list[Fraction]]:
+    """A vector [entry, ...] of z-polynomials; empty entries are skipped."""
+    (body,) = _groups(text, line, "vector", one=True)
+    return [parse_z_polynomial(e, line) for e in body.split(",") if e.strip()]
 
 
 def parse_matrix(text: str, line: int) -> list[list[list[Fraction]]]:
     """A matrix [[entry, ...], ...] of z-polynomials."""
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ParseError(line, f"malformed matrix {text!r}")
-    body = text[1:-1].strip()
-    rows = []
-    for row_text in _split_top_level(body, ","):
-        if not (row_text.startswith("[") and row_text.endswith("]")):
-            raise ParseError(line, f"malformed matrix row {row_text!r}")
-        entries = _split_top_level(row_text[1:-1], ",")
-        rows.append([parse_z_polynomial(e, line) for e in entries])
-    if not rows:
-        raise ParseError(line, "empty matrix")
-    return rows
+    (body,) = _groups(text, line, "matrix", one=True)
+    return [[parse_z_polynomial(e, line) for e in row.split(",") if e.strip()] for row in _groups(body, line, "matrix row")]
 
 
-def parse_vector(text: str, line: int) -> list[list[Fraction]]:
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ParseError(line, f"malformed vector {text!r}")
-    return [parse_z_polynomial(e, line) for e in _split_top_level(text[1:-1], ",")]
-
-
-def _parse_int(text: str, line: int) -> int:
+def _check_tol(text: str, line: int) -> None:
+    """The one number outside parse_number: [check taut] tol is a float."""
     try:
-        return int(text.strip())
+        if 0 <= float(text) < math.inf:
+            return
     except ValueError:
-        raise ParseError(line, f"malformed integer {text!r}")
-
-
-def _parse_float(text: str, line: int) -> float:
-    try:
-        return float(text.strip())
-    except ValueError:
-        raise ParseError(line, f"malformed number {text!r}")
+        pass
+    raise ParseError(line, f"tol must be a finite number of at least 0, got {_echo(text)}")
 
 
 _HEADER = re.compile(r"^\[([^\]]+)\]$")
@@ -316,23 +334,17 @@ def parse_scenario(text: str) -> Scenario:
             if len(words) != 2:
                 raise ParseError(head_line, "chart header must be [chart <id>]")
             ln, n = take("n")
-            n = _parse_int(n, ln)
-            if n < 1:
-                raise ParseError(ln, f"n must be at least 1, got {n}")
+            n = parse_number(n, ln, "n", 1)
             ln, radius = take("radius")
             rad = None if radius.strip() == "inf" else _parse_radius(radius, ln)
             ln, order = take("cyclotomic_order")
-            order = _parse_int(order, ln)
-            if not 1 <= order <= CLOSURE_CAP:
-                raise ParseError(ln, f"cyclotomic_order must be 1..{CLOSURE_CAP}, got {order}")
+            order = parse_number(order, ln, "cyclotomic_order", 1, CLOSURE_CAP)
             ln, gens = take("generators")
             gen_list = []
-            gens = gens.strip()
-            if gens:
-                for g in _split_top_level(gens, ";"):
-                    gen_list.append(parse_matrix(g, ln))
-                    if not _is_square(gen_list[-1], n):
-                        raise ParseError(ln, f"generator {len(gen_list)} must be {n}x{n}")
+            for g in filter(str.strip, gens.split(";")):
+                gen_list.append(parse_matrix(g, ln))
+                if not _is_square(gen_list[-1], n):
+                    raise ParseError(ln, f"generator {len(gen_list)} must be {n}x{n}")
             reject_unknown()
             scenario.charts.append(ChartSection(words[1], n, rad, order, gen_list))
         elif kind == "change":
@@ -356,10 +368,7 @@ def parse_scenario(text: str) -> Scenario:
             if atype.strip() != "circle":
                 raise ParseError(ln, f"taut pipeline currently handles circle actions, got {atype.strip()!r}")
             ln, weights = take("weights")
-            try:
-                weights = [int(x) for x in weights.split(",")]
-            except ValueError:
-                raise ParseError(ln, f"malformed weights {weights!r}")
+            weights = parse_number(weights, ln, "weights", many=True)
             reject_unknown()
             scenario.geometry = GeometrySection(weights)
         elif header == "metric":
@@ -372,12 +381,10 @@ def parse_scenario(text: str) -> Scenario:
             # the generated benchmark texts carry these sampling keys; the taut
             # suite is exact, so they are range-checked and dropped
             for key in ("samples", "orbits", "nodes"):
-                ln, value = take(key, required=False)
-                if value is not None and _parse_int(value, ln) < 1:
-                    raise ParseError(ln, f"{key} must be at least 1, got {value.strip()}")
-            ln, tol = take("tol", required=False)
-            if tol is not None and not 0 <= _parse_float(tol, ln) < math.inf:
-                raise ParseError(ln, f"tol must be a finite number of at least 0, got {tol.strip()!r}")
+                ln, value = take(key, required=False, default="1")
+                parse_number(value, ln, key, 1)
+            ln, tol = take("tol", required=False, default="0")
+            _check_tol(tol, ln)
             reject_unknown()
         elif kind == "complex":
             if len(words) != 2:
@@ -391,12 +398,12 @@ def parse_scenario(text: str) -> Scenario:
                 section.product = (parts[0], parts[1])
             else:
                 ln, v = take("vertices")
-                section.vertices = _parse_int(v, ln)
+                section.vertices = parse_number(v, ln, "vertices", 1)
                 ln, facets = take("facets")
                 section.facets = _parse_facets(facets, ln, section.vertices)
                 if "vertex_order" in kv:
                     ln, vo = take("vertex_order")
-                    section.vertex_order = [_parse_int(x, ln) for x in vo.split(",")]
+                    section.vertex_order = parse_number(vo, ln, "vertex_order", many=True)
                     if sorted(section.vertex_order) != list(range(section.vertices)):
                         raise ParseError(ln, f"vertex_order must permute 0..{section.vertices - 1}")
             reject_unknown()
@@ -413,18 +420,18 @@ def parse_scenario(text: str) -> Scenario:
                 section.factors = (parts[0], parts[1])
             elif section.group != "trivial":
                 prefix, _, k = section.group.partition(":")
-                if prefix != "cyclic" or not k.isdigit() or not 1 <= int(k) <= CLOSURE_CAP:
-                    raise ParseError(ln, f"group must be trivial, product or cyclic:<k> with k in 1..{CLOSURE_CAP}")
-                section.order = int(k)
+                if prefix != "cyclic":
+                    raise ParseError(ln, "group must be trivial, product or cyclic:<k>")
+                section.order = parse_number(k, ln, "group order", 1, CLOSURE_CAP)
                 ln, maps = take("maps")
-                section.maps = [_parse_int(x, ln) for x in maps.split(",")]
+                section.maps = parse_number(maps, ln, "maps", many=True)
             reject_unknown()
             scenario.actions[section.id] = section
         elif header == "quotient":
             ln, cx = take("complex")
             ln, act = take("action")
             ln, n = take("complex_dim_n")
-            n = _parse_int(n, ln)
+            n = parse_number(n, ln)
             ln, kahler = take("kahler", required=False)
             if kahler not in (None, "product-sum"):
                 raise ParseError(ln, f"kahler must be product-sum, got {kahler!r}")
@@ -442,27 +449,18 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def _parse_radius(text: str, line: int) -> Fraction:
-    radius = parse_rational(text, line)
+    radius = parse_number(text, line, rational=True)
     if radius <= 0:
-        raise ParseError(line, f"radius must be greater than 0, got {text.strip()!r}")
+        raise ParseError(line, f"radius must be greater than 0, got {_echo(text)}")
     return radius
 
 
 def _parse_facets(text: str, line: int, vertices: int) -> list[tuple[int, ...]]:
     """Distinct facets of distinct vertices in 0..vertices-1 that together
-    use every vertex, written (a,b,...) and separated by whitespace."""
-    facet = r"\(([^)]*)\)"
-    facets = []
-    for part in re.findall(facet, text):
-        try:
-            facets.append(tuple(int(x) for x in part.split(",")))
-        except ValueError:
-            raise ParseError(line, f"malformed facet ({part})")
-    if not facets:
-        raise ParseError(line, "no facets given")
-    stray = " ".join(re.sub(facet, " ", text).split())
-    if stray:
-        raise ParseError(line, f"stray text {stray!r} outside the facet parentheses")
+    use every vertex, written (a,b,...) and separated by whitespace.  The
+    first unused vertex is found among the used ones, so the cost is
+    linear in the text, whatever ``vertices`` says."""
+    facets = [tuple(parse_number(f, line, "facet", many=True)) for f in _groups(text, line, "facet", "(")]
     seen = set()
     for f in facets:
         if min(f) < 0 or max(f) >= vertices:
@@ -472,8 +470,7 @@ def _parse_facets(text: str, line: int, vertices: int) -> list[tuple[int, ...]]:
         if frozenset(f) in seen:
             raise ParseError(line, f"facet {f} is listed twice")
         seen.add(frozenset(f))
-    unused = sorted(set(range(vertices)).difference(*facets))
-    if unused:
-        raise ParseError(line, f"vertex {unused[0]} lies in no facet")
+    used = set().union(*facets)
+    if len(used) < vertices:
+        raise ParseError(line, f"vertex {min(set(range(len(used) + 1)) - used)} lies in no facet")
     return facets
-

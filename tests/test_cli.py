@@ -183,6 +183,13 @@ def _edit(name, old, new):
         (_edit("football:2", "seifert, quotient", "seifert, warp, quotient"), (), "line 4: unknown pipeline 'warp'"),
         (_edit("pillowcase", "group = cyclic:2\nmaps = 0, 6, 5, 4, 3, 2, 1", "group = cyclic:100000000000\nmaps = 0, 1, 2, 3, 4, 5, 6"), (), "line 12: group"),
         (_edit("football:2", "cyclotomic_order = 2", "cyclotomic_order = 100000"), (), "line 9: cyclotomic_order must be 1..64, got 100000"),
+        # more digits than int() converts, a digit that is not ASCII, an underscore
+        (_edit("football:2", "radius = 1/4", "radius = " + "7" * 5000), (), "line 28: malformed rational '7777"),
+        (_edit("football:2", "[[z]]", "[[z + " + "7" * 5000 + "]]"), (), "line 10: malformed rational '7777"),
+        (_edit("football:2", "group = cyclic:2", "group = cyclic:\u00b2"), (), "line 53: group order must be 1..64, got '\u00b2'"),
+        (_edit("octahedron", "vertices = 6", "vertices = 0_6"), (), "line 7: vertices must be at least 1, got '0_6'"),
+        (_edit("octahedron", "vertices = 6", "vertices = \u0666"), (), "line 7: vertices must be at least 1, got '\u0666'"),
+        (_edit("football:2", "[[z]]", "[[z^65]]"), (), "line 10: power of z must be 0..64, got 65"),
     ],
     ids=[
         "unknown-run-option",
@@ -241,6 +248,12 @@ def _edit(name, old, new):
         "pipeline-unknown",
         "cyclic-order-above-cap",
         "cyclotomic-order-above-cap",
+        "radius-5000-digits",
+        "coefficient-5000-digits",
+        "cyclic-order-superscript",
+        "vertices-underscore",
+        "vertices-arabic-indic-digit",
+        "power-above-cap",
     ],
 )
 def test_malformed_input_exits_two_without_traceback(tmp_path, capsys, text, argv, expect):

@@ -14,7 +14,7 @@ from helpers import (
 )
 
 from orbcheck import cohomology
-from orbcheck.catalog import catalog_scenario
+from orbcheck.catalog import catalog_scenario, catalog_text
 from orbcheck.cohomology import (
     CochainComplexQ,
     InvariantCohomology,
@@ -312,6 +312,10 @@ DUALITY_SCENARIOS = {
     **{name: lambda name=name: catalog_scenario(name) for name in ("t4-z2", "torus7", "pillowcase", "octahedron")},
     **{f"football:{k}": lambda k=k: catalog_scenario(f"football:{k}") for k in (2, 3, 4)},
     **{name: lambda name=name: parse_scenario(two_spheres_text(name)) for name in ("trivial", "reflected-swap")},
+    # invariant H^1 of T^4 is nonzero, so p = 1 reads a transpose of sign (-1)^(1*3)
+    "t4-trivial": lambda: parse_scenario(
+        catalog_text("t4-z2").replace("action = D", "action = I") + "\n[action I]\ngroup = trivial\n"
+    ),
 }
 
 
@@ -330,8 +334,13 @@ def test_duality_rows_by_cap_match_the_cup_then_pair_oracle(monkeypatch, name):
     monkeypatch.setattr(cohomology, "_full_rank", recording)
     verdicts = poincare_duality_verify(inv, cycle, setup.n)
     top = 2 * setup.n
+    # p >= n is built and equals the oracle; p < n is read as the transpose
+    # of 2n - p, which is (-1)^(p(2n-p)) times the oracle
     expect = [
-        duality_matrix_by_cup(setup.cx, inv.degree(p).cochains, p, inv.degree(top - p).cochains, top - p, cycle)
+        [
+            [x * (-1) ** (p * (top - p) * (p < setup.n)) for x in row]
+            for row in duality_matrix_by_cup(setup.cx, inv.degree(p).cochains, p, inv.degree(top - p).cochains, top - p, cycle)
+        ]
         for p in range(top + 1)
     ]
     assert matrices == expect and all(v.passed for v in verdicts), name

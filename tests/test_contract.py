@@ -1,5 +1,6 @@
 """Contracts decided in one place: input errors are raised only by their
-owner module, a pivot column enters an echelon only through
+owner module, every number in a scenario file is read by
+``scenario.parse_number``, a pivot column enters an echelon only through
 ``linalg.insert``, and the quotient suite makes no walk whose result it
 already knows."""
 
@@ -54,29 +55,47 @@ def _names_pivots(node) -> bool:
     )
 
 
-def pivot_stores(source: str) -> list[tuple[str, int]]:
-    """(enclosing function, line) of every store into a dict named
-    ``pivots``: an item assignment, or a call of its update, setdefault
-    or __setitem__."""
+def located(source: str, hit) -> list[tuple[str, int]]:
+    """(enclosing function, line) of every node for which hit is true."""
     out = []
 
     def walk(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store) and _names_pivots(node.value):
-            out.append((where, node.lineno))
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("update", "setdefault", "__setitem__")
-            and _names_pivots(node.func.value)
-        ):
+        if hit(node):
             out.append((where, node.lineno))
         for child in ast.iter_child_nodes(node):
             walk(child, where)
 
     walk(ast.parse(source), None)
     return out
+
+
+def _stores_pivot(node) -> bool:
+    """An item assignment into a dict named ``pivots``, or a call of its
+    update, setdefault or __setitem__."""
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store) and _names_pivots(node.value):
+        return True
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("update", "setdefault", "__setitem__")
+        and _names_pivots(node.func.value)
+    )
+
+
+def _numeric_literal(node) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
+def _converts_text(node) -> bool:
+    """A call of int, float or Fraction on anything but numeric literals."""
+    if not isinstance(node, ast.Call):
+        return False
+    name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+    return name in ("int", "float", "Fraction") and not all(map(_numeric_literal, node.args))
 
 
 def keyword_calls(source: str, keyword: str) -> list[int]:
@@ -93,15 +112,30 @@ def test_pivot_store_and_keyword_detection():
         "def f(pivots, b):\n    pivots[1] = 2\n    b.pivots.update({})\n    x = pivots[1]\n"
         "    def g(p):\n        p[1] = 2\n        b.pivots[3] += 1\n    reduce(x, lead=True)\n"
     )
-    assert pivot_stores(source) == [("f", 2), ("f", 3), ("g", 7)]
+    assert located(source, _stores_pivot) == [("f", 2), ("f", 3), ("g", 7)]
     assert keyword_calls(source, "lead") == [8]
+
+
+def test_conversion_detection():
+    source = (
+        "def f(t):\n    a = Fraction(1), Fraction(-1), int(2.5)\n    return int(t)\n"
+        "def g(t):\n    return fractions.Fraction(t, 2), float(t.strip())\n"
+    )
+    assert located(source, _converts_text) == [("f", 3), ("g", 5), ("g", 5)]
+
+
+def test_scenario_reads_every_number_in_one_routine():
+    # the one exception: [check taut] tol is a float, read by _check_tol
+    found = located((SRC / "scenario.py").read_text(encoding="utf-8"), _converts_text)
+    assert {where for where, _ in found} == {"parse_number", "_check_tol"}, found
+    assert sum(where == "_check_tol" for where, _ in found) == 1, found
 
 
 def test_only_linalg_insert_stores_a_pivot_column():
     stores = [
         f"{path.name}:{line} in {where}"
         for path in sorted(SRC.glob("*.py"))
-        for where, line in pivot_stores(path.read_text(encoding="utf-8"))
+        for where, line in located(path.read_text(encoding="utf-8"), _stores_pivot)
     ]
     assert len(stores) == 1 and stores[0].startswith("linalg.py:") and stores[0].endswith(" in insert"), stores
 

@@ -34,6 +34,8 @@ TOKENS = [
     "(0,1,9)", "(0,1)", "(0,1,2,3)", "0, 1", "0, 1, 2, 3, 4, 5, 6",
     "trivial", "product", "cyclic:2", "cyclic:3", "T * T", "T * Q", "F, F", "F, X",
     "product-sum", "hello", "torus", "circle", "flat", "round", "atlas", "quotient",
+    # numbers that int() reads differently or not at all
+    "cyclic:\u00b2", "\u0663", "1_0", "z^65", "9" * 5000,
 ]
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from orbcheck.errors import (
 )
 from orbcheck.scenario import (
     parse_matrix,
-    parse_rational,
+    parse_number,
     parse_scenario,
     parse_z_polynomial,
 )
@@ -30,7 +31,7 @@ kind = round
 
 
 def test_parse_rational_and_polynomial():
-    assert parse_rational("-3/4", 1) == Fraction(-3, 4)
+    assert parse_number("-3/4", 1, rational=True) == Fraction(-3, 4)
     assert parse_z_polynomial("z^2 + 1/2", 1) == [Fraction(1, 2), Fraction(0), Fraction(1)]
     assert parse_z_polynomial("-z", 1) == [Fraction(0), Fraction(-1)]
     assert parse_z_polynomial("3", 1) == [Fraction(3)]
@@ -101,3 +102,22 @@ def test_catalog_unknown_entries():
     with pytest.raises(UnknownCatalogEntry):
         catalog_text("weighted-hopf:0:1")
     assert any(n.startswith("football") for n in CATALOG_NAMES)
+
+
+@pytest.mark.parametrize(
+    "name, old, new",
+    [("football:2", "[[z]]", "[[z^1000000]]"), ("octahedron", "vertices = 6", "vertices = 1000000")],
+    ids=["power-of-z", "vertices"],
+)
+def test_a_large_number_is_rejected_without_building_its_size(name, old, new):
+    # a power of z above the cap, or a vertex count far above the facets'
+    text = catalog_text(name)
+    assert old in text
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError):
+            parse_scenario(text.replace(old, new, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
