@@ -85,11 +85,6 @@ def group_closure(generators: list[CycMatrix], cap: int = 256) -> FiniteMatrixGr
     return FiniteMatrixGroup(elems)
 
 
-def stabilizer(group: FiniteMatrixGroup, point: CycVector) -> FiniteMatrixGroup:
-    elems = tuple(g for g in group if g.apply(point) == point)
-    return FiniteMatrixGroup(elems)
-
-
 @dataclass(frozen=True)
 class Ball:
     """Origin- or center-offset ball with exact rational radius; None = all of C^n."""

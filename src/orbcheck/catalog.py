@@ -7,8 +7,8 @@ Parameterized names use colons: football:3, weighted-hopf:1:2.
 
 from __future__ import annotations
 
-from .errors import UnknownCatalogEntry
-from .scenario import CLOSURE_CAP, Scenario, parse_scenario
+from .errors import ParseError, UnknownCatalogEntry
+from .scenario import CLOSURE_CAP, Scenario, parse_number, parse_scenario
 
 _TORUS7_FACETS = " ".join(
     f"({i},{(i + 1) % 7},{(i + 3) % 7}) ({i},{(i + 2) % 7},{(i + 3) % 7})"
@@ -25,8 +25,6 @@ def _football(k: int) -> str:
     smooth chart, with a redundant change pair over a shared overlap.
     The change balls about 1 have radius 1/4, or 1/k from k = 13 on:
     B(1, r) misses its Z/k-rotations iff 2r < |1 - zeta_k| = 2 sin(pi/k)."""
-    if not 2 <= k <= CLOSURE_CAP:
-        raise UnknownCatalogEntry(f"football parameter must be 2..{CLOSURE_CAP}, got {k}")
     ball = "1/4" if k <= 12 else f"1/{k}"
     return f"""
 [scenario]
@@ -146,8 +144,6 @@ radius = 1/4
 
 
 def _weighted_hopf(p: int, q: int) -> str:
-    if p < 1 or q < 1:
-        raise UnknownCatalogEntry("weighted-hopf weights must be positive")
     return f"""
 [scenario]
 name = weighted-hopf:{p}:{q}
@@ -302,21 +298,21 @@ def catalog_text(name: str) -> str:
     if name in _FIXED:
         return _FIXED[name]()
     if name.startswith("football:"):
-        try:
-            k = int(name.split(":", 1)[1])
-        except ValueError:
-            raise UnknownCatalogEntry(f"malformed catalog name {name!r}")
-        return _football(k)
+        return _football(_parameter(name[len("football:") :], "football parameter", 2, CLOSURE_CAP))
     if name.startswith("weighted-hopf:"):
         parts = name.split(":")
         if len(parts) != 3:
             raise UnknownCatalogEntry(f"malformed catalog name {name!r}")
-        try:
-            p, q = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise UnknownCatalogEntry(f"malformed catalog name {name!r}")
-        return _weighted_hopf(p, q)
+        return _weighted_hopf(*(_parameter(w, "weighted-hopf weight", 1) for w in parts[1:]))
     raise UnknownCatalogEntry(f"unknown catalog entry {name!r}")
+
+
+def _parameter(text: str, key: str, lo: int, hi: int | None = None) -> int:
+    """A parameter of a catalog name, read in the scenario file grammar."""
+    try:
+        return parse_number(text, 0, key, lo, hi)
+    except ParseError as e:
+        raise UnknownCatalogEntry(e.message) from None
 
 
 def catalog_scenario(name: str) -> Scenario:

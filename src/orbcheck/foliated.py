@@ -9,9 +9,11 @@ and M0 (so u0 = 1/M0) is constant along the orbits iff X(M0) = 0.
 det M0 and its m-th root are exact at rational points: `dense_det`
 reads linalg's one sparse echelon and `rational_root` takes integer
 roots.
-The transverse Kahler positivity is checked in floating point at sample
-points; numpy is imported inside that function, so importing the
-package does not load it.
+Floats start in one place: the transverse Kahler positivity.  Its
+samples enter as the exact values of their floats, the vertical fields
+and omega are evaluated exactly there, and only the matrices handed to
+numpy's SVD and eigenvalue routines are floats.  numpy is imported
+inside that function, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -114,7 +116,8 @@ def transverse_kahler_check(
 ) -> dict[str, Verdict]:
     """(a) "closed": d omega = 0 exactly, (b) "kernel": vertical
     contractions vanish exactly, (c) "positive": omega(J.,.) positive
-    definite on the normal space at samples."""
+    definite on the normal space at samples, in floating point from the
+    exact values of the fields and omega there."""
     import numpy as np
 
     closed = Verdict(omega.exterior_derivative().is_zero())
@@ -124,13 +127,13 @@ def transverse_kahler_check(
     jm = np.array([[float(x) for x in row] for row in j_matrix])
     min_eig = math.inf
     sym_dev = 0.0
-    for pt in sample_points:
-        ptf = [float(x) for x in pt]
-        vert = np.array([[float(v) for v in f.evaluate(ptf)] for f in vertical_fields]).T
+    for sample in sample_points:
+        pt = [Fraction(x) for x in sample]
+        vert = np.array([[float(v) for v in f.evaluate(pt)] for f in vertical_fields]).T
         m = vert.shape[1]
         _, _, vh = np.linalg.svd(vert.T) if m else (None, None, np.eye(d))
         normal = vh[m:].T
-        omat = np.array(omega.evaluate_two_form(ptf))
+        omat = np.array([[float(x) for x in row] for row in omega.evaluate_two_form(pt)])
         # omega(J u, v) = (J u)^T Omega v on the normal basis
         bmat = np.array(
             [

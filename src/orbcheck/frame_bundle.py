@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Optional
 
-from .atlas import Ball, FiniteMatrixGroup, OrbifoldAtlas, carrying_element, stabilizer
+from .atlas import Ball, Chart, FiniteMatrixGroup, OrbifoldAtlas, carrying_element
 from .cyclotomic import CycMatrix, CycVector, vec_sub
 from .verdict import Verdict
 
@@ -186,8 +186,8 @@ def cocycle_check(atlas: OrbifoldAtlas, i: str, j: str, k: str) -> Verdict:
     return Verdict(True, f"{counts} agree where they meet; a common point is certified")
 
 
-def seifert_fiber_report(atlas: OrbifoldAtlas, chart_id: str, point: CycVector) -> tuple[int, str]:
-    """Stabilizer order at the point and the Seifert fiber descriptor."""
-    chart = atlas.chart(chart_id)
-    s = stabilizer(chart.group, point).order
-    return s, f"fiber = Gamma_x\\U({chart.n}) with |Gamma_x| = {s}"
+def seifert_fiber_report(chart: Chart) -> str:
+    """The Seifert fiber descriptor over the chart's origin.  Every chart
+    element is linear and fixes the origin, so its stabilizer Gamma_x is
+    the whole chart group."""
+    return f"fiber = Gamma_x\\U({chart.n}) with |Gamma_x| = {chart.group.order}"

@@ -18,8 +18,10 @@ the vectors: a labelled vector carries its combination at label rows
 ~j = -1 - j, below every real row, so no label is ever a pivot and the
 one reduction moves the labels along with the real entries (R = D V).
 There is no second, dense elimination: a small dense matrix enters as
-sparse vectors of exact Fractions, and its rank, determinant and solve
-are read off these same echelons.
+sparse vectors of its entries as given, and its rank, determinant and
+solve are read off these same echelons, so an integer matrix reduces on
+unit pivots with integers as the coboundaries do.  Nothing here is a
+float: an entry is an int until a division makes it a Fraction.
 """
 
 from __future__ import annotations
@@ -138,9 +140,9 @@ def kernel_search(
 
 
 def _sparse(vectors) -> list[SparseVec]:
-    """Dense vectors as sparse ones with exact Fraction entries, fresh
+    """Dense vectors as sparse ones with their entries as given, fresh
     dicts that `build_echelon` may keep as its pivot columns."""
-    return [{i: Fraction(x) for i, x in enumerate(vec) if x} for vec in vectors]
+    return [{i: x for i, x in enumerate(vec) if x} for vec in vectors]
 
 
 def dense_rank(rows: list[list]) -> int:

@@ -16,7 +16,7 @@ from . import cohomology as coh
 from . import foliated as fol
 from . import frame_bundle as fb
 from . import simplicial as simp
-from .cyclotomic import CycMatrix, CyclotomicNumber, vec
+from .cyclotomic import CycMatrix, CyclotomicNumber
 from .errors import NoKahlerClass, NonOrientable, NotPseudomanifold, OrbcheckError
 from .linalg import add_scaled
 from .polyform import PolyForm, Polynomial, PolyVectorField
@@ -115,9 +115,7 @@ def run_seifert_pipeline(atlas: atlas_mod.OrbifoldAtlas, report: Report):
     for chart in sorted(atlas.charts, key=lambda c: c.id):
         report.check(f"seifert.free.{chart.id}", fb.check_lifted_action_free(chart.group))
         report.check(f"seifert.equivariance.{chart.id}", fb.check_equivariance(chart.group))
-        origin = vec(chart.cyclotomic_order, [0] * chart.n)
-        s, desc = fb.seifert_fiber_report(atlas, chart.id, origin)
-        report.info(f"seifert.fiber.{chart.id}.origin", desc)
+        report.info(f"seifert.fiber.{chart.id}.origin", fb.seifert_fiber_report(chart))
     # a non-unitary change moves frames off the frame bundle and balls
     # onto ellipsoids, so every gluing through its overlap fails unchecked
     broken = {(c.source, c.target): Verdict(False, f"change {c.source}->{c.target} is not unitary")

@@ -2,7 +2,9 @@
 
 Coefficients are multivariate polynomials over Q; wedge, exterior
 derivative and interior product are exact identities, so d.d = 0 and
-the basic-form condition can be tested symbolically.
+the basic-form condition can be tested symbolically.  A coefficient
+stays an int until a rational input makes it a Fraction, and a value at
+a rational point is exact: nothing here is a float.
 """
 
 from __future__ import annotations
@@ -15,16 +17,15 @@ Monomial = tuple  # exponent tuple of length d
 
 
 class Polynomial:
-    """Multivariate polynomial with exact rational coefficients."""
+    """Multivariate polynomial with exact coefficients, int or Fraction."""
 
     __slots__ = ("d", "terms")
 
     def __init__(self, d: int, terms: Mapping[Monomial, Rat] | None = None):
         self.d = d
-        self.terms: dict[Monomial, Fraction] = {}
+        self.terms: dict[Monomial, Rat] = {}
         if terms:
             for mono, c in terms.items():
-                c = Fraction(c)
                 if c:
                     if len(mono) != d:
                         raise ValueError("monomial length mismatch")
@@ -32,13 +33,13 @@ class Polynomial:
 
     @classmethod
     def constant(cls, d: int, c: Rat) -> "Polynomial":
-        return cls(d, {tuple([0] * d): Fraction(c)})
+        return cls(d, {tuple([0] * d): c})
 
     @classmethod
     def variable(cls, d: int, k: int) -> "Polynomial":
         mono = [0] * d
         mono[k] = 1
-        return cls(d, {tuple(mono): Fraction(1)})
+        return cls(d, {tuple(mono): 1})
 
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
@@ -55,7 +56,7 @@ class Polynomial:
             return NotImplemented
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + c
+            out[mono] = out.get(mono, 0) + c
         return Polynomial(self.d, out)
 
     __radd__ = __add__
@@ -73,36 +74,33 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Rat] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
+                out[m] = out.get(m, 0) + c1 * c2
         return Polynomial(self.d, out)
 
     __rmul__ = __mul__
 
     def diff(self, k: int) -> "Polynomial":
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Rat] = {}
         for mono, c in self.terms.items():
             e = mono[k]
             if e:
                 m = list(mono)
                 m[k] = e - 1
                 m = tuple(m)
-                out[m] = out.get(m, Fraction(0)) + c * e
+                out[m] = out.get(m, 0) + c * e
         return Polynomial(self.d, out)
 
-    def evaluate(self, point: Sequence) -> Union[Fraction, float]:
-        acc = None
+    def evaluate(self, point: Sequence) -> Rat:
+        acc = 0
         for mono, c in self.terms.items():
-            v = c if isinstance(point[0], (int, Fraction)) else float(c)
             for k, e in enumerate(mono):
                 for _ in range(e):
-                    v *= point[k]
-            acc = v if acc is None else acc + v
-        if acc is None:
-            return Fraction(0) if (len(point) and isinstance(point[0], (int, Fraction))) else 0.0
+                    c *= point[k]
+            acc += c
         return acc
 
     def is_zero(self) -> bool:
@@ -113,9 +111,6 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.d, frozenset(self.terms.items())))
 
     def __repr__(self):
         if not self.terms:
@@ -240,13 +235,13 @@ class PolyForm:
                 out[rest] = out.get(rest, Polynomial(self.d)) + add
         return PolyForm(self.d, self.degree - 1, out)
 
-    def evaluate_two_form(self, point: Sequence) -> list[list[float]]:
-        """The antisymmetric matrix of a 2-form at a point."""
+    def evaluate_two_form(self, point: Sequence) -> list[list[Rat]]:
+        """The antisymmetric matrix of a 2-form at a point, exactly."""
         if self.degree != 2:
             raise ValueError("only defined for 2-forms")
-        mat = [[0.0] * self.d for _ in range(self.d)]
+        mat = [[0] * self.d for _ in range(self.d)]
         for (i, j), poly in self.coeffs.items():
-            v = float(poly.evaluate(point))
+            v = poly.evaluate(point)
             mat[i][j] = v
             mat[j][i] = -v
         return mat

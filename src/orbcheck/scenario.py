@@ -163,7 +163,7 @@ def parse_number(text: str, line: int, key: str = "", lo=None, hi=None, rational
     """The one reader of numbers.  An integer is ASCII digits after an
     optional sign, and a rational may add / and a denominator of digits
     that is not 0; with ``many``, text is a comma-separated list of
-    integers.  Given ``lo`` (and ``hi``), a value outside the range or a
+    integers.  Given ``lo`` or ``hi``, a value outside the range or a
     malformed one reads "<key> must be ..."; otherwise a malformed one
     reads "malformed <key>".  A number with more digits than ``int()``
     converts (``sys.get_int_max_str_digits()``) is malformed."""
@@ -180,9 +180,10 @@ def parse_number(text: str, line: int, key: str = "", lo=None, hi=None, rational
         shown = _echo(text, quote=False)
     except (ValueError, ZeroDivisionError):
         shown = _echo(text)
-    if lo is None:
+    if lo is None and hi is None:
         raise ParseError(line, f"malformed {key or ('rational' if rational else 'integer')} {shown}")
-    raise ParseError(line, f"{key} must be {f'at least {lo}' if hi is None else f'{lo}..{hi}'}, got {shown}")
+    bound = f"at least {lo}" if hi is None else f"at most {hi}" if lo is None else f"{lo}..{hi}"
+    raise ParseError(line, f"{key} must be {bound}, got {shown}")
 
 
 def parse_z_polynomial(text: str, line: int) -> list[Fraction]:
@@ -431,7 +432,9 @@ def parse_scenario(text: str) -> Scenario:
             ln, cx = take("complex")
             ln, act = take("action")
             ln, n = take("complex_dim_n")
-            n = parse_number(n, ln)
+            # no buildable complex comes near dimension 128; a 2n past
+            # int()'s digit cap would not even print in the mismatch
+            n = parse_number(n, ln, "complex_dim_n", hi=64)
             ln, kahler = take("kahler", required=False)
             if kahler not in (None, "product-sum"):
                 raise ParseError(ln, f"kahler must be product-sum, got {kahler!r}")

@@ -10,7 +10,6 @@ from orbcheck.atlas import (
     equivalent_changes,
     group_closure,
     image_containment,
-    stabilizer,
     validate_atlas,
 )
 from orbcheck.catalog import catalog_scenario
@@ -47,17 +46,6 @@ def test_group_closure_rejections():
         group_closure([zmat(7, [[z]])], cap=3)
     with pytest.raises(DuplicateGroupElement):
         make_group([zmat(4, [[1]]), zmat(4, [[1]])])
-
-
-def test_stabilizer_orders():
-    z = CyclotomicNumber.zeta(4)
-    g = group_closure([zmat(4, [[z, 0], [0, 1]])])
-    origin = vec(4, [0, 0])
-    axis = vec(4, [0, 1])
-    off = vec(4, [1, 0])
-    assert stabilizer(g, origin).order == 4
-    assert stabilizer(g, axis).order == 4
-    assert stabilizer(g, off).order == 1
 
 
 def test_ball_containment_exact():

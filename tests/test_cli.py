@@ -110,6 +110,23 @@ def test_football_outside_the_cap_is_an_unknown_catalog_entry(capsys, k):
     assert f"football parameter must be 2..64, got {k}" in err and "parse error" not in err
 
 
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("football:\u0663", "football parameter must be 2..64, got '\u0663'"),
+        ("football:0_3", "football parameter must be 2..64, got '0_3'"),
+        ("weighted-hopf:1:\u0662", "weighted-hopf weight must be at least 1, got '\u0662'"),
+        ("weighted-hopf:0:1", "weighted-hopf weight must be at least 1, got 0"),
+    ],
+    ids=["football-arabic-indic-digit", "football-underscore", "weight-arabic-indic-digit", "weight-zero"],
+)
+def test_catalog_parameters_take_the_scenario_number_grammar(capsys, name, message):
+    # a digit that is not ASCII, or an underscore, names no catalog entry
+    code, out, err = run_cli(capsys, "run", f"catalog:{name}")
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+
+
 def test_human_format_marks_failures(capsys):
     code, out, _ = run_cli(capsys, "run", "catalog:rp2-antipodal")
     assert code == 1
@@ -190,6 +207,9 @@ def _edit(name, old, new):
         (_edit("octahedron", "vertices = 6", "vertices = 0_6"), (), "line 7: vertices must be at least 1, got '0_6'"),
         (_edit("octahedron", "vertices = 6", "vertices = \u0666"), (), "line 7: vertices must be at least 1, got '\u0666'"),
         (_edit("football:2", "[[z]]", "[[z^65]]"), (), "line 10: power of z must be 0..64, got 65"),
+        # 4,300 digits: int() reads it, but 2n has one digit too many to print
+        (_edit("torus7", "complex_dim_n = 1", "complex_dim_n = " + "9" * 4300), (), "complex_dim_n must be at most 64, got 9999"),
+        (_edit("torus7", "complex_dim_n = 1", "complex_dim_n = 65"), (), "complex_dim_n must be at most 64, got 65"),
     ],
     ids=[
         "unknown-run-option",
@@ -254,6 +274,8 @@ def _edit(name, old, new):
         "vertices-underscore",
         "vertices-arabic-indic-digit",
         "power-above-cap",
+        "dim-n-4300-digits",
+        "dim-n-above-cap",
     ],
 )
 def test_malformed_input_exits_two_without_traceback(tmp_path, capsys, text, argv, expect):

@@ -1,8 +1,9 @@
 """Contracts decided in one place: input errors are raised only by their
 owner module, every number in a scenario file is read by
 ``scenario.parse_number``, a pivot column enters an echelon only through
-``linalg.insert``, and the quotient suite makes no walk whose result it
-already knows."""
+``linalg.insert``, floats start only where the taut suite hands numbers
+to numpy, and the quotient suite makes no walk whose result it already
+knows."""
 
 import ast
 import inspect
@@ -129,6 +130,42 @@ def test_scenario_reads_every_number_in_one_routine():
     found = located((SRC / "scenario.py").read_text(encoding="utf-8"), _converts_text)
     assert {where for where, _ in found} == {"parse_number", "_check_tol"}, found
     assert sum(where == "_check_tol" for where, _ in found) == 1, found
+
+
+def _is_float(node) -> bool:
+    """The name float, or a float literal."""
+    return (isinstance(node, ast.Name) and node.id == "float") or (
+        isinstance(node, ast.Constant) and type(node.value) is float
+    )
+
+
+def _calls_float(node) -> bool:
+    return isinstance(node, ast.Call) and _is_float(node.func)
+
+
+def test_float_detection():
+    source = "def f(x: float = 0.5):\n    return float(x), 1e-9, 2, '0.5'\n"
+    assert located(source, _is_float) == [("f", 1), ("f", 1), ("f", 2), ("f", 2)]
+    assert located(source, _calls_float) == [("f", 2)]
+
+
+@pytest.mark.parametrize("module", ["polyform.py", "linalg.py"])
+def test_exact_kernels_hold_no_float(module):
+    # a value is an int until a division or a rational input makes it a Fraction
+    assert located((SRC / module).read_text(encoding="utf-8"), _is_float) == []
+
+
+def test_polyform_converts_no_coefficient():
+    assert located((SRC / "polyform.py").read_text(encoding="utf-8"), _converts_text) == []
+
+
+def test_floats_are_made_only_at_numpy_and_the_tolerance():
+    calls = {
+        (path.name, where)
+        for path in sorted(SRC.glob("*.py"))
+        for where, _ in located(path.read_text(encoding="utf-8"), _calls_float)
+    }
+    assert calls == {("foliated.py", "transverse_kahler_check"), ("scenario.py", "_check_tol")}, calls
 
 
 def test_only_linalg_insert_stores_a_pivot_column():

@@ -3,7 +3,6 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from helpers import gram_by_metric_pairing
@@ -173,36 +172,20 @@ def test_wrong_weight_field_fails_the_taut_invariance_lines(monkeypatch):
     assert lines[-1] == "overall = FAIL"
 
 
-def test_polynomial_batch_matches_each_point_bitwise():
-    d = 4
-    x = [Polynomial.variable(d, k) for k in range(d)]
-    polys = [
-        Polynomial(d),  # the zero polynomial
-        Polynomial.constant(d, Fraction(3, 7)),
-        x[0] * x[1] * Fraction(-5, 3) + x[2] * x[2] * x[3] + 2,
-        x[3] * x[3] * x[3] * x[3] - x[1] * Fraction(1, 9),
-    ]
-    points = sphere_points(d, 40, 3)
-    # a list of coordinate arrays, and one d x 40 array (no truth value)
-    for batch in ([np.array(column) for column in zip(*points)], np.array(points).T):
-        for p in polys:
-            assert per_point(p.evaluate(batch), 40) == [p.evaluate(pt) for pt in points], p
-
-
-def sphere_points(d, count, seed):
-    rng = random.Random(seed)
-    pts = []
-    for _ in range(count):
-        v = [rng.gauss(0.0, 1.0) for _ in range(d)]
-        norm = math.sqrt(sum(x * x for x in v))
-        pts.append([x / norm for x in v])
-    return pts
-
-
-def per_point(value, count):
-    """The batch value of one entry as a list (a constant entry stays a
-    scalar in the batch)."""
-    return np.broadcast_to(value, (count,)).tolist()
+def test_integer_weights_keep_integer_coefficients_and_rational_points_stay_exact():
+    # an int stays an int until a rational input makes it a Fraction
+    for field in (CircleAction([1, 2, 3]).fundamental_fields()[0], wrong_weight_field([1, 2], 0, 2)):
+        [[m0]] = gram_matrix([field])
+        polys = [*field.components, m0, along(field, m0)]
+        assert {type(c) for p in polys for c in p.terms.values()} == {int}
+    x = [Polynomial.variable(3, k) for k in range(3)]
+    p = x[0] * x[1] * 2 - x[2] * Fraction(1, 3)
+    pt = [Fraction(1, 3), Fraction(-3, 4), Fraction(2, 5)]
+    assert p.evaluate(pt) == Fraction(-1, 2) - Fraction(2, 15) and type(p.evaluate(pt)) is Fraction
+    assert type(Polynomial(3).evaluate(pt)) is int
+    omega = PolyForm(3, 2, {(0, 1): x[2] * 3, (1, 2): Polynomial.constant(3, 1)})
+    assert omega.evaluate_two_form(pt) == [[0, Fraction(6, 5), 0], [Fraction(-6, 5), 0, 1], [0, -1, 0]]
+    assert {type(v) for row in omega.evaluate_two_form(pt) for v in row} == {int, Fraction}
 
 
 @pytest.mark.parametrize("weights", [[1, 2], [1, 3], [2, 3], [1, 2, 3]])

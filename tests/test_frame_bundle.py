@@ -404,12 +404,10 @@ def test_common_point_lies_in_every_ball():
 
 
 def test_seifert_fiber_orders(football3, quaternion):
-    s, desc = seifert_fiber_report(football3, "A", vec(3, [0]))
-    assert s == 3 and "3" in desc
-    s, _ = seifert_fiber_report(football3, "C", vec(3, [0]))
-    assert s == 1
-    s, _ = seifert_fiber_report(quaternion, "Q", vec(4, [0, 0]))
-    assert s == 8
+    # the origin's stabilizer is the whole chart group
+    assert seifert_fiber_report(football3.chart("A")) == "fiber = Gamma_x\\U(1) with |Gamma_x| = 3"
+    assert seifert_fiber_report(football3.chart("C")).endswith("|Gamma_x| = 1")
+    assert seifert_fiber_report(quaternion.chart("Q")) == "fiber = Gamma_x\\U(2) with |Gamma_x| = 8"
 
 
 def test_right_action_commutes_pointwise(quaternion):

