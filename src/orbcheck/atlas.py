@@ -2,7 +2,11 @@
 
 Chart metrics are the flat standard Hermitian metric, so holomorphic
 isometries fixing the origin are exactly unitary matrices and every
-structural check is decidable in exact cyclotomic arithmetic.
+structural check is decidable in exact cyclotomic arithmetic.  Every
+distance decision is ``Ball.meets``, one certified comparison of a
+squared distance with a squared radius: a point lies in a ball when the
+ball meets the point's ball of radius 0, and an image lies in a chart
+when its centre lies in the chart's ball shrunk by the image's radius.
 """
 
 from __future__ import annotations
@@ -10,16 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from typing import Optional
 
-from .cyclotomic import (
-    CycMatrix,
-    CycVector,
-    compare_real,
-    vec,
-    vec_norm_sq,
-    vec_sub,
-)
+from .cyclotomic import CycMatrix, CycVector, compare_real, vec, vec_norm_sq, vec_sub
 from .errors import ClosureExceedsCap, NonUnitaryGenerator
 from .verdict import Verdict
 
@@ -53,7 +51,7 @@ class FiniteMatrixGroup:
         return cls((CycMatrix.identity(order, n),))
 
 
-def group_closure(generators: list[CycMatrix], cap: int = 256) -> FiniteMatrixGroup:
+def group_closure(generators: list[CycMatrix], cap: int) -> FiniteMatrixGroup:
     """Multiplicative closure of nonempty generators of one shape and order.
 
     Raises ClosureExceedsCap when enumeration passes the cap (an
@@ -92,15 +90,8 @@ class Ball:
     center: CycVector
     radius: Optional[Fraction]
 
-    @cached_property
-    def radius_sq(self) -> Fraction:
-        return self.radius * self.radius
-
     def contains(self, point: CycVector) -> bool:
-        if self.radius is None:
-            return True
-        d2 = vec_norm_sq(vec_sub(point, self.center))
-        return compare_real(d2, self.radius_sq) <= 0
+        return self.meets(Ball(point, Fraction(0)))
 
     def meets(self, other: "Ball") -> bool:
         """Closed balls meet iff |c - c'|^2 <= (r + r')^2, decided exactly."""
@@ -145,11 +136,7 @@ class ChangeOfChart:
         return tuple(a + b for a, b in zip(moved, self.offset))
 
     def same_source_domain(self, other: "ChangeOfChart") -> bool:
-        return (
-            self.source == other.source
-            and self.source_domain.center == other.source_domain.center
-            and self.source_domain.radius == other.source_domain.radius
-        )
+        return self.source == other.source and self.source_domain == other.source_domain
 
 
 @dataclass
@@ -201,9 +188,8 @@ def image_containment(change: ChangeOfChart, target: Chart) -> Verdict:
         return Verdict(True, "target is all of C^n")
     if r > big_r:
         return Verdict(False, f"r = {r} > R = {big_r}")
-    bound = (big_r - r) ** 2
-    inside = compare_real(vec_norm_sq(change.apply(change.source_domain.center)), bound) <= 0
-    return Verdict(inside, f"|Uc+b|^2 {'<=' if inside else '>'} (R-r)^2 = {bound}")
+    inside = Ball(target.domain.center, big_r - r).contains(change.apply(change.source_domain.center))
+    return Verdict(inside, f"|Uc+b|^2 {'<=' if inside else '>'} (R-r)^2 = {(big_r - r) ** 2}")
 
 
 def validate_atlas(atlas: OrbifoldAtlas) -> list[tuple[str, Verdict]]:
@@ -215,15 +201,12 @@ def validate_atlas(atlas: OrbifoldAtlas) -> list[tuple[str, Verdict]]:
         out.append((f"unitary.{tag}", Verdict(ch.unitary)))
         out.append((f"containment.{tag}", image_containment(ch, atlas.chart(ch.target))))
     # witness existence for redundant changes over the same source domain
-    changes = list(atlas.changes)
-    for i in range(len(changes)):
-        for j in range(i + 1, len(changes)):
-            a, b = changes[i], changes[j]
-            if a.same_source_domain(b) and a.target == b.target:
-                if not a.unitary:
-                    verdict = Verdict(False, "linear part is not unitary")
-                else:
-                    found = equivalent_changes(a, b, atlas.chart(a.target).group) is not None
-                    verdict = Verdict(found, "found" if found else "missing")
-                out.append((f"witness.{a.source}.{a.target}", verdict))
+    for a, b in combinations(atlas.changes, 2):
+        if a.same_source_domain(b) and a.target == b.target:
+            if not a.unitary:
+                verdict = Verdict(False, "linear part is not unitary")
+            else:
+                found = equivalent_changes(a, b, atlas.chart(a.target).group) is not None
+                verdict = Verdict(found, "found" if found else "missing")
+            out.append((f"witness.{a.source}.{a.target}", verdict))
     return out

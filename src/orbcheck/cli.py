@@ -146,6 +146,12 @@ def main(argv=None) -> int:
     except FileNotFoundError:
         print(f"no such scenario file: {args.target}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"cannot read scenario file {args.target}: {exc.strerror}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"cannot read scenario file {args.target}: not UTF-8 at byte {exc.start}", file=sys.stderr)
+        return 2
     except OrbcheckError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

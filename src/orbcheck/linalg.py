@@ -22,6 +22,8 @@ sparse vectors of its entries as given, and its rank, determinant and
 solve are read off these same echelons, so an integer matrix reduces on
 unit pivots with integers as the coboundaries do.  Nothing here is a
 float: an entry is an int until a division makes it a Fraction.
+`sort_sign` is orbcheck's one permutation parity: determinants, simplex
+images under a vertex map and wedges of forms take their sign from it.
 """
 
 from __future__ import annotations
@@ -31,6 +33,17 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 SparseVec = dict  # row index -> int or Fraction
+
+
+def sort_sign(seq) -> tuple[tuple, int]:
+    """Distinct entries sorted, and the sign of the sorting permutation:
+    -1 to the number of pairs that stand out of order."""
+    sign = 1
+    for i, a in enumerate(seq):
+        for b in seq[i + 1 :]:
+            if a > b:
+                sign = -sign
+    return tuple(sorted(seq)), sign
 
 
 def add_scaled(acc: SparseVec, v: SparseVec, c) -> SparseVec:
@@ -159,8 +172,7 @@ def dense_det(rows: list[list]) -> Fraction:
     pivots, rank = build_echelon(_sparse(rows))
     if rank < len(rows):
         return Fraction(0)
-    order = list(pivots)
-    det = Fraction((-1) ** sum(a > b for i, a in enumerate(order) for b in order[i + 1 :]))
+    det = Fraction(sort_sign(tuple(pivots))[1])
     for _, pcoeff in pivots.values():
         det *= pcoeff
     return det

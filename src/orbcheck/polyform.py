@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
+from .linalg import sort_sign
+
 Rat = Union[int, Fraction]
 Monomial = tuple  # exponent tuple of length d
 
@@ -124,21 +126,6 @@ class Polynomial:
         return " + ".join(parts)
 
 
-def _merge_sign(left: tuple, right: tuple):
-    """Merge two sorted disjoint index tuples; return (merged, sign) or None."""
-    if set(left) & set(right):
-        return None
-    merged = tuple(sorted(left + right))
-    # count inversions of the concatenation relative to sorted order
-    seq = left + right
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return merged, sign
-
-
 class PolyForm:
     """Differential p-form with polynomial coefficients, canonical indices."""
 
@@ -193,10 +180,9 @@ class PolyForm:
         out: dict[tuple, Polynomial] = {}
         for i1, p1 in self.coeffs.items():
             for i2, p2 in other.coeffs.items():
-                ms = _merge_sign(i1, i2)
-                if ms is None:
+                if not set(i1).isdisjoint(i2):
                     continue
-                merged, sign = ms
+                merged, sign = sort_sign(i1 + i2)
                 add = p1 * p2
                 if sign < 0:
                     add = -add
@@ -212,8 +198,7 @@ class PolyForm:
                 dk = poly.diff(k)
                 if dk.is_zero():
                     continue
-                ms = _merge_sign((k,), idx)
-                merged, sign = ms
+                merged, sign = sort_sign((k, *idx))
                 add = dk if sign > 0 else -dk
                 out[merged] = out.get(merged, Polynomial(self.d)) + add
         return PolyForm(self.d, self.degree + 1, out)

@@ -20,7 +20,7 @@ from typing import Optional
 from .errors import MissingSection, ParseError, ShapeMismatch
 
 KNOWN_PIPELINES = ("atlas", "seifert", "taut", "quotient")
-CLOSURE_CAP = 64  # largest group a scenario may generate, and largest cyclotomic order
+CLOSURE_CAP = 64  # largest group, cyclotomic order, chart dimension and weight count
 
 
 @dataclass
@@ -335,7 +335,7 @@ def parse_scenario(text: str) -> Scenario:
             if len(words) != 2:
                 raise ParseError(head_line, "chart header must be [chart <id>]")
             ln, n = take("n")
-            n = parse_number(n, ln, "n", 1)
+            n = parse_number(n, ln, "n", 1, CLOSURE_CAP)
             ln, radius = take("radius")
             rad = None if radius.strip() == "inf" else _parse_radius(radius, ln)
             ln, order = take("cyclotomic_order")
@@ -370,6 +370,8 @@ def parse_scenario(text: str) -> Scenario:
                 raise ParseError(ln, f"taut pipeline currently handles circle actions, got {atype.strip()!r}")
             ln, weights = take("weights")
             weights = parse_number(weights, ln, "weights", many=True)
+            if len(weights) > CLOSURE_CAP:
+                raise ParseError(ln, f"weights must list at most {CLOSURE_CAP} weights, got {len(weights)}")
             reject_unknown()
             scenario.geometry = GeometrySection(weights)
         elif header == "metric":
@@ -432,9 +434,9 @@ def parse_scenario(text: str) -> Scenario:
             ln, cx = take("complex")
             ln, act = take("action")
             ln, n = take("complex_dim_n")
-            # no buildable complex comes near dimension 128; a 2n past
-            # int()'s digit cap would not even print in the mismatch
-            n = parse_number(n, ln, "complex_dim_n", hi=64)
+            # a facet of 2n + 1 vertices closes to 2^(2n+1) faces, and
+            # _validate_quotient ties every facet and factor to 2n
+            n = parse_number(n, ln, "complex_dim_n", hi=4)
             ln, kahler = take("kahler", required=False)
             if kahler not in (None, "product-sum"):
                 raise ParseError(ln, f"kahler must be product-sum, got {kahler!r}")

@@ -22,6 +22,7 @@ from operator import add
 from typing import Hashable, Optional, Sequence
 
 from .errors import NonOrientable, NotPseudomanifold
+from .linalg import sort_sign
 from .verdict import Verdict
 
 Simplex = tuple  # sorted tuple of vertex positions
@@ -271,15 +272,7 @@ class SimplicialGroupAction:
     def map_simplex(self, e: int, s: Simplex) -> tuple[Simplex, int]:
         """Image simplex and the sign of the sorting permutation."""
         perm = self.perms[e]
-        image = [perm[v] for v in s]
-        sign = 1
-        arr = list(image)
-        for i in range(len(arr)):
-            for j in range(i + 1, len(arr)):
-                if arr[i] > arr[j]:
-                    arr[i], arr[j] = arr[j], arr[i]
-                    sign = -sign
-        return tuple(arr), sign
+        return sort_sign([perm[v] for v in s])
 
     def pullback_cochain(self, e: int, cochain: dict[Simplex, Fraction], degree: int) -> dict[Simplex, Fraction]:
         """(e* a)(s) = sign(e, s) * a(e . s) on a verified action, read off the

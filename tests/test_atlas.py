@@ -16,6 +16,7 @@ from orbcheck.catalog import catalog_scenario
 from orbcheck.cyclotomic import CycMatrix, CyclotomicNumber, vec
 from orbcheck.errors import ClosureExceedsCap, NonUnitaryGenerator
 from orbcheck.pipeline import build_atlas
+from orbcheck.scenario import CLOSURE_CAP
 from orbcheck.verdict import Verdict
 
 
@@ -25,14 +26,14 @@ def zmat(order, rows):
 
 def test_group_closure_cyclic():
     z = CyclotomicNumber.zeta(5)
-    g = group_closure([zmat(5, [[z]])])
+    g = group_closure([zmat(5, [[z]])], 5)  # a cap equal to the order admits the group
     assert g.order == 5
 
 
 def test_group_closure_quaternion():
     z = CyclotomicNumber.zeta(4)
     gens = [zmat(4, [[z, 0], [0, z * z * z]]), zmat(4, [[0, 1], [z * z, 0]])]
-    g = group_closure(gens)
+    g = group_closure(gens, CLOSURE_CAP)
     assert g.order == 8
     # nonabelian: some pair fails to commute
     assert any(a @ b != b @ a for a in g for b in g)
@@ -40,10 +41,10 @@ def test_group_closure_quaternion():
 
 def test_group_closure_rejections():
     with pytest.raises(NonUnitaryGenerator):
-        group_closure([zmat(4, [[2]])])
+        group_closure([zmat(4, [[2]])], CLOSURE_CAP)
     z = CyclotomicNumber.zeta(7)
     with pytest.raises(ClosureExceedsCap):
-        group_closure([zmat(7, [[z]])], cap=3)
+        group_closure([zmat(7, [[z]])], 3)
     with pytest.raises(DuplicateGroupElement):
         make_group([zmat(4, [[1]]), zmat(4, [[1]])])
 
@@ -91,7 +92,7 @@ def test_containment_is_decided_on_the_whole_image_ball():
 
 def test_equivalent_changes_witness_and_absence():
     z = CyclotomicNumber.zeta(3)
-    group = group_closure([zmat(3, [[z]])])
+    group = group_closure([zmat(3, [[z]])], CLOSURE_CAP)
     ball = Ball(vec(3, [1]), Fraction(1, 4))
     phi = ChangeOfChart("A", "B", zmat(3, [[1]]), vec(3, [0]), ball)
     phi2 = ChangeOfChart("A", "B", zmat(3, [[z]]), vec(3, [0]), ball)
@@ -113,7 +114,7 @@ def test_non_unitary_redundant_pair_fails_its_witness():
 
     z = CyclotomicNumber.zeta(3)
     chart_a = Chart("A", 1, 3, None, trivial_group)
-    chart_b = Chart("B", 1, 3, None, group_closure([zmat(3, [[z]])]))
+    chart_b = Chart("B", 1, 3, None, group_closure([zmat(3, [[z]])], CLOSURE_CAP))
     flat = ChangeOfChart("A", "B", zmat(3, [[0]]), vec(3, [0]), ball)
     verdicts = dict(validate_atlas(OrbifoldAtlas([chart_a, chart_b], [flat, flat])))
     assert verdicts["witness.A.B"] == Verdict(False, "linear part is not unitary")

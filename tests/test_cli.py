@@ -27,6 +27,41 @@ complex_dim_n = 1
 """
 
 
+WIDE_CHART = """
+[scenario]
+name = wide-chart
+pipelines = atlas
+
+[chart A]
+n = 800
+radius = 1
+cyclotomic_order = 1
+generators =
+"""
+
+# a quotient of one simplex, or with complex = P of its square
+SIMPLEX = """
+[scenario]
+name = simplex
+pipelines = quotient
+
+[complex S]
+vertices = {vertices}
+facets = {facets}
+
+[complex P]
+product = S * S
+
+[action I]
+group = trivial
+
+[quotient]
+complex = {complex}
+action = I
+complex_dim_n = {n}
+"""
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -97,6 +132,16 @@ def test_missing_file_and_parse_error_exit_two(tmp_path, capsys):
     assert code == 2 and "line 2" in err
 
 
+def test_unreadable_scenario_file_exits_two(tmp_path, capsys):
+    # exit 1 is kept for a failed check; a file that is not text is an input error
+    latin1 = tmp_path / "latin1.scn"
+    latin1.write_bytes(b"[scenario]\nname = caf\xe9\n")
+    for target, reason in ((tmp_path, "Is a directory"), (latin1, "not UTF-8 at byte 21")):
+        code, out, err = run_cli(capsys, "run", str(target))
+        assert (code, out) == (2, "")
+        assert err == f"cannot read scenario file {target}: {reason}\n"
+
+
 def test_unknown_catalog_entry_exit_two(capsys):
     code, _, err = run_cli(capsys, "run", "catalog:moebius")
     assert code == 2
@@ -157,7 +202,7 @@ def _edit(name, old, new):
         (_edit("football:2", "group = cyclic:2", "group = cyclic:x"), (), "line 53: group"),
         (_edit("football:2", "[chart B]\nn = 1", "[chart B]\nn = 2"), (), "line 16: generator 1 must be 2x2"),
         (_edit("football:2", "[chart C]\nn = 1", "[chart C]\nn = 2"), (), "[chart C] has n = 2 but [chart A] has n = 1"),
-        (_edit("football:2", "n = 1", "n = 0"), (), "line 7: n must be at least 1"),
+        (_edit("football:2", "n = 1", "n = 0"), (), "line 7: n must be 1..64, got 0"),
         (_edit("football:2", "[[z]]", "[[z], [1, 0]]"), (), "line 10: generator 1 must be 1x1"),
         (_edit("football:2", "[[1]]", "[[1, 0], [0, 1]]"), (), "[change A -> C] linear must be 1x1"),
         (_edit("football:2", "offset = [0]", "offset = [0, 0]"), (), "[change A -> C] offset must have length 1"),
@@ -208,8 +253,14 @@ def _edit(name, old, new):
         (_edit("octahedron", "vertices = 6", "vertices = \u0666"), (), "line 7: vertices must be at least 1, got '\u0666'"),
         (_edit("football:2", "[[z]]", "[[z^65]]"), (), "line 10: power of z must be 0..64, got 65"),
         # 4,300 digits: int() reads it, but 2n has one digit too many to print
-        (_edit("torus7", "complex_dim_n = 1", "complex_dim_n = " + "9" * 4300), (), "complex_dim_n must be at most 64, got 9999"),
-        (_edit("torus7", "complex_dim_n = 1", "complex_dim_n = 65"), (), "complex_dim_n must be at most 64, got 65"),
+        (_edit("torus7", "complex_dim_n = 1", "complex_dim_n = " + "9" * 4300), (), "complex_dim_n must be at most 4, got 9999"),
+        (_edit("torus7", "complex_dim_n = 1", "complex_dim_n = 65"), (), "complex_dim_n must be at most 4, got 65"),
+        # sizes that grow faster than the text: an n x n identity, a taut
+        # suite cubic in the weights, 2^k faces in the closure of a k-vertex facet
+        (WIDE_CHART, (), "line 7: n must be 1..64, got 800"),
+        (_edit("weighted-hopf:1:2", "weights = 1, 2", "weights = " + ", ".join(["1"] * 800)), (), "line 8: weights must list at most 64 weights, got 800"),
+        (SIMPLEX.format(vertices=19, facets="(" + ",".join(map(str, range(19))) + ")", complex="S", n=9), (), "line 19: complex_dim_n must be at most 4, got 9"),
+        (SIMPLEX.format(vertices=6, facets="(0,1,2,3,4,5)", complex="P", n=5), (), "line 19: complex_dim_n must be at most 4, got 5"),
     ],
     ids=[
         "unknown-run-option",
@@ -276,6 +327,10 @@ def _edit(name, old, new):
         "power-above-cap",
         "dim-n-4300-digits",
         "dim-n-above-cap",
+        "chart-n-800",
+        "weights-800",
+        "simplex-19-vertices",
+        "simplex-product-dim-10",
     ],
 )
 def test_malformed_input_exits_two_without_traceback(tmp_path, capsys, text, argv, expect):

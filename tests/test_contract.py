@@ -2,8 +2,9 @@
 owner module, every number in a scenario file is read by
 ``scenario.parse_number``, a pivot column enters an echelon only through
 ``linalg.insert``, floats start only where the taut suite hands numbers
-to numpy, and the quotient suite makes no walk whose result it already
-knows."""
+to numpy, the quotient suite makes no walk whose result it already
+knows, every permutation sign is ``linalg.sort_sign`` and every distance
+decision is ``atlas.Ball.meets``."""
 
 import ast
 import inspect
@@ -215,3 +216,46 @@ def test_call_detection():
 )
 def test_removed_walks_stay_removed(module, function, call):
     assert call not in calls_in((SRC / module).read_text(encoding="utf-8"), function)
+
+
+def _calls(*names):
+    def hit(node) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) in names
+
+    return hit
+
+
+def test_every_distance_decision_is_ball_meets():
+    # a point lies in a ball, and an image in a chart, when two balls meet
+    found = {
+        (path.name, where)
+        for path in sorted(SRC.glob("*.py"))
+        for where, _ in located(path.read_text(encoding="utf-8"), _calls("compare_real", "vec_norm_sq"))
+    }
+    assert found == {("atlas.py", "meets")}, found
+
+
+@pytest.mark.parametrize(
+    "module, function",
+    [
+        ("simplicial.py", "map_simplex"),
+        ("polyform.py", "wedge"),
+        ("polyform.py", "exterior_derivative"),
+        ("linalg.py", "dense_det"),
+    ],
+)
+def test_permutation_signs_come_from_sort_sign(module, function):
+    assert "sort_sign" in calls_in((SRC / module).read_text(encoding="utf-8"), function)
+
+
+def test_no_second_sign_routine():
+    defined = {
+        node.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    assert "sort_sign" in defined and "_merge_sign" not in defined

@@ -195,7 +195,7 @@ def test_one_fold_subtraction_and_rational_shortcuts_match_the_oracle(n):
 def test_group_closure_sorts_by_fraction_coefficients():
     z = CyclotomicNumber.zeta(4)
     quaternion = group_closure(
-        [CycMatrix(4, [[z, 0], [0, z * z * z]]), CycMatrix(4, [[0, 1], [z * z, 0]])]
+        [CycMatrix(4, [[z, 0], [0, z * z * z]]), CycMatrix(4, [[0, 1], [z * z, 0]])], 8
     )
     keys = [tuple(tuple(c.coeffs for c in row) for row in m.rows) for m in quaternion]
     assert len(keys) == 8

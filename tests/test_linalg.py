@@ -21,6 +21,7 @@ from orbcheck.linalg import (
     kernel_search,
     rational_root,
     reduce_against,
+    sort_sign,
 )
 from orbcheck.pipeline import build_quotient, product_sum_kahler, run_pipeline
 from orbcheck.scenario import parse_scenario
@@ -314,6 +315,15 @@ def cycle_sign(perm):
                 seen.add(start)
                 start = perm[start]
     return (-1) ** (len(perm) - cycles)
+
+
+@pytest.mark.parametrize("length", range(6))
+def test_sort_sign_is_the_parity_of_every_permutation(length):
+    # entries need not be 0..n-1: labels 3v + 1 sort as v does
+    for perm in permutations(range(length)):
+        labels = [3 * v + 1 for v in perm]
+        for seq in (labels, tuple(labels)):
+            assert sort_sign(seq) == (tuple(3 * v + 1 for v in range(length)), cycle_sign(perm))
 
 
 def cofactor_det(m):
