@@ -60,9 +60,9 @@ def group_closure(generators: list[CycMatrix], cap: int) -> FiniteMatrixGroup:
     """
     n = generators[0].n
     order = generators[0].order
-    for g in generators:
+    for k, g in enumerate(generators, 1):
         if not g.is_unitary():
-            raise NonUnitaryGenerator(f"generator {g!r} is not unitary")
+            raise NonUnitaryGenerator(f"generator {k} is not unitary")
     ident = CycMatrix.identity(order, n)
     seen = {ident}
     frontier = [ident]

@@ -119,7 +119,7 @@ def _dot(order: int, xs: Iterable["CyclotomicNumber"], ys: Iterable["CyclotomicN
 class CyclotomicNumber:
     """An element of Q(zeta_N) with exact rational coordinates."""
 
-    __slots__ = ("order", "num", "den", "_hash")
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, order: int, coeffs: Iterable[Rat]):
         """The number sum_k coeffs[k] zeta^k; any length, any exponents."""
@@ -131,13 +131,13 @@ class CyclotomicNumber:
         for k, c in enumerate(cs):
             acc[k % order] += c.numerator * (den // c.denominator)
         x = _fold(order, acc, den)
-        self.order, self.num, self.den, self._hash = order, x.num, x.den, None
+        self.order, self.num, self.den = order, x.num, x.den
 
     @classmethod
     def _make(cls, order: int, num: tuple[int, ...], den: int) -> "CyclotomicNumber":
         """Wrap a canonical num/den without checking it."""
         self = object.__new__(cls)
-        self.order, self.num, self.den, self._hash = order, num, den, None
+        self.order, self.num, self.den = order, num, den
         return self
 
     # -- constructors -------------------------------------------------
@@ -242,9 +242,7 @@ class CyclotomicNumber:
         return self.order == other.order and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.order, self.num, self.den))
-        return self._hash
+        return hash((self.order, self.num, self.den))
 
     def __repr__(self):
         terms = []
@@ -288,7 +286,7 @@ def vec_norm_sq(u: CycVector) -> CyclotomicNumber:
 class CycMatrix:
     """Square matrix with CyclotomicNumber entries (row-major)."""
 
-    __slots__ = ("order", "n", "rows", "_hash")
+    __slots__ = ("order", "n", "rows")
 
     def __init__(self, order: int, rows: Sequence[Sequence]):
         self.order = order
@@ -299,13 +297,12 @@ class CycMatrix:
                 raise ValueError("matrix must be square")
             fixed.append(vec(order, row))
         self.rows = tuple(fixed)
-        self._hash = None
 
     @classmethod
     def _make(cls, order: int, rows: tuple[CycVector, ...]) -> "CycMatrix":
         """Wrap square rows of CyclotomicNumbers without checking them."""
         self = object.__new__(cls)
-        self.order, self.n, self.rows, self._hash = order, len(rows), rows, None
+        self.order, self.n, self.rows = order, len(rows), rows
         return self
 
     @staticmethod
@@ -337,9 +334,7 @@ class CycMatrix:
         return self.order == other.order and self.rows == other.rows
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.order, self.rows))
-        return self._hash
+        return hash((self.order, self.rows))
 
     def __repr__(self):
         return f"CycMatrix({self.order}, {[list(r) for r in self.rows]})"

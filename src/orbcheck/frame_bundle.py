@@ -13,8 +13,9 @@ inherits unitarity unchecked.  Since a frame is invertible, two frames
 are in one class exactly when h = xi xi'^H lies in the chart group and
 carries one basepoint to the other.  A gluing choice, the affine map
 x -> Mx + a, is stored as the class of the frame (a, M), the image of
-the origin frame (0, I); two choices then agree as classes at every
-point exactly when their frames are in one class.
+the origin frame (0, I), with its region, balls that meet pairwise; two
+choices then agree as classes at every point of both regions exactly
+when their frames are in one class.
 """
 
 from __future__ import annotations
@@ -68,12 +69,12 @@ def check_equivariance(group: FiniteMatrixGroup) -> Verdict:
 class FrameClass:
     """A Gamma_i-class of frames, stored through one representative; a
     gluing choice also carries its label and the balls, in its first
-    chart's coordinates, on which it applies."""
+    chart's coordinates and meeting pairwise, on which it applies."""
 
     chart: str
     representative: UnitaryFrame
     group: FiniteMatrixGroup
-    region: tuple[Ball, ...] = ()
+    region: frozenset[Ball] = frozenset()
     choice: str = ""
 
     def same_class(self, other: "FrameClass") -> Optional[CycMatrix]:
@@ -84,7 +85,8 @@ class FrameClass:
         return carrying_element(self.group, theirs.frame, theirs.basepoint, ours.frame, ours.basepoint)
 
     def meets(self, other: "FrameClass") -> bool:
-        return all(a.meets(b) for a in self.region for b in other.region)
+        """Only unshared balls are tested: a shared ball meets every ball of both."""
+        return all(a.meets(b) for a in self.region - other.region for b in other.region - self.region)
 
 
 def identity_class(atlas: OrbifoldAtlas, chart_id: str) -> FrameClass:
@@ -92,34 +94,31 @@ def identity_class(atlas: OrbifoldAtlas, chart_id: str) -> FrameClass:
     (0, I), applying on the chart's ball when it is bounded."""
     chart = atlas.chart(chart_id)
     frame = UnitaryFrame(chart_id, chart.domain.center, CycMatrix.identity(chart.cyclotomic_order, chart.n))
-    region = () if chart.radius is None else (chart.domain,)
+    region = frozenset() if chart.radius is None else frozenset({chart.domain})
     return FrameClass(chart_id, frame, chart.group, region)
 
 
-def gluing_images(atlas: OrbifoldAtlas, cls: FrameClass, target: str):
-    """The choices (g, phi) of the gluing from ``cls``'s chart to ``target``,
-    lazily: g in group order (labelled g<index>), then phi in declaration
-    order (#number).  With ``cls`` the choice x -> Mx + a, (g, phi) applies
-    on B(M^H (g^H c - a), r), the preimage of B(c, r) = B_phi; it is kept
-    when that ball meets each of ``cls``'s balls, and only then is (a, M)
-    lifted by g and carried by phi."""
+def gluing_images(atlas: OrbifoldAtlas, cls: FrameClass, target: str) -> list[FrameClass]:
+    """The choices (g, phi) of the gluing from ``cls``'s chart to ``target``:
+    g in group order (labelled g<index>), then phi in declaration order
+    (#number).  Each g lifts ``cls``'s frame (a, M) once, to (ga, gM);
+    B_phi = B(c, r) pulls back to B((gM)^H (c - ga), r), and the choice is
+    kept when that ball meets every ball of ``cls``'s region, which it joins."""
     changes = atlas.changes_between(cls.chart, target)
     group = atlas.chart(target).group
-    rep = cls.representative
-    m_h = rep.frame.conjugate_transpose()
     prefix = cls.choice + " then " if cls.choice else ""
+    out = []
     for index, g in enumerate(cls.group):
-        g_h = g.conjugate_transpose()
+        lifted = lift_group_action(g, cls.representative)
+        back = lifted.frame.conjugate_transpose()
         for number, phi in enumerate(changes, 1):
             dom = phi.source_domain
-            ball = Ball(m_h.apply(vec_sub(g_h.apply(dom.center), rep.basepoint)), dom.radius)
-            if not all(ball.meets(b) for b in cls.region):
-                continue
-            lifted = lift_group_action(g, rep)
-            image = UnitaryFrame(target, phi.apply(lifted.basepoint), phi.linear @ lifted.frame)
-            region = cls.region if ball in cls.region else cls.region + (ball,)
-            label = f"{prefix}g{index} {cls.chart}->{target} #{number}"
-            yield FrameClass(target, image, group, region, label)
+            ball = Ball(back.apply(vec_sub(dom.center, lifted.basepoint)), dom.radius)
+            if all(ball.meets(b) for b in cls.region):
+                image = UnitaryFrame(target, phi.apply(lifted.basepoint), phi.linear @ lifted.frame)
+                label = f"{prefix}g{index} {cls.chart}->{target} #{number}"
+                out.append(FrameClass(target, image, group, cls.region | {ball}, label))
+    return out
 
 
 def _ranked(choices: list[FrameClass]) -> list[tuple[FrameClass, int]]:
@@ -140,7 +139,7 @@ def gluing_well_defined(atlas: OrbifoldAtlas, source: str, target: str) -> Verdi
     """f_ji agrees, at every point, across each pair of choices whose balls
     meet: h.A = A' for one h in Gamma_j.  As that is an equivalence, it
     holds exactly when no two choices of different classes meet."""
-    choices = list(gluing_images(atlas, identity_class(atlas, source), target))
+    choices = gluing_images(atlas, identity_class(atlas, source), target)
     if not choices:
         return Verdict(False, f"no change {source}->{target} meets the domain of {source}")
     ranked = _ranked(choices)
@@ -150,12 +149,12 @@ def gluing_well_defined(atlas: OrbifoldAtlas, source: str, target: str) -> Verdi
     return Verdict(True, f"{len(choices)} choices in {ranked[-1][1] + 1} classes; no two of different classes meet")
 
 
-def common_point(balls: tuple[Ball, ...]) -> Optional[CycVector]:
+def common_point(balls: frozenset[Ball]) -> Optional[CycVector]:
     """A point of every ball, certified by ``Ball.contains``, or None: each
     centre, or c + r/(r + r')(c' - c), which lies in both of two that meet.
     None is no proof of an empty intersection: three or more balls can
     share a point that is none of these candidates."""
-    bounded = list(dict.fromkeys(b for b in balls if b.radius is not None))
+    bounded = [b for b in balls if b.radius is not None]
     candidates = [b.center for b in bounded] + [
         tuple(x + (y - x) * (a.radius / (a.radius + b.radius)) for x, y in zip(a.center, b.center))
         for a, b in combinations(bounded, 2)
@@ -167,18 +166,23 @@ def cocycle_check(atlas: OrbifoldAtlas, i: str, j: str, k: str) -> Verdict:
     """f_ki = f_kj . f_ji on the whole triple overlap: no direct choice
     i -> k meets a composite i -> j -> k of another class, and some pair of
     one class has a certified common point.  No meeting pair is an empty
-    triple overlap, certified by disjoint balls, and fails."""
+    triple overlap, certified by disjoint balls, and fails.  Composites
+    start at the first element of Gamma_i only: precomposing with T in
+    Gamma_i relabels g, keeps classes (left cosets) and moves every ball
+    by an isometry fixing B_i, so every element has as many choices, and
+    each (direct, composite) pair matches one whose composite starts there."""
     start = identity_class(atlas, i)
-    direct = list(gluing_images(atlas, start, k))
-    composite = [via for over_j in gluing_images(atlas, start, j) for via in gluing_images(atlas, over_j, k)]
+    direct = gluing_images(atlas, start, k)
+    firsts = gluing_images(atlas, start, j)
+    composite = [via for over_j in firsts[:len(firsts) // start.group.order] for via in gluing_images(atlas, over_j, k)]
     ranked = _ranked(direct + composite) if direct and composite else []
     met = witnessed = False
     for (d, p), (c, q) in product(ranked[:len(direct)], ranked[len(direct):]):
         if (p != q or not witnessed) and d.meets(c):
             if p != q:
                 return Verdict(False, f"{d.choice} differs from {c.choice} where their balls meet")
-            met, witnessed = True, common_point(d.region + c.region) is not None
-    counts = f"{len(direct)} direct and {len(composite)} composite choices"
+            met, witnessed = True, common_point(d.region | c.region) is not None
+    counts = f"{len(direct)} direct and {start.group.order * len(composite)} composite choices"
     if not met:
         return Verdict(False, f"empty triple overlap: {counts}, no two with pairwise meeting balls")
     if not witnessed:

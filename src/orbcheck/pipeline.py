@@ -17,7 +17,7 @@ from . import foliated as fol
 from . import frame_bundle as fb
 from . import simplicial as simp
 from .cyclotomic import CycMatrix, CyclotomicNumber
-from .errors import NoKahlerClass, NonOrientable, NotPseudomanifold, OrbcheckError
+from .errors import ClosureExceedsCap, NoKahlerClass, NonOrientable, NonUnitaryGenerator, NotPseudomanifold, OrbcheckError
 from .linalg import add_scaled
 from .polyform import PolyForm, Polynomial, PolyVectorField
 from .scenario import CLOSURE_CAP, ActionSection, ChartSection, ComplexSection, Scenario
@@ -75,10 +75,10 @@ def build_chart(section: ChartSection) -> atlas_mod.Chart:
     for mat in section.generators:
         rows = [[CyclotomicNumber(order, coeffs) for coeffs in row] for row in mat]
         gens.append(CycMatrix(order, rows))
-    if gens:
-        group = atlas_mod.group_closure(gens, CLOSURE_CAP)
-    else:
-        group = atlas_mod.FiniteMatrixGroup.trivial(order, section.n)
+    try:
+        group = atlas_mod.group_closure(gens, CLOSURE_CAP) if gens else atlas_mod.FiniteMatrixGroup.trivial(order, section.n)
+    except (NonUnitaryGenerator, ClosureExceedsCap) as exc:  # name the chart in a multi-chart file
+        raise type(exc)(f"[chart {section.id}] {exc}") from None
     return atlas_mod.Chart(section.id, section.n, order, section.radius, group)
 
 

@@ -22,10 +22,13 @@ reference closes the staircase facets downward and projects
 every simplex, where the package enumerates (simplex, simplex, path)
 triples.  The full reduction clears a vector below its leading row as
 well, where the package stops at that row, and the full echelon reduces
-each column that way.  The eager gluing reference
-lifts by every group element before testing any ball, and pulls each
-change's ball back through the lifted frame, (gM)^H (c - g a), where the
-package computes M^H (g^H c - a).
+each column that way.  The lazy gluing reference
+pulls each change's ball back through the class's frame, M^H (g^H c - a),
+and lifts by g only for choices that pass, where the package lifts once
+per group element and pulls back through the lifted frame,
+(gM)^H (c - g a).  The cocycle reference walks composites through every
+first-level choice and tests every pair of balls, where the package
+walks those of the first group element and skips shared balls.
 
 The last section holds constructions only the tests use: explicit
 chart groups, seeded frames and right-action matrices, and the complex
@@ -48,8 +51,9 @@ import numpy as np
 from orbcheck.atlas import Ball, FiniteMatrixGroup
 from orbcheck.cyclotomic import CycMatrix, CyclotomicNumber, vec_sub
 from orbcheck.errors import OrbcheckError
-from orbcheck.frame_bundle import FrameClass, UnitaryFrame, lift_group_action
+from orbcheck.frame_bundle import FrameClass, UnitaryFrame, common_point, identity_class, lift_group_action
 from orbcheck.polyform import Polynomial
+from orbcheck.verdict import Verdict
 
 
 def bareiss_rank(matrix) -> int:
@@ -513,26 +517,52 @@ def product_by_closure(left, right) -> SimpleNamespace:
     )
 
 
-def gluing_images_eager(atlas, cls, target) -> list:
-    """Every choice of the gluing, in the order ``gluing_images`` yields
-    them, lifting the whole frame (g.a, g M) for every g before testing
-    any ball: a choice is kept when (gM)^H (c - g.a), radius r, meets
-    each ball of the class's region."""
+def gluing_images_by_preimage(atlas, cls, target) -> list:
+    """Every choice of the gluing, in the order ``gluing_images`` lists
+    them, testing each ball before any lift: with ``cls`` the map
+    x -> Mx + a, (g, phi) applies on B(M^H (g^H c - a), r), and only a
+    choice whose ball meets each ball of the region is lifted by g."""
     out = []
     group = atlas.chart(target).group
     changes = atlas.changes_between(cls.chart, target)
+    rep = cls.representative
+    m_h = rep.frame.conjugate_transpose()
     for index, g in enumerate(cls.group):
-        moved = lift_group_action(g, cls.representative)
-        back = moved.frame.conjugate_transpose()
+        g_h = g.conjugate_transpose()
         for number, phi in enumerate(changes, 1):
             dom = phi.source_domain
-            ball = Ball(back.apply(vec_sub(dom.center, moved.basepoint)), dom.radius)
+            ball = Ball(m_h.apply(vec_sub(g_h.apply(dom.center), rep.basepoint)), dom.radius)
             if all(ball.meets(b) for b in cls.region):
+                moved = lift_group_action(g, rep)
                 image = UnitaryFrame(target, phi.apply(moved.basepoint), phi.linear @ moved.frame)
-                region = cls.region if ball in cls.region else cls.region + (ball,)
                 label = (cls.choice + " then " if cls.choice else "") + f"g{index} {cls.chart}->{target} #{number}"
-                out.append(FrameClass(target, image, group, region, label))
+                out.append(FrameClass(target, image, group, cls.region | {ball}, label))
     return out
+
+
+def cocycle_by_full_walk(atlas, i, j, k) -> Verdict:
+    """The cocycle verdict with composites through every first-level
+    choice, classes by group scan, and every pair of balls tested (each
+    distinct pair once)."""
+    meets = lru_cache(maxsize=None)(Ball.meets)
+    start = identity_class(atlas, i)
+    direct = gluing_images_by_preimage(atlas, start, k)
+    composite = [
+        via for over_j in gluing_images_by_preimage(atlas, start, j) for via in gluing_images_by_preimage(atlas, over_j, k)
+    ]
+    met = witnessed = False
+    for d, c in itertools.product(direct, composite):
+        if all(meets(a, b) for a in d.region for b in c.region):
+            if same_class_by_scan(d, c) is None:
+                return Verdict(False, f"{d.choice} differs from {c.choice} where their balls meet")
+            met = True
+            witnessed = witnessed or common_point(d.region | c.region) is not None
+    counts = f"{len(direct)} direct and {len(composite)} composite choices"
+    if not met:
+        return Verdict(False, f"empty triple overlap: {counts}, no two with pairwise meeting balls")
+    if not witnessed:
+        return Verdict(False, f"{counts} agree where they meet, but no common point of their balls is certified")
+    return Verdict(True, f"{counts} agree where they meet; a common point is certified")
 
 
 # -- constructions only the tests use ---------------------------------------

@@ -209,6 +209,10 @@ def _edit(name, old, new):
         (_edit("football:2", "center = [1]", "center = [1, 0]"), (), "[change A -> C] center must have length 1"),
         (_edit("football:2", "[change A -> C]", "[chart C]\nn = 1\nradius = 2\ncyclotomic_order = 2\ngenerators =\n\n[change A -> C]"), (), "[chart C] is declared twice"),
         (_edit("quaternion-chart", "[[z, 0], [0, z^3]] ; [[0, 1], [z^2, 0]]", "[[z]]"), (), "line 10: generator 1 must be 2x2"),
+        # group failures name the chart and the generator, not the matrix
+        (_edit("football:2", "[[z]]", "[[2]]"), (), "error: NonUnitaryGenerator: [chart A] generator 1 is not unitary\n"),
+        (_edit("quaternion-chart", "[[z, 0], [0, z^3]]", "[[3/5 + 4/5 z, 0], [0, 1]]"), (),
+         "error: ClosureExceedsCap: [chart Q] closure exceeds cap 64; group is too large or infinite\n"),
         (_edit("torus7", "complex_dim_n = 1", "complex_dim_n = -1"), (), "complex_dim_n = -1 needs dimension -2, [complex T] has 2"),
         (_edit("torus7", "complex_dim_n = 1", "complex_dim_n = 0"), (), "complex_dim_n = 0 needs dimension 0, [complex T] has 2"),
         (_edit("torus7", "complex_dim_n = 1", "complex_dim_n = 2"), (), "complex_dim_n = 2 needs dimension 4, [complex T] has 2"),
@@ -283,6 +287,8 @@ def _edit(name, old, new):
         "change-center-length-2",
         "chart-id-duplicate",
         "n2-chart-1x1-generator",
+        "generator-not-unitary",
+        "closure-above-cap",
         "dim-n-negative",
         "dim-n-zero",
         "dim-n-above-complex",

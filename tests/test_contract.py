@@ -3,8 +3,9 @@ owner module, every number in a scenario file is read by
 ``scenario.parse_number``, a pivot column enters an echelon only through
 ``linalg.insert``, floats start only where the taut suite hands numbers
 to numpy, the quotient suite makes no walk whose result it already
-knows, every permutation sign is ``linalg.sort_sign`` and every distance
-decision is ``atlas.Ball.meets``."""
+knows, every permutation sign is ``linalg.sort_sign``, every distance
+decision is ``atlas.Ball.meets``, and the Seifert suite's gluing walk is
+eager: no function in ``frame_bundle`` yields."""
 
 import ast
 import inspect
@@ -259,3 +260,14 @@ def test_no_second_sign_routine():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     }
     assert "sort_sign" in defined and "_merge_sign" not in defined
+
+
+def _yields(node) -> bool:
+    return isinstance(node, (ast.Yield, ast.YieldFrom))
+
+
+def test_the_gluing_walk_is_eager():
+    # gluing_images returns a list: each g lifts the frame once, and
+    # cocycle_check slices the first element's choices off it
+    assert located("def f(g):\n    yield 1\n    yield from g\n", _yields) == [("f", 2), ("f", 3)]
+    assert located((SRC / "frame_bundle.py").read_text(encoding="utf-8"), _yields) == []

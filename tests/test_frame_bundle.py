@@ -1,10 +1,12 @@
 import dataclasses
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from helpers import (
+    cocycle_by_full_walk,
     equivariance_samples,
-    gluing_images_eager,
+    gluing_images_by_preimage,
     matmul_by_polynomials,
     right_action,
     same_class_by_scan,
@@ -13,6 +15,7 @@ from helpers import (
 
 from orbcheck.atlas import Ball, ChangeOfChart, FiniteMatrixGroup, OrbifoldAtlas
 from orbcheck.catalog import catalog_scenario, catalog_text
+from orbcheck import frame_bundle
 from orbcheck.cyclotomic import CycMatrix, CyclotomicNumber, vec
 from orbcheck.frame_bundle import (
     FrameClass,
@@ -167,17 +170,19 @@ EAGER_TEXTS = [catalog_text(name) for name in CATALOG_ATLASES] + [
 
 @pytest.mark.parametrize("text", EAGER_TEXTS, ids=[*CATALOG_ATLASES, "football:3-offset", "quaternion-offset"])
 def test_lazy_gluing_images_match_the_eager_lift(text):
-    # from each chart's identity, and again from every choice, so that
-    # classes with an offset and a non-identity frame are pulled back
+    # the pre-image reference M^H (g^H c - a), lifting only the choices
+    # that pass, against the package's walk, which lifts once per g: from
+    # each chart's identity, and again from every choice, so that classes
+    # with an offset and a non-identity frame are pulled back
     atlas = build_atlas(parse_scenario(text))
     seen = moved = 0
     for i, j in atlas.overlaps():
-        firsts = list(gluing_images(atlas, identity_class(atlas, i), j))
-        assert firsts == gluing_images_eager(atlas, identity_class(atlas, i), j)
+        firsts = gluing_images(atlas, identity_class(atlas, i), j)
+        assert firsts == gluing_images_by_preimage(atlas, identity_class(atlas, i), j)
         for cls in firsts:
             for k in {t for s, t in atlas.overlaps() if s == j}:
-                images = list(gluing_images(atlas, cls, k))
-                assert images == gluing_images_eager(atlas, cls, k)
+                images = gluing_images(atlas, cls, k)
+                assert images == gluing_images_by_preimage(atlas, cls, k)
                 seen += len(images)
         # choices lifted by a non-identity g carry a frame that is no declared linear part
         declared = {phi.linear for phi in atlas.changes_between(i, j)}
@@ -192,7 +197,7 @@ def test_change_applies_only_inside_its_source_domain(football3):
     choices = list(gluing_images(football3, identity_class(football3, "A"), "C"))
     assert [c.choice for c in choices] == ["g0 A->C #1", "g1 A->C #1", "g2 A->C #1"]
     for g, c in zip(chart.group, choices):
-        assert c.region == (chart.domain, Ball(g.conjugate_transpose().apply(vec(3, [1])), Fraction(1, 4)))
+        assert c.region == {chart.domain, Ball(g.conjugate_transpose().apply(vec(3, [1])), Fraction(1, 4))}
         assert c.representative.basepoint == vec(3, [0]) and c.representative.frame == g
         assert c.group == football3.chart("C").group
 
@@ -371,6 +376,98 @@ def test_cocycle_fails_where_no_candidate_lies_in_a_nonempty_overlap():
     verdict = cocycle_check(atlas, "A", "C", "B")
     assert verdict == Verdict(False, "1 direct and 1 composite choices agree where they meet, "
                                      "but no common point of their balls is certified")
+
+
+Z64 = """
+[scenario]
+name = z64
+pipelines = atlas, seifert
+
+[chart A]
+n = 1
+radius = 2
+cyclotomic_order = 64
+generators = [[z]]
+
+[change A -> A]
+linear = [[1]]
+offset = [0]
+center = [1]
+radius = 1/64
+
+[change A -> A]
+linear = [[z]]
+offset = [0]
+center = [1]
+radius = 1/64
+"""
+
+COCYCLE_TEXTS = {
+    **dict(zip([*CATALOG_ATLASES, "football:3-offset", "quaternion-offset"], EAGER_TEXTS)),
+    "z64": Z64,
+    # a change of another class that meets the first: composites differ
+    "quaternion-swap": _shifted("quaternion-chart", "linear = [[z, 0], [0, z^3]]", "linear = [[0, 1], [1, 0]]"),
+    # A -> C about -1: no composite meets a direct choice
+    "football:3-apart": _shifted("football:3", "[change A -> C]\nlinear = [[1]]\noffset = [0]\ncenter = [1]",
+                                 "[change A -> C]\nlinear = [[1]]\noffset = [0]\ncenter = [-1]"),
+    "triangle": TRIANGLE,
+    "lens": LENS,
+}
+
+
+def _triples(atlas):
+    overlaps = set(atlas.overlaps())
+    return sorted((i, j, k) for i, j in overlaps for j2, k in overlaps if j2 == j and (i, k) in overlaps)
+
+
+def test_cocycle_through_the_first_element_matches_the_full_walk():
+    # precomposing with an element of Gamma_i carries every (direct,
+    # composite) pair to one whose composite starts at the first element;
+    # a "differs" FAIL may name another pair of the same orbit
+    differs = " differs from "
+    fails = {"football:3-offset": differs, "quaternion-offset": differs, "quaternion-swap": differs,
+             "football:3-apart": "empty triple overlap", "triangle": "no common point", "lens": "no common point"}
+    for name, text in COCYCLE_TEXTS.items():
+        atlas = build_atlas(parse_scenario(text))
+        for triple in _triples(atlas):
+            got, want = cocycle_check(atlas, *triple), cocycle_by_full_walk(atlas, *triple)
+            assert want.passed if name not in fails else fails[name] in want.detail, (name, want)
+            if differs in want.detail:
+                assert not got.passed and differs in got.detail, (name, got)
+            else:
+                assert got == want, name
+
+
+def test_every_region_the_walk_builds_meets_pairwise(monkeypatch):
+    built = []
+
+    def recorded(atlas, cls, target):
+        images = gluing_images(atlas, cls, target)
+        built.extend(c.region for c in images)
+        return images
+
+    monkeypatch.setattr(frame_bundle, "gluing_images", recorded)
+    for text in COCYCLE_TEXTS.values():
+        atlas = build_atlas(parse_scenario(text))
+        for i, j in atlas.overlaps():
+            gluing_well_defined(atlas, i, j)
+        for triple in _triples(atlas):
+            cocycle_check(atlas, *triple)
+    assert built
+    for region in built:
+        assert isinstance(region, frozenset)
+        assert all(a.meets(b) for a, b in combinations(region, 2))
+
+
+def test_cocycle_decides_the_z64_atlas_in_few_ball_tests(monkeypatch):
+    # the full walk makes 33,032 ball tests here: 128 x 128 composites
+    atlas = build_atlas(parse_scenario(Z64))
+    calls = []
+    meets = Ball.meets
+    monkeypatch.setattr(Ball, "meets", lambda self, other: calls.append(1) or meets(self, other))
+    verdict = cocycle_check(atlas, "A", "A", "A")
+    assert verdict == Verdict(True, "128 direct and 256 composite choices agree where they meet; a common point is certified")
+    assert len(calls) <= 1000
 
 
 def test_catalog_football_shrinks_change_balls_that_would_meet_their_rotations():
