@@ -164,8 +164,8 @@ tol = 1e-9
 
 
 def _torus7_blocks(cid: str) -> str:
-    # vertex_order makes v -> -v order-reversing, so the involution
-    # stays simplicial on staircase products
+    # v -> -v reverses this vertex order; a triangulated product needed
+    # that to keep the involution simplicial, the cell product does not
     return f"""
 [complex {cid}]
 vertices = 7

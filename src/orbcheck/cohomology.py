@@ -1,8 +1,10 @@
-"""Simplicial cohomology over exact rationals with group averaging,
-Alexander-Whitney cup products, and the Lefschetz / duality verdicts.
+"""Cohomology of simplicial complexes and their cell products over exact
+rationals, with group averaging, cup products, and the Lefschetz /
+duality verdicts.
 
-Cochains exposed to callers are dicts keyed by sorted vertex-position
-tuples; the linear algebra runs on integer-indexed sparse vectors.
+Cochains exposed to callers are dicts keyed by simplices (sorted
+vertex-position tuples) or cells (pairs of them); the linear algebra
+runs on integer-indexed sparse vectors.
 Coboundary entries are the ints +-1, and cochain values stay ints until
 a non-unit pivot, a rational input or a non-integral entry of the
 averaging projector brings in a Fraction; the Kahler cochain is scaled
@@ -13,20 +15,23 @@ rank of delta_(p-1).  Every pivot enters through `linalg.insert`.  Each
 degree keeps one echelon, a copy of that image echelon plus
 representative i labelled ~i, so a class's coordinates are one
 reduction: the negated labels left on it.  Pullbacks walk a cochain's
-support, cup products walk alpha's support by front face, or scale the
-other's support by a 0-cochain's values, and a duality row is one cap
-product of the cycle with a cochain.  Invariance is decided in the full
-cohomology basis: the columns of the averaging projector P average the
-pullbacks of the basis representatives, and a class is invariant iff P
-fixes its coordinates.  The Kahler class is chosen on each component orbit.
+support, cup products walk alpha's support by front face, and a duality
+row is one cap product of the cycle with a cochain.  Both read the
+complex only through `splits`: Alexander-Whitney on a simplicial
+complex, and on a product K x L the sum over the splits of sigma x tau,
+(alpha cup beta)(sigma x tau) = sum_(i+j=|alpha|) (-1)^((p-i)j)
+alpha(sigma[..i] x tau[..j]) beta(sigma[i..] x tau[j..]), with p =
+dim sigma.  Invariance is decided in the full cohomology basis: the
+columns of the averaging projector P average the pullbacks of the basis
+representatives, and a class is invariant iff P fixes its coordinates.
+The Kahler class is chosen on each component orbit.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, lcm
+from math import lcm
 from typing import Optional
 
 from .errors import NoKahlerClass
@@ -158,32 +163,20 @@ class CochainComplexQ:
         return [-v.get(~i, 0) for i in range(len(basis.reps))]
 
 
-def _starting(simplices: list[Simplex], front: Simplex) -> list[Simplex]:
-    """The simplices of a sorted list that begin with front: they are
-    contiguous, between front and front + (inf,)."""
-    lo = bisect_left(simplices, front)
-    return simplices[lo : bisect_left(simplices, front + (inf,), lo)]
-
-
 def cup_product(cx: SimplicialComplex, alpha: Cochain, p: int, beta: Cochain, q: int) -> Cochain:
-    """Alexander-Whitney cup product on the fixed vertex order: each
-    front face in alpha's support, times beta on the back faces of the
-    (p+q)-simplices that begin with it.  A 0-cochain's cup scales the
-    other's support by its value at the first or last vertex."""
-    if p == 0:
-        return {s: a * b for s, b in beta.items() if b and (a := alpha.get(s[:1]))}
-    if q == 0:
-        return {s: a * b for s, a in alpha.items() if a and (b := beta.get(s[-1:]))}
-    simplices = cx.simplices[p + q]
+    """Cup product by front face: each front face in alpha's support, times
+    beta on the back faces of the (p+q)-cells that it splits off, with the
+    complex's sign.  On a simplicial complex that is Alexander-Whitney on
+    the fixed vertex order, one split per simplex; on a product it is the
+    sum over the splits of sigma x tau at a vertex of each factor."""
     out: Cochain = {}
     for front, a in alpha.items():
-        if not a:
-            continue
-        for s in _starting(simplices, front):
-            b = beta.get(s[p:])
-            if b:
-                out[s] = a * b
-    return out
+        if a:
+            for s, back, sign in cx.splits(front, p + q):
+                b = beta.get(back)
+                if b:
+                    out[s] = out.get(s, 0) + sign * a * b
+    return {s: v for s, v in out.items() if v}
 
 
 def cup_power(cx: SimplicialComplex, alpha: Cochain, p: int, k: int) -> tuple[Cochain, int]:
@@ -271,7 +264,8 @@ def kahler_class(
     components, so their values sort the vertices into the orbits.  Each
     orbit keeps the first candidate (an explicit one, then the invariant
     degree-2 basis) that is an invariant cocycle whose restriction to the
-    orbit has a top power pairing nonzero.  The orbits share no vertex,
+    orbit has a top power pairing nonzero; the restriction is the cup
+    with the orbit's indicator 0-cochain.  The orbits share no vertex,
     so omega, the sum of the kept restrictions, pairs as their sum.
     """
     cq = invariant.cq
@@ -280,13 +274,13 @@ def kahler_class(
     orbits: dict = {}
     vertices = cx.simplices[0]
     for v, key in zip(vertices, zip(*(map(c.get, vertices) for c in invariant.degree(0).cochains))):
-        orbits.setdefault(key, set()).add(v[0])
+        orbits.setdefault(key, {})[v] = 1
     omega, pairing = {}, Fraction(0)
     for orbit in orbits.values():
         for cand in candidates:
             if not cq.is_cocycle(cand, 2):
                 continue
-            part = {s: v for s, v in cand.items() if s[0] in orbit}
+            part = cup_product(cx, orbit, 0, cand, 2)
             part_pairing = pair_with_cycle(cup_power(cx, part, 2, n)[0], cycle)
             if part_pairing and invariant.degree(2).fixes(cq.coords(cand, 2)):
                 omega.update(part)
@@ -335,15 +329,15 @@ def poincare_duality_verify(
     cocycles <b cup a, z> = (-1)^(p(2n-p)) <a cup b, z> by Steenrod's cup-1
     formula, so the matrix for p < n is, up to that sign, the transpose of
     the one for 2n - p, and has its rank."""
-    facets = invariant.cq.cx.simplices[2 * n]
+    cx = invariant.cq.cx
     matrices = {}
     for p in range(n, 2 * n + 1):
         matrix = matrices[p] = []
         for a in invariant.degree(p).cochains:
             cap: Cochain = {}
             for front, x in a.items():
-                for s in _starting(facets, front):
-                    cap[s[p:]] = cap.get(s[p:], 0) + x * cycle[s]
+                for s, back, sign in cx.splits(front, 2 * n):
+                    cap[back] = cap.get(back, 0) + sign * x * cycle[s]
             matrix.append([pair_with_cycle(b, cap) for b in invariant.degree(2 * n - p).cochains])
         if p > n:
             matrices[2 * n - p] = [list(row) for row in zip(*matrix)]

@@ -173,7 +173,7 @@ def cocycle_check(atlas: OrbifoldAtlas, i: str, j: str, k: str) -> Verdict:
     each (direct, composite) pair matches one whose composite starts there."""
     start = identity_class(atlas, i)
     direct = gluing_images(atlas, start, k)
-    firsts = gluing_images(atlas, start, j)
+    firsts = direct if j == k else gluing_images(atlas, start, j)
     composite = [via for over_j in firsts[:len(firsts) // start.group.order] for via in gluing_images(atlas, over_j, k)]
     ranked = _ranked(direct + composite) if direct and composite else []
     met = witnessed = False

@@ -195,42 +195,34 @@ def build_simplicial(section: ComplexSection) -> simp.SimplicialComplex:
 
 @dataclass
 class QuotientSetup:
-    cx: simp.SimplicialComplex
+    cx: simp.SimplicialComplex | simp.ProductComplex
     action: simp.SimplicialGroupAction
     cq: coh.CochainComplexQ
-    product: Optional[simp.ProductComplex]
     factor_cq: Optional[tuple[coh.CochainComplexQ, coh.CochainComplexQ]]
     n: int
     product_sum: bool
 
 
-def seed_product_bases(
-    cq: coh.CochainComplexQ,
-    prod: simp.ProductComplex,
-    left_cq: coh.CochainComplexQ,
-    right_cq: coh.CochainComplexQ,
-):
-    """Cross-product candidates realize the Kunneth basis exactly."""
-    cx = cq.cx
-    # pull each factor representative back once, for every degree r
-    left = [[prod.pullback_left(a, p) for a in left_cq.cohomology_basis(p).reps] for p in range(left_cq.dim + 1)]
-    right = [[prod.pullback_right(b, q) for b in right_cq.cohomology_basis(q).reps] for q in range(right_cq.dim + 1)]
-    for r in range(cx.dim + 1):
+def seed_product_bases(cq: coh.CochainComplexQ, left_cq: coh.CochainComplexQ, right_cq: coh.CochainComplexQ):
+    """The cross products a x b of the factors' representatives realize
+    the Kunneth basis exactly."""
+    for r in range(cq.dim + 1):
         cands = [
-            coh.cup_product(cx, pa, p, pb, r - p)
+            cq.cx._pullback(a, b)
             for p in range(max(0, r - right_cq.dim), min(r, left_cq.dim) + 1)
-            for pa in left[p]
-            for pb in right[r - p]
+            for a in left_cq.cohomology_basis(p).reps
+            for b in right_cq.cohomology_basis(r - p).reps
         ]
         cq.cohomology_basis(r, candidates=cands)
 
 
 def product_sum_kahler(setup: QuotientSetup) -> dict:
-    """The pullback of w_L + w_R, where w_L and w_R are degree-2 classes of
-    the two factors, each pairing 1 with its factor's fundamental cycle."""
-    forms = []
+    """w_L x 1 + 1 x w_R, where w_L and w_R are degree-2 classes of the two
+    factors, each pairing 1 with its factor's fundamental cycle."""
+    forms, units = [], []
     for cq in setup.factor_cq:
         cycle = simp.fundamental_cycle(cq.cx)
+        units.append(dict.fromkeys(cq.cx.simplices[0], 1))
         for rep in cq.cohomology_basis(2).reps:
             pairing = simp.pair_with_cycle(rep, cycle)
             if pairing:
@@ -239,41 +231,39 @@ def product_sum_kahler(setup: QuotientSetup) -> dict:
                 break
         else:
             raise NoKahlerClass("factor has no degree-2 class pairing with its cycle")
-    omega = dict(setup.product.pullback_left(forms[0], 2))
-    return add_scaled(omega, setup.product.pullback_right(forms[1], 2), 1)
+    omega = setup.cx._pullback(forms[0], units[1])
+    return add_scaled(omega, setup.cx._pullback(units[0], forms[1]), 1)
 
 
 def build_quotient(scenario: Scenario) -> QuotientSetup:
     qs = scenario.quotient
     section = scenario.complexes[qs.complex]
-    prod = None
     factor_cq = None
     if section.product:
         a, b = section.product
         # T * T shares one factor complex, and one cochain complex below
         left = build_simplicial(scenario.complexes[a])
         right = left if b == a else build_simplicial(scenario.complexes[b])
-        prod = simp.product_complex(left, right)
-        cx = prod.complex
+        cx = simp.product_complex(left, right)
     else:
         cx = build_simplicial(section)
 
     act_section = scenario.actions[qs.action]
     if act_section.factors:
         left_act, right_act = (
-            _build_action(scenario.actions[a], f) for a, f in zip(act_section.factors, (prod.left, prod.right))
+            _build_action(scenario.actions[a], f) for a, f in zip(act_section.factors, (cx.left, cx.right))
         )
-        action = simp.SimplicialGroupAction.product(prod, left_act, right_act)
+        action = simp.ProductAction(cx, left_act, right_act)
     else:
         action = _build_action(act_section, cx)
 
     cq = coh.CochainComplexQ(cx)
-    if prod is not None:
-        left_cq = coh.CochainComplexQ(prod.left)
-        right_cq = left_cq if prod.right is prod.left else coh.CochainComplexQ(prod.right)
-        seed_product_bases(cq, prod, left_cq, right_cq)
+    if section.product:
+        left_cq = coh.CochainComplexQ(cx.left)
+        right_cq = left_cq if cx.right is cx.left else coh.CochainComplexQ(cx.right)
+        seed_product_bases(cq, left_cq, right_cq)
         factor_cq = (left_cq, right_cq)
-    return QuotientSetup(cx, action, cq, prod, factor_cq, qs.n, qs.product_sum)
+    return QuotientSetup(cx, action, cq, factor_cq, qs.n, qs.product_sum)
 
 
 def _build_action(section: ActionSection, cx: simp.SimplicialComplex) -> simp.SimplicialGroupAction:

@@ -1,82 +1,164 @@
-"""Finite simplicial complexes with a fixed global vertex order.
+"""Finite simplicial complexes with a fixed global vertex order, and
+their products as cell complexes.
 
 Simplices are stored as tuples of vertex *positions* in the declared
-order; coboundary signs, Alexander-Whitney cup products and the
-staircase product triangulation are all taken relative to that order.
-A complex is the downward closure of its facets, except a product: its
-simplices come from the factors, one per (simplex, simplex, lattice
-path), and their projections give the pullbacks without a table pass.
-A complex builds its coboundary columns once, on first use, with each
-simplex's faces from combinations(); the orientation is read off
-delta_(d-1), and made invariant by following the generator from one
-facet per ridge-connected component.
+order; coboundary signs and Alexander-Whitney cup products are taken
+relative to that order.  A complex is the downward closure of its
+facets.  A product K x L is the cell complex of the pairs (sigma, tau)
+of simplices of the factors (Eilenberg-Zilber); its coboundary is read
+off the factors', and a diagonal action moves each factor by its own
+vertex map.  The cup and cap products read a complex only through
+`splits`.  Coboundary columns are built once, on first use; the
+orientation is read off delta_(d-1), and made invariant by following
+the generator from one facet per ridge-connected component.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
-from operator import add
+from math import inf
 from typing import Hashable, Optional, Sequence
 
 from .errors import NonOrientable, NotPseudomanifold
 from .linalg import sort_sign
 from .verdict import Verdict
 
-Simplex = tuple  # sorted tuple of vertex positions
+Simplex = tuple  # sorted tuple of vertex positions, or a cell (sigma, tau) of a product
 
 
-class SimplicialComplex:
-    """Downward closure of a facet list over an ordered vertex set."""
+class Cells:
+    """Cells by degree, sorted and indexed, with the coboundary columns
+    built once, on first use.  delta_(-1) is the augmentation: the empty
+    simplex lies in every vertex, with sign +1."""
 
-    def __init__(self, vertices: Sequence[Hashable], facets: Sequence[Sequence], simplices: Optional[dict] = None):
-        """``facets`` are vertex labels.  A product passes its position
-        facets with ``simplices``, its degree lists, each simplex once;
-        they stand in for the closure."""
-        self.vertices = list(vertices)
-        self.position = {v: i for i, v in enumerate(self.vertices)}
-        if simplices is None:
-            self.facets = [tuple(sorted(self.position[v] for v in f)) for f in facets]
-            simplices = {}
-            for face in {c for f in self.facets for size in range(1, len(f) + 1) for c in combinations(f, size)}:
-                simplices.setdefault(len(face) - 1, []).append(face)
-        else:
-            self.facets = list(facets)
-        self.dim = max(len(f) for f in self.facets) - 1
-        self.simplices: dict[int, list[Simplex]] = {p: sorted(simplices[p]) for p in range(self.dim + 1)}
-        self.index: dict[int, dict[Simplex, int]] = {
-            p: {s: i for i, s in enumerate(lst)} for p, lst in self.simplices.items()
-        }
-        self._coboundary: dict[int, list[dict]] = {}
+    simplices: dict[int, list[Simplex]]
+    _coboundary: dict[int, list[dict]]
 
     def count(self, p: int) -> int:
         return len(self.simplices.get(p, []))
 
     def coboundary(self, p: int) -> list[dict]:
-        """Columns of delta_p : C^p -> C^(p+1), built once: the column of a
-        p-simplex maps the index of each (p+1)-simplex tau it lies in to
-        (-1)^i, i the position in tau of the vertex it omits.  The m-th
-        face combinations() gives omits vertex p+1-m.  delta_(-1) is the
-        augmentation: the empty simplex lies in every vertex, with sign +1."""
-        cols = self._coboundary.get(p)
-        if cols is None:
-            if p < 0:
-                cols = [dict.fromkeys(range(self.count(0)), 1)]
-            else:
-                cols = [{} for _ in self.simplices[p]]
-                if p < self.dim:
-                    idx_p = self.index[p]
-                    signs = [(-1) ** (p + 1 - m) for m in range(p + 2)]
-                    for row, tau in enumerate(self.simplices[p + 1]):
-                        for face, sign in zip(combinations(tau, p + 1), signs):
-                            cols[idx_p[face]][row] = sign
-            self._coboundary[p] = cols
+        if p not in self._coboundary:
+            self._coboundary[p] = self._columns(p) if p >= 0 else [dict.fromkeys(range(self.count(0)), 1)]
+        return self._coboundary[p]
+
+
+class SimplicialComplex(Cells):
+    """Downward closure of a facet list over an ordered vertex set."""
+
+    def __init__(self, vertices: Sequence[Hashable], facets: Sequence[Sequence]):
+        """``facets`` are vertex labels."""
+        self.vertices = list(vertices)
+        self.position = {v: i for i, v in enumerate(self.vertices)}
+        self.facets = [tuple(sorted(self.position[v] for v in f)) for f in facets]
+        simplices: dict[int, list[Simplex]] = {}
+        for face in {c for f in self.facets for size in range(1, len(f) + 1) for c in combinations(f, size)}:
+            simplices.setdefault(len(face) - 1, []).append(face)
+        self.dim = max(len(f) for f in self.facets) - 1
+        self.simplices = {p: sorted(simplices[p]) for p in range(self.dim + 1)}
+        self.index: dict[int, dict[Simplex, int]] = {
+            p: {s: i for i, s in enumerate(lst)} for p, lst in self.simplices.items()
+        }
+        self._coboundary = {}
+
+    def _columns(self, p: int) -> list[dict]:
+        """Columns of delta_p : C^p -> C^(p+1): the column of a p-simplex
+        maps the index of each (p+1)-simplex tau it lies in to (-1)^i, i
+        the position in tau of the vertex it omits.  The m-th face
+        combinations() gives omits vertex p+1-m."""
+        cols: list[dict] = [{} for _ in self.simplices[p]]
+        if p < self.dim:
+            idx_p = self.index[p]
+            signs = [(-1) ** (p + 1 - m) for m in range(p + 2)]
+            for row, tau in enumerate(self.simplices[p + 1]):
+                for face, sign in zip(combinations(tau, p + 1), signs):
+                    cols[idx_p[face]][row] = sign
         return cols
 
     def is_pure(self) -> bool:
         return all(len(f) == self.dim + 1 for f in self.facets)
+
+    def splits(self, front: Simplex, k: int) -> list[tuple[Simplex, Simplex, int]]:
+        """(s, back, +1) for every k-simplex s that begins with front, back
+        the face of s from front's last vertex on: the Alexander-Whitney
+        split.  Those s are contiguous in the sorted list, between front
+        and front + (inf,)."""
+        simplices = self.simplices.get(k, [])
+        lo = bisect_left(simplices, front)
+        i = len(front) - 1
+        return [(s, s[i:], 1) for s in simplices[lo : bisect_left(simplices, front + (inf,), lo)]]
+
+
+class ProductComplex(Cells):
+    """The cell complex K x L: a k-cell is a pair (sigma, tau) of simplices
+    of the factors with dim sigma + dim tau = k, and the cells of each
+    degree are sorted, so that with pure factors the first top cell is the
+    pair of the factors' first facets."""
+
+    def __init__(self, left: SimplicialComplex, right: SimplicialComplex):
+        self.left, self.right = left, right
+        self.dim = left.dim + right.dim
+        self.simplices = {
+            k: sorted(
+                (s, t) for p, sigmas in left.simplices.items() for s in sigmas for t in right.simplices.get(k - p, ())
+            )
+            for k in range(self.dim + 1)
+        }
+        self.index = {k: {c: i for i, c in enumerate(cells)} for k, cells in self.simplices.items()}
+        self._coboundary = {}
+
+    def _columns(self, k: int) -> list[dict]:
+        """Columns of delta_k, read off the factors' columns: the column of
+        sigma x tau, with dim sigma = p, holds [sigma':sigma] at sigma' x
+        tau and (-1)^p [tau':tau] at sigma x tau'."""
+        up, cols = self.index.get(k + 1), []
+        # each factor simplex's cofaces with their signs
+        left, right = (
+            {
+                s: [(f.simplices[p + 1][r], c) for r, c in col.items()]
+                for p in f.simplices
+                for s, col in zip(f.simplices[p], f.coboundary(p))
+            }
+            for f in (self.left, self.right)
+        )
+        for s, t in self.simplices[k]:
+            col = {up[f, t]: c for f, c in left[s]}
+            sign = 1 if len(s) % 2 else -1  # (-1)^dim sigma
+            for f, c in right[t]:
+                col[up[s, f]] = sign * c
+            cols.append(col)
+        return cols
+
+    def is_pure(self) -> bool:
+        return self.left.is_pure() and self.right.is_pure()
+
+    def splits(self, front: Simplex, k: int) -> list[tuple[Simplex, Simplex, int]]:
+        """(sigma x tau, back, sign) for every k-cell whose front face is
+        front = (sigma[..i], tau[..j]): back is (sigma[i..], tau[j..]) and
+        the sign (-1)^((dim sigma - i) j) is the Koszul sign of the
+        product of the factors' Alexander-Whitney diagonals, so that
+        (a x b) cup (c x d) = (-1)^(|b||c|) (a cup c) x (b cup d)."""
+        (sf, tf), out = front, []
+        i, j = len(sf) - 1, len(tf) - 1
+        for p in range(i, k - j + 1):
+            taus = self.right.splits(tf, k - p)
+            if taus:
+                sign = -1 if (p - i) * j % 2 else 1
+                for s, sb, _ in self.left.splits(sf, p):
+                    out += [((s, t), (sb, tb), sign) for t, tb, _ in taus]
+        return out
+
+    def _pullback(self, a: dict, b: dict) -> dict:
+        """The cross product a x b = pr_L* a cup pr_R* b, (sigma, tau) ->
+        a(sigma) b(tau); with b the unit 0-cochain of the right factor it is
+        the pullback of a along the left projection, and symmetrically."""
+        return {(s, t): x * y for s, x in a.items() if x for t, y in b.items() if y}
+
+
+def product_complex(left: SimplicialComplex, right: SimplicialComplex) -> ProductComplex:
+    return ProductComplex(left, right)
 
 
 def fundamental_cycle(complex_: SimplicialComplex, action: Optional[SimplicialGroupAction] = None) -> dict[Simplex, int]:
@@ -143,96 +225,6 @@ def pair_with_cycle(cochain: dict[Simplex, Fraction], cycle: dict[Simplex, int])
     return Fraction(sum(v * cycle[f] for f, v in cochain.items() if f in cycle))
 
 
-@dataclass
-class ProductComplex:
-    """Staircase triangulation of a product, with cochain pullbacks.
-
-    ``left_pairs[k]`` lists (s, sigma) for every k-simplex s whose left
-    projection sigma is a k-simplex, sorted by s; ``right_pairs`` the same
-    with tau."""
-
-    complex: SimplicialComplex
-    left: SimplicialComplex
-    right: SimplicialComplex
-    left_pairs: dict[int, list[tuple[Simplex, Simplex]]]
-    right_pairs: dict[int, list[tuple[Simplex, Simplex]]]
-
-    def pullback_left(self, cochain: dict[Simplex, Fraction], degree: int) -> dict[Simplex, Fraction]:
-        return self._pullback(cochain, self.left_pairs[degree])
-
-    def pullback_right(self, cochain: dict[Simplex, Fraction], degree: int) -> dict[Simplex, Fraction]:
-        return self._pullback(cochain, self.right_pairs[degree])
-
-    def _pullback(self, cochain, pairs):
-        out: dict[Simplex, Fraction] = {}
-        for s, proj in pairs:
-            val = cochain.get(proj)
-            if val:
-                out[s] = val
-        return out
-
-
-def product_complex(left: SimplicialComplex, right: SimplicialComplex) -> ProductComplex:
-    """Product triangulated by monotone staircases in each cell.
-
-    Each k-simplex is one triple (sigma, tau, path): sigma and tau are
-    simplices of the factors, of dimensions p and q, and the path is a
-    monotone lattice path of k steps through [0..p] x [0..q] that covers
-    both.  Its vertex (i, j) sits at product position sigma_i * |R| + tau_j,
-    so the positions increase along the path, each simplex comes out once,
-    and its projections are sigma and tau.  The facets are the p + q
-    paths of each facet pair."""
-    width = len(right.vertices)
-    dim = left.dim + right.dim
-    simplices: dict[int, list[Simplex]] = {k: [] for k in range(dim + 1)}
-    left_pairs: dict[int, list] = {k: [] for k in range(dim + 1)}
-    right_pairs: dict[int, list] = {k: [] for k in range(dim + 1)}
-    for p, sigmas in left.simplices.items():
-        for q, taus in right.simplices.items():
-            for k in range(max(p, q), p + q + 1):
-                out, lpairs, rpairs = simplices[k], left_pairs[k], right_pairs[k]
-                for lane, cols in _paths(p, q, k):
-                    backs = [(tau, (*map(tau.__getitem__, cols),)) for tau in taus]
-                    for sigma in sigmas:
-                        front = [sigma[i] * width for i in lane]
-                        for tau, back in backs:
-                            s = (*map(add, front, back),)
-                            out.append(s)
-                            if p == k:
-                                lpairs.append((s, sigma))
-                            if q == k:
-                                rpairs.append((s, tau))
-    for pairs in (*left_pairs.values(), *right_pairs.values()):
-        pairs.sort()
-    facets = []
-    for sf in left.facets:
-        rows = [v * width for v in sf]
-        for tf in right.facets:
-            for lane, cols in _paths(len(sf) - 1, len(tf) - 1, len(sf) + len(tf) - 2):
-                facets.append((*map(add, map(rows.__getitem__, lane), map(tf.__getitem__, cols)),))
-    verts = [(a, b) for a in left.vertices for b in right.vertices]
-    return ProductComplex(SimplicialComplex(verts, facets, simplices), left, right, left_pairs, right_pairs)
-
-
-@lru_cache(maxsize=None)
-def _paths(p: int, q: int, k: int) -> tuple:
-    """Monotone lattice paths of k steps (1,0), (0,1) or (1,1) from (0,0)
-    to (p,q), in that step order, each as its row and column index lists."""
-    paths = []
-
-    def walk(i, j, lane, cols):
-        if i == p and j == q:
-            if len(lane) == k + 1:
-                paths.append((tuple(lane), tuple(cols)))
-            return
-        for di, dj in ((1, 0), (0, 1), (1, 1)):
-            if i + di <= p and j + dj <= q:
-                walk(i + di, j + dj, lane + [i + di], cols + [j + dj])
-
-    walk(0, 0, [0], [0])
-    return tuple(paths)
-
-
 class SimplicialGroupAction:
     """Z/k acting on a complex through the powers of one vertex permutation.
 
@@ -256,18 +248,10 @@ class SimplicialGroupAction:
         return cls(complex_, k, [complex_.position[generator_map[v]] for v in complex_.vertices])
 
     @classmethod
-    def trivial(cls, complex_: SimplicialComplex) -> "SimplicialGroupAction":
+    def trivial(cls, complex_: SimplicialComplex | ProductComplex) -> "SimplicialGroupAction":
+        if isinstance(complex_, ProductComplex):
+            return ProductAction(complex_, cls.trivial(complex_.left), cls.trivial(complex_.right))
         return cls(complex_, 1, range(len(complex_.vertices)))
-
-    @classmethod
-    def product(
-        cls, product: ProductComplex, left: "SimplicialGroupAction", right: "SimplicialGroupAction"
-    ) -> "SimplicialGroupAction":
-        """The diagonal action of two actions of one order: the generator is
-        sigma_L x sigma_R on product positions i * |R| + j, the order in
-        which product_complex lays out the vertex pairs."""
-        width = len(right.generator)
-        return cls(product.complex, left.k, [a * width + b for a in left.generator for b in right.generator])
 
     def map_simplex(self, e: int, s: Simplex) -> tuple[Simplex, int]:
         """Image simplex and the sign of the sorting permutation."""
@@ -287,13 +271,37 @@ class SimplicialGroupAction:
         return out
 
 
+class ProductAction(SimplicialGroupAction):
+    """The diagonal action of two actions of one order on K x L: element e
+    maps sigma x tau to e.sigma x e.tau, with the product of the two
+    sorting signs."""
+
+    def __init__(self, complex_: ProductComplex, left: SimplicialGroupAction, right: SimplicialGroupAction):
+        self.complex = complex_
+        self.k = left.k
+        self.elements = left.elements
+        self.factors = (left, right)
+
+    def map_simplex(self, e: int, s: Simplex) -> tuple[Simplex, int]:
+        (sigma, a), (tau, b) = (f.map_simplex(e, c) for f, c in zip(self.factors, s))
+        return (sigma, tau), a * b
+
+
 def verify_action(action: SimplicialGroupAction) -> Verdict:
     """The generator decides the action: it is a permutation, sigma^k = id
     (so i -> sigma^i is a homomorphism from Z/k), and it maps every facet
     to a simplex.  The complex is the downward closure of its facets, so a
     vertex bijection then maps every simplex to a simplex; it is injective
     on each degree's finite simplex set, hence onto it, and so is every
-    power of it."""
+    power of it.  A diagonal action is decided factor by factor, since
+    sigma x tau is a cell exactly when sigma and tau are simplices; a FAIL
+    names the factor."""
+    if isinstance(action, ProductAction):
+        for side, factor in zip(("left", "right"), action.factors):
+            verdict = verify_action(factor)
+            if not verdict.passed:
+                return Verdict(False, f"{side} factor: {verdict.detail}")
+        return verdict
     cx = action.complex
     gen = action.generator
     ident = list(range(len(cx.vertices)))

@@ -9,20 +9,22 @@ its Mobius product.  The Gram reference contracts the fields through the whole d
 matrix, as a general metric would, rather than along its diagonal.  The
 frame-class reference scans the whole chart group instead of
 solving for the one candidate element.  The simplicial references walk
-every simplex: pullbacks over all p-simplices rather than a cochain's
-support, simpliciality over every degree rather than the facets, and
-orientation signs by scanning each facet for the vertex a ridge omits,
-and cup products over every (p + q)-simplex rather than one factor's
-support; the duality matrix pairs each such cup with the cycle, where
-the package caps the cycle with a source cochain, and component orbits
-are joined by union-find over ridges and the generator, where the
-package follows the generator from one facet per component.  The
-coboundary reference drops each vertex by slicing, and the product
-reference closes the staircase facets downward and projects
-every simplex, where the package enumerates (simplex, simplex, path)
-triples.  The full reduction clears a vector below its leading row as
-well, where the package stops at that row, and the full echelon reduces
-each column that way.  The lazy gluing reference
+every simplex, or every cell of a product: pullbacks over all
+p-simplices rather than a cochain's support, simpliciality over every
+degree rather than the facets, orientation signs from each facet's
+faces by slicing, and cup products over every (p + q)-simplex or cell
+rather than one factor's support; the duality matrix pairs each such
+cup with the cycle, where the package caps the cycle with a source
+cochain, and component orbits are joined by union-find over ridges and
+the generator, where the package follows the generator from one facet
+per component.  The coboundary reference drops each vertex by slicing,
+a factor's vertex on a cell, where the package reads a product's
+columns off its factors'.  The staircase reference closes the staircase
+facets of a product downward and projects every simplex: it is the
+triangulated product whose cohomology the cell product's must match.
+The full reduction clears a vector below its leading row as well, where
+the package stops at that row, and the full echelon reduces each column
+that way.  The lazy gluing reference
 pulls each change's ball back through the class's frame, M^H (g^H c - a),
 and lifts by g only for choices that pass, where the package lifts once
 per group element and pulls back through the lifted frame,
@@ -127,9 +129,14 @@ def modular_rank(columns: list[dict], nrows: int, p: int = 1_000_003) -> int:
     return rank
 
 
-def sort_sign(perm: list[int], s: tuple) -> tuple[tuple, int]:
+def sort_sign(perm, s: tuple) -> tuple[tuple, int]:
     """The sorted image of s under a vertex permutation on positions, and
-    the sign of the permutation that sorts it, read from its cycles."""
+    the sign of the permutation that sorts it, read from its cycles.  On a
+    cell sigma x tau of a product, perm is a pair of factor permutations:
+    each factor is moved by its own, and the signs multiply."""
+    if is_cell(s):
+        (sigma, a), (tau, b) = (sort_sign(f, c) for f, c in zip(perm, s))
+        return (sigma, tau), a * b
     image = [perm[v] for v in s]
     order = sorted(range(len(image)), key=image.__getitem__)
     parity, seen = 0, set()
@@ -141,6 +148,42 @@ def sort_sign(perm: list[int], s: tuple) -> tuple[tuple, int]:
             length += 1
         parity ^= max(length - 1, 0) & 1
     return tuple(sorted(image)), -1 if parity else 1
+
+
+def is_cell(s: tuple) -> bool:
+    """A cell sigma x tau of a product is a pair of vertex tuples; a
+    simplex is a tuple of vertex positions."""
+    return bool(s) and isinstance(s[0], tuple)
+
+
+def faces(s: tuple) -> list[tuple[tuple, int]]:
+    """The signed codimension-one faces by slicing: a simplex drops its
+    i-th vertex with (-1)^i; a cell sigma x tau drops the i-th vertex of
+    sigma with (-1)^i, or the j-th of tau with (-1)^(dim sigma + j), as
+    the boundary of a product of chains."""
+    if not is_cell(s):
+        return [(s[:i] + s[i + 1 :], -1 if i % 2 else 1) for i in range(len(s))]
+    sigma, tau = s
+    out = [((f, tau), c) for f, c in faces(sigma) if f]
+    return out + [((sigma, f), c * (-1) ** (len(sigma) - 1)) for f, c in faces(tau) if f]
+
+
+def facets_of(cx) -> list[tuple]:
+    """The declared facets, or on a product the pairs of the factors'."""
+    if hasattr(cx, "facets"):
+        return cx.facets
+    return [(s, t) for s in cx.left.facets for t in cx.right.facets]
+
+
+def element_perms(action) -> list:
+    """Each element's vertex permutation, composed from the generator; on
+    a diagonal action, the pair of the factors' permutations."""
+    if hasattr(action, "factors"):
+        return list(zip(*(element_perms(f) for f in action.factors)))
+    perms = [list(range(len(action.generator)))]
+    for _ in range(action.k - 1):
+        perms.append([action.generator[v] for v in perms[-1]])
+    return perms
 
 
 def invariant_betti(simplices: dict[int, list[tuple]], perms: list[list[int]]) -> list[int]:
@@ -177,8 +220,8 @@ def invariant_betti(simplices: dict[int, list[tuple]], perms: list[list[int]]) -
     for p in range(top):
         cofaces = {}
         for tau in simplices[p + 1]:
-            for i in range(len(tau)):
-                cofaces.setdefault(tau[:i] + tau[i + 1 :], []).append((tau, -1 if i % 2 else 1))
+            for face, sign in faces(tau):
+                cofaces.setdefault(face, []).append((tau, sign))
         columns = []
         for u in orbit_sums[p]:
             col = {}
@@ -314,8 +357,9 @@ def pullback_by_scan(action, e: int, cochain: dict, degree: int) -> dict:
     """(e* a)(s) = sign(e, s) a(e.s), walking every p-simplex of the
     complex instead of the support of a."""
     out = {}
+    perm = element_perms(action)[e]
     for s in action.complex.simplices[degree]:
-        image, sign = sort_sign(action.perms[e], s)
+        image, sign = sort_sign(perm, s)
         val = cochain.get(image)
         if val:
             out[s] = sign * val
@@ -326,33 +370,30 @@ def non_simplex_by_scan(action):
     """The first (simplex, element) whose image is not a simplex, scanning
     every simplex of every degree, or None when the action is simplicial."""
     cx = action.complex
+    perms = element_perms(action)
     for p, simplices in cx.simplices.items():
         for s in simplices:
             for e in action.elements:
-                if sort_sign(action.perms[e], s)[0] not in cx.index[p]:
+                if sort_sign(perms[e], s)[0] not in cx.index[p]:
                     return s, e
     return None
 
 
 def fundamental_cycle_by_scan(cx) -> dict:
-    """Coherent facet signs by ridge propagation, each ridge sign found by
-    scanning the facet for the vertex the ridge omits."""
+    """Coherent facet signs by ridge propagation, each ridge and its sign
+    read off the facet's faces by slicing."""
     from orbcheck.errors import NonOrientable, NotPseudomanifold
 
-    if any(len(f) != cx.dim + 1 for f in cx.facets):
+    facets = sorted(set(facets_of(cx)))
+    if any(f not in cx.index[cx.dim] for f in facets):
         raise NotPseudomanifold("complex is not pure")
-    facets = sorted(set(cx.facets))
     ridge_to_facets = {}
     for f in facets:
-        for i in range(len(f)):
-            ridge_to_facets.setdefault(f[:i] + f[i + 1 :], []).append(f)
+        for ridge, _ in faces(f):
+            ridge_to_facets.setdefault(ridge, []).append(f)
     for ridge, fs in ridge_to_facets.items():
         if len(fs) != 2:
             raise NotPseudomanifold(f"ridge {ridge} lies in {len(fs)} facets")
-
-    def ridge_sign(facet, ridge):
-        i = next(k for k, v in enumerate(facet) if v not in ridge)
-        return -1 if i % 2 else 1
 
     signs = {}
     for start in facets:
@@ -362,10 +403,9 @@ def fundamental_cycle_by_scan(cx) -> dict:
         stack = [start]
         while stack:
             f = stack.pop()
-            for i in range(len(f)):
-                ridge = f[:i] + f[i + 1 :]
+            for ridge, sign in faces(f):
                 other = next(g for g in ridge_to_facets[ridge] if g != f)
-                needed = -signs[f] * ridge_sign(f, ridge) * ridge_sign(other, ridge)
+                needed = -signs[f] * sign * dict(faces(other))[ridge]
                 if other in signs:
                     if signs[other] != needed:
                         raise NonOrientable("orientation propagation contradiction")
@@ -415,12 +455,24 @@ def build_echelon_full(columns) -> tuple[dict, int]:
 
 
 def cup_by_walk(cx, alpha: dict, p: int, beta: dict, q: int) -> dict:
-    """Alexander-Whitney cup product over every (p + q)-simplex."""
+    """Alexander-Whitney cup product over every (p + q)-simplex; on a
+    product, over every (p + q)-cell sigma x tau and each split of it at
+    vertex i of sigma and j of tau, i + j = p, with the Koszul sign
+    (-1)^((dim sigma - i) j)."""
     out = {}
     for s in cx.simplices[p + q]:
-        a, b = alpha.get(s[: p + 1]), beta.get(s[p:])
-        if a and b:
-            out[s] = a * b
+        if is_cell(s):
+            sigma, tau = s
+            v = sum(
+                (-1) ** ((len(sigma) - 1 - i) * (p - i))
+                * alpha.get((sigma[: i + 1], tau[: p - i + 1]), 0)
+                * beta.get((sigma[i:], tau[p - i :]), 0)
+                for i in range(max(0, p - len(tau) + 1), min(p, len(sigma) - 1) + 1)
+            )
+        else:
+            v = alpha.get(s[: p + 1], 0) * beta.get(s[p:], 0)
+        if v:
+            out[s] = v
     return out
 
 
@@ -438,7 +490,7 @@ def component_orbits_by_scan(cx, generator: list[int]) -> int:
     components: classes of facets joined when they share a ridge, found
     by scanning each facet's ridges, or when the generator maps one to
     the other."""
-    facets = sorted(set(cx.facets))
+    facets = sorted(set(facets_of(cx)))
     parent = {f: f for f in facets}
 
     def root(f):
@@ -448,20 +500,20 @@ def component_orbits_by_scan(cx, generator: list[int]) -> int:
 
     by_ridge = {}
     for f in facets:
-        for i in range(len(f)):
-            other = by_ridge.setdefault(f[:i] + f[i + 1 :], f)
+        for ridge, _ in faces(f):
+            other = by_ridge.setdefault(ridge, f)
             parent[root(other)] = root(f)
-        parent[root(tuple(sorted(generator[v] for v in f)))] = root(f)
+        parent[root(sort_sign(generator, f)[0])] = root(f)
     return sum(1 for f in facets if root(f) == f)
 
 
 def coboundary_by_slicing(cx, p: int) -> list[dict]:
-    """Columns of delta_p by the slicing definition: the i-th face of each
-    (p+1)-simplex drops its i-th vertex and carries (-1)^i."""
+    """Columns of delta_p by the slicing definition: each face of each
+    (p+1)-simplex or cell carries its sign from ``faces``."""
     cols = [{} for _ in cx.simplices[p]]
     for row, tau in enumerate(cx.simplices.get(p + 1, [])):
-        for i in range(len(tau)):
-            cols[cx.index[p][tau[:i] + tau[i + 1 :]]][row] = (-1) ** i
+        for face, sign in faces(tau):
+            cols[cx.index[p][face]][row] = sign
     return cols
 
 

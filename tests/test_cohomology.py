@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,10 +7,12 @@ import pytest
 from helpers import (
     bareiss_rank,
     build_echelon_full,
+    coboundary_by_slicing,
     cup_by_walk,
     duality_matrix_by_cup,
     invariant_betti,
     modular_rank,
+    product_by_closure,
     reduce_full,
 )
 
@@ -29,6 +32,7 @@ from orbcheck.linalg import build_echelon
 from orbcheck.pipeline import build_quotient, product_sum_kahler, run_pipeline
 from orbcheck.scenario import parse_scenario
 from orbcheck.simplicial import (
+    ProductComplex,
     SimplicialComplex,
     SimplicialGroupAction,
     fundamental_cycle,
@@ -180,24 +184,22 @@ QUOTIENT_CATALOG = ("pillowcase", "torus7", "t4-z2", "octahedron", "rp2-antipoda
 
 def raw_element_perms(scenario, cx):
     """Each group element's vertex permutation on positions, composed from
-    the scenario's own `maps` lines (powers of the generator, factorwise
-    on a product), without the package's action code."""
+    the scenario's own `maps` lines (powers of the generator), without the
+    package's action code; on a product, the pair of the factors' own."""
     section = scenario.actions[scenario.quotient.action]
-    factors = [scenario.actions[f] for f in section.factors] if section.factors else [section]
+    if section.factors:
+        factors = [scenario.actions[f] for f in section.factors]
+        return list(zip(*(raw_element_perms_of(f, c) for f, c in zip(factors, (cx.left, cx.right)))))
+    return raw_element_perms_of(section, cx)
 
-    def power(sec, i, v):
-        for _ in range(i if sec.maps else 0):
-            v = sec.maps[v]
+
+def raw_element_perms_of(section, cx):
+    def power(i, v):
+        for _ in range(i if section.maps else 0):
+            v = section.maps[v]
         return v
 
-    perms = []
-    for i in range(factors[0].order):
-        if section.factors:
-            images = [tuple(power(f, i, x) for f, x in zip(factors, v)) for v in cx.vertices]
-        else:
-            images = [power(section, i, v) for v in cx.vertices]
-        perms.append([cx.position[w] for w in images])
-    return perms
+    return [[cx.position[power(i, v)] for v in cx.vertices] for i in range(section.order)]
 
 
 @pytest.mark.parametrize("name", QUOTIENT_CATALOG)
@@ -234,7 +236,8 @@ CLEARING_COMPLEXES = {
     "torus7": torus7,
     "octahedron": octahedron,
     "pillowcase": lambda: build_quotient(catalog_scenario("pillowcase")).cx,
-    "t7xt7-natural-order": lambda: product_complex(torus7(), torus7()).complex,
+    # the staircase triangulation of the test oracle, a large plain complex
+    "t7xt7-natural-order": lambda: SimplicialComplex(range(49), product_by_closure(torus7(), torus7()).facets),
 }
 
 
@@ -377,16 +380,20 @@ def test_coboundary_columns_stay_as_built_through_a_full_run(monkeypatch):
     # an apparent column is its own pivot, so the echelons share the
     # coboundary columns: a whole t4-z2 run must leave them as built
     built = []
-    original = SimplicialComplex.coboundary
 
-    def recording(self, p):
-        fresh = p not in self._coboundary
-        cols = original(self, p)
-        if fresh:
-            built.append((cols, [dict(c) for c in cols]))
-        return cols
+    def recording(original):
+        def coboundary(self, p):
+            fresh = p not in self._coboundary
+            cols = original(self, p)
+            if fresh:
+                built.append((cols, [dict(c) for c in cols]))
+            return cols
 
-    monkeypatch.setattr(SimplicialComplex, "coboundary", recording)
+        return coboundary
+
+    # the cell product reads its columns off the factor's
+    for cls in (SimplicialComplex, ProductComplex):
+        monkeypatch.setattr(cls, "coboundary", recording(cls.coboundary))
     assert run_pipeline(catalog_scenario("t4-z2")).overall
     assert len(built) >= 5 and all(cols == copy for cols, copy in built)
     cq = build_quotient(catalog_scenario("t4-z2")).cq
@@ -424,3 +431,75 @@ def test_a_rational_kahler_candidate_is_scaled_back_to_ints():
     omega = kahler_class(inv, cycle, 1, third)
     assert omega.cochain == rep and all(type(v) is int for v in omega.cochain.values())
     assert omega.pairing == pair_with_cycle(rep, cycle) and type(omega.pairing) is Fraction
+
+
+def coboundary_of(cx, cochain, p):
+    """delta_p of a tuple-keyed cochain through the slicing oracle."""
+    cols, out = coboundary_by_slicing(cx, p), {}
+    for s, v in cochain.items():
+        for row, sign in cols[cx.index[p][s]].items():
+            t = cx.simplices[p + 1][row]
+            out[t] = out.get(t, 0) + sign * v
+    return {t: v for t, v in out.items() if v}
+
+
+def combined(*terms):
+    """sum of c * cochain over the (c, cochain) terms, zeros dropped."""
+    out = {}
+    for c, cochain in terms:
+        for s, v in cochain.items():
+            out[s] = out.get(s, 0) + c * v
+    return {s: v for s, v in out.items() if v}
+
+
+KOSZUL_PRODUCTS = {
+    "torus7xoctahedron": lambda: product_complex(torus7(), octahedron()),
+    "t7xt7-mirrored": lambda: product_complex(*[torus7([1, 2, 3, 0, 4, 5, 6])] * 2),
+}
+
+
+@pytest.mark.parametrize("name", KOSZUL_PRODUCTS)
+def test_cell_cup_is_a_graded_leibniz_associative_product_of_cross_products(name):
+    cx = KOSZUL_PRODUCTS[name]()
+    left, right = cx.left, cx.right
+    rng = random.Random(59)
+
+    def seeded(k):  # dense, so that the products below are not empty
+        return {s: rng.choice((-1, 1, 2)) for s in cx.simplices[k] if rng.random() < 0.3}
+
+    def cross(a, b):
+        return {(s, t): x * y for s, x in a.items() for t, y in b.items() if x * y}
+
+    for p in range(cx.dim + 1):
+        for q in range(cx.dim - p + 1):
+            a, b = seeded(p), seeded(q)
+            ab = cup_product(cx, a, p, b, q)
+            assert ab, (name, p, q)
+            if p + q < cx.dim:  # delta(a cup b) = delta a cup b + (-1)^p a cup delta b
+                lhs = coboundary_of(cx, ab, p + q)
+                da_b = cup_product(cx, coboundary_of(cx, a, p), p + 1, b, q) if p < cx.dim else {}
+                a_db = cup_product(cx, a, p, coboundary_of(cx, b, q), q + 1)
+                assert lhs == combined((1, da_b), ((-1) ** p, a_db)), (name, p, q)
+            for r in range(cx.dim - p - q + 1):
+                c = seeded(r)
+                bc = cup_product(cx, b, q, c, r)
+                assert cup_product(cx, ab, p + q, c, r) == cup_product(cx, a, p, bc, q + r), (name, p, q, r)
+    # (a x b) cup (c x d) = (-1)^(|b||c|) (a cup c) x (b cup d), the factor
+    # cups by the walk over every simplex, and delta(a x b) = delta a x b +
+    # (-1)^|a| a x delta b, on seeded factor cochains
+    nonzero = [0, 0]  # products without and with a Koszul sign
+    for (i, j, k, m) in itertools.product(range(3), repeat=4):
+        if i + k > left.dim or j + m > right.dim:
+            continue
+        a, c = ({s: rng.choice((-1, 1, 2)) for s in left.simplices[e] if rng.random() < 0.5} for e in (i, k))
+        b, d = ({t: rng.choice((-1, 1, 2)) for t in right.simplices[e] if rng.random() < 0.5} for e in (j, m))
+        lhs = cup_product(cx, cross(a, b), i + j, cross(c, d), k + m)
+        rhs = cross(cup_by_walk(left, a, i, c, k), cup_by_walk(right, b, j, d, m))
+        nonzero[j * k % 2] += bool(lhs)
+        assert lhs == {s: (-1) ** (j * k) * v for s, v in rhs.items()}, (name, i, j, k, m)
+        if i + j < cx.dim:
+            da = coboundary_of(left, a, i) if i < left.dim else {}
+            db = coboundary_of(right, b, j) if j < right.dim else {}
+            expect = combined((1, cross(da, b)), ((-1) ** i, cross(a, db)))
+            assert coboundary_of(cx, cross(a, b), i + j) == expect, (name, i, j)
+    assert nonzero[0] >= 25 and nonzero[1] >= 4, nonzero

@@ -470,6 +470,18 @@ def test_cocycle_decides_the_z64_atlas_in_few_ball_tests(monkeypatch):
     assert len(calls) <= 1000
 
 
+def test_self_overlap_cocycle_walks_the_direct_choices_once(monkeypatch, quaternion):
+    # on Q.Q.Q the first level i -> j is the direct walk i -> k, so it is
+    # lifted once: 8 lifts for it (one per element of the chart's group),
+    # and 16 for the composites through the first element's 2 choices;
+    # walking the first level twice made 32
+    lifts = []
+    monkeypatch.setattr(frame_bundle, "lift_group_action", lambda g, fr: lifts.append(1) or lift_group_action(g, fr))
+    verdict = cocycle_check(quaternion, "Q", "Q", "Q")
+    assert verdict == Verdict(True, "16 direct and 32 composite choices agree where they meet; a common point is certified")
+    assert len(lifts) == 24
+
+
 def test_catalog_football_shrinks_change_balls_that_would_meet_their_rotations():
     # |1 - zeta_13|^2 = 2 - 2 cos(2 pi/13) < (1/2)^2, so B(1, 1/4) meets its
     # Gamma_A-rotation, and the trivial Gamma_C cannot carry one image to
