@@ -11,40 +11,32 @@ when its centre lies in the chart's ball shrunk by the image's radius.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cyclotomic import CycMatrix, CycVector, compare_real, vec, vec_norm_sq, vec_sub
 from .errors import ClosureExceedsCap, NonUnitaryGenerator
 from .verdict import Verdict
 
 
-@dataclass(frozen=True)
-class FiniteMatrixGroup:
-    """A finite set of exact unitary matrices, closed under product."""
+class FiniteMatrixGroup(tuple):
+    """A finite set of exact unitary matrices, closed under product: the
+    tuple of its elements, so iterated, tested and compared through them."""
 
-    elements: tuple[CycMatrix, ...]
+    __slots__ = ()
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self)
 
     @property
     def n(self) -> int:
-        return self.elements[0].n
+        return self[0].n
 
     @property
     def cyclotomic_order(self) -> int:
-        return self.elements[0].order
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, m: CycMatrix) -> bool:
-        return m in self.elements
+        return self[0].order
 
     @classmethod
     def trivial(cls, order: int, n: int) -> "FiniteMatrixGroup":
@@ -83,8 +75,7 @@ def group_closure(generators: list[CycMatrix], cap: int) -> FiniteMatrixGroup:
     return FiniteMatrixGroup(elems)
 
 
-@dataclass(frozen=True)
-class Ball:
+class Ball(NamedTuple):
     """Origin- or center-offset ball with exact rational radius; None = all of C^n."""
 
     center: CycVector
@@ -101,8 +92,7 @@ class Ball:
         return compare_real(d2, (self.radius + other.radius) ** 2) <= 0
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(NamedTuple):
     """A local uniformization: flat ball in C^n with a finite unitary group."""
 
     id: str
@@ -111,25 +101,26 @@ class Chart:
     radius: Optional[Fraction]  # None means all of C^n
     group: FiniteMatrixGroup
 
-    @cached_property
+    @property
     def domain(self) -> Ball:
         origin = vec(self.cyclotomic_order, [0] * self.n)
         return Ball(origin, self.radius)
 
 
-@dataclass(frozen=True)
 class ChangeOfChart:
     """Unitary-affine holomorphic isometry z -> Uz + b between charts."""
 
-    source: str
-    target: str
-    linear: CycMatrix
-    offset: CycVector
-    source_domain: Ball
+    __slots__ = ("source", "target", "linear", "offset", "source_domain", "_unitary")
 
-    @cached_property
-    def unitary(self) -> bool:  # one verdict for atlas validation and the Seifert suite
-        return self.linear.is_unitary()
+    def __init__(self, source: str, target: str, linear: CycMatrix, offset: CycVector, source_domain: Ball):
+        self.source, self.target, self.linear, self.offset = source, target, linear, offset
+        self.source_domain, self._unitary = source_domain, None
+
+    @property
+    def unitary(self) -> bool:  # one verdict for atlas validation and the Seifert suite, on first read
+        if self._unitary is None:
+            self._unitary = self.linear.is_unitary()
+        return self._unitary
 
     def apply(self, point: CycVector) -> CycVector:
         moved = self.linear.apply(point)
@@ -139,8 +130,7 @@ class ChangeOfChart:
         return self.source == other.source and self.source_domain == other.source_domain
 
 
-@dataclass
-class OrbifoldAtlas:
+class OrbifoldAtlas(NamedTuple):
     charts: list[Chart]
     changes: list[ChangeOfChart]
 

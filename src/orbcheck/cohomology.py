@@ -29,10 +29,9 @@ The Kahler class is chosen on each component orbit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import NoKahlerClass
 from .linalg import (
@@ -54,8 +53,7 @@ from .verdict import Verdict
 Cochain = dict  # Simplex -> int or Fraction
 
 
-@dataclass
-class CohomologyBasis:
+class CohomologyBasis(NamedTuple):
     reps: list  # tuple-keyed cocycle representatives
     pivots: dict  # delta_(p-1)'s image echelon, then rep i labelled ~i
 
@@ -191,8 +189,7 @@ def cup_power(cx: SimplicialComplex, alpha: Cochain, p: int, k: int) -> tuple[Co
     return acc, deg
 
 
-@dataclass
-class InvariantDegree:
+class InvariantDegree(NamedTuple):
     projector: list[list[Fraction]]  # the average of the action matrices, in the full basis
     cochains: list  # cocycles whose classes are a basis of the invariant classes
 
@@ -244,8 +241,7 @@ class InvariantCohomology:
         return self.degree(p).dim
 
 
-@dataclass
-class KahlerClassRep:
+class KahlerClassRep(NamedTuple):
     cochain: Cochain
     n: int
     pairing: Fraction

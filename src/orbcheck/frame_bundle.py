@@ -20,17 +20,15 @@ when their frames are in one class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .atlas import Ball, Chart, FiniteMatrixGroup, OrbifoldAtlas, carrying_element
 from .cyclotomic import CycMatrix, CycVector, vec_sub
 from .verdict import Verdict
 
 
-@dataclass(frozen=True)
-class UnitaryFrame:
+class UnitaryFrame(NamedTuple):
     chart: str
     basepoint: CycVector
     frame: CycMatrix
@@ -49,7 +47,7 @@ def check_lifted_action_free(group: FiniteMatrixGroup) -> Verdict:
     when the group's elements are distinct (``group_closure`` collects
     them as a set).
     """
-    if len(set(group.elements)) != group.order:
+    if len(set(group)) != group.order:
         return Verdict(False, "fixed frame found for non-identity element")
     return Verdict(True, "no non-identity element fixes a frame; g.xi=xi forces g=id")
 
@@ -65,8 +63,7 @@ def check_equivariance(group: FiniteMatrixGroup) -> Verdict:
     return Verdict(all(g.n == n and g.order == order for g in group))
 
 
-@dataclass(frozen=True)
-class FrameClass:
+class FrameClass(NamedTuple):
     """A Gamma_i-class of frames, stored through one representative; a
     gluing choice also carries its label and the balls, in its first
     chart's coordinates and meeting pairwise, on which it applies."""

@@ -8,8 +8,7 @@ duality verdicts.  Failures become report entries, never aborts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import atlas as atlas_mod
 from . import cohomology as coh
@@ -24,17 +23,18 @@ from .scenario import CLOSURE_CAP, ActionSection, ChartSection, ComplexSection, 
 from .verdict import Verdict
 
 
-@dataclass
-class ReportEntry:
+class ReportEntry(NamedTuple):
     key: str
     value: str
     ok: Optional[bool]  # None for informational lines
 
 
-@dataclass
 class Report:
-    scenario: str
-    entries: list[ReportEntry] = field(default_factory=list)
+    __slots__ = ("scenario", "entries")
+
+    def __init__(self, scenario: str):
+        self.scenario = scenario
+        self.entries: list[ReportEntry] = []
 
     def add(self, key: str, value: str, ok: Optional[bool]):
         self.entries.append(ReportEntry(key, value, ok))
@@ -193,8 +193,7 @@ def build_simplicial(section: ComplexSection) -> simp.SimplicialComplex:
     return simp.SimplicialComplex(section.vertex_order or range(section.vertices), section.facets)
 
 
-@dataclass
-class QuotientSetup:
+class QuotientSetup(NamedTuple):
     cx: simp.SimplicialComplex | simp.ProductComplex
     action: simp.SimplicialGroupAction
     cq: coh.CochainComplexQ

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import MissingSection, ParseError, ShapeMismatch
 
@@ -23,8 +22,7 @@ KNOWN_PIPELINES = ("atlas", "seifert", "taut", "quotient")
 CLOSURE_CAP = 64  # largest group, cyclotomic order, chart dimension and weight count
 
 
-@dataclass
-class ChartSection:
+class ChartSection(NamedTuple):
     id: str
     n: int
     radius: Optional[Fraction]
@@ -32,8 +30,7 @@ class ChartSection:
     generators: list  # list of matrices; entries are z-polynomial coefficient lists
 
 
-@dataclass
-class ChangeSection:
+class ChangeSection(NamedTuple):
     source: str
     target: str
     linear: list
@@ -42,47 +39,51 @@ class ChangeSection:
     radius: Fraction
 
 
-@dataclass
-class GeometrySection:
+class GeometrySection(NamedTuple):
     weights: list[int]
 
 
-@dataclass
 class ComplexSection:
-    id: str
-    vertices: int = 0
-    facets: list = field(default_factory=list)
-    vertex_order: Optional[list[int]] = None
-    product: Optional[tuple[str, str]] = None
+    """A plain complex (vertices, facets, vertex_order) or a product of two."""
+
+    __slots__ = ("id", "vertices", "facets", "vertex_order", "product")
+
+    def __init__(self, id: str):
+        self.id, self.vertices, self.facets = id, 0, []
+        self.vertex_order: Optional[list[int]] = None
+        self.product: Optional[tuple[str, str]] = None
 
 
-@dataclass
 class ActionSection:
-    id: str
-    group: str  # "trivial", "cyclic:<k>", "product"
-    order: int = 1  # k of cyclic:<k>
-    maps: Optional[list[int]] = None
-    factors: Optional[tuple[str, str]] = None
+    """group is "trivial", "product" or "cyclic:<k>", of order k."""
+
+    __slots__ = ("id", "group", "order", "maps", "factors")
+
+    def __init__(self, id: str, group: str):
+        self.id, self.group, self.order = id, group, 1
+        self.maps: Optional[list[int]] = None
+        self.factors: Optional[tuple[str, str]] = None
 
 
-@dataclass
-class QuotientSection:
+class QuotientSection(NamedTuple):
     complex: str
     action: str
     n: int
     product_sum: bool = False  # kahler = product-sum
 
 
-@dataclass
 class Scenario:
-    name: str
-    pipelines: list[str]
-    charts: list[ChartSection] = field(default_factory=list)
-    changes: list[ChangeSection] = field(default_factory=list)
-    geometry: Optional[GeometrySection] = None
-    complexes: dict[str, ComplexSection] = field(default_factory=dict)
-    actions: dict[str, ActionSection] = field(default_factory=dict)
-    quotient: Optional[QuotientSection] = None
+    __slots__ = ("name", "pipelines", "charts", "changes", "geometry", "complexes", "actions", "quotient")
+
+    def __init__(self):
+        self.name = ""
+        self.pipelines: list[str] = []
+        self.charts: list[ChartSection] = []
+        self.changes: list[ChangeSection] = []
+        self.geometry: Optional[GeometrySection] = None
+        self.complexes: dict[str, ComplexSection] = {}
+        self.actions: dict[str, ActionSection] = {}
+        self.quotient: Optional[QuotientSection] = None
 
     def validate(self):
         if ("atlas" in self.pipelines or "seifert" in self.pipelines) and not self.charts:
@@ -289,7 +290,7 @@ def parse_scenario(text: str) -> Scenario:
         key, _, value = line.partition("=")
         current[2].append((lineno, key.strip(), value.strip()))
 
-    scenario = Scenario(name="", pipelines=[])
+    scenario = Scenario()
     seen: set[str] = set()
 
     for head_line, header, items in blocks:
@@ -412,9 +413,8 @@ def parse_scenario(text: str) -> Scenario:
             reject_unknown()
             scenario.complexes[section.id] = section
         elif kind == "action" and len(words) == 2:
-            section = ActionSection(words[1], "")
             ln, grp = take("group")
-            section.group = grp.strip()
+            section = ActionSection(words[1], grp.strip())
             if section.group == "product":
                 ln, factors = take("factors")
                 parts = [p.strip() for p in factors.split(",")]

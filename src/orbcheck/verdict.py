@@ -1,11 +1,8 @@
 """The one result shape of every check: did it pass, and why."""
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     passed: bool
     detail: str = ""  # rendered after PASS/FAIL in the report line

@@ -201,4 +201,4 @@ def test_group_closure_sorts_by_fraction_coefficients():
     assert len(keys) == 8
     assert all(type(c) is Fraction for key in keys for row in key for cs in row for c in cs)
     assert keys == sorted(keys)
-    assert quaternion.elements[0] == CycMatrix(4, [[-1, 0], [0, -1]])
+    assert quaternion[0] == CycMatrix(4, [[-1, 0], [0, -1]])

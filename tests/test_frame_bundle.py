@@ -1,4 +1,5 @@
-import dataclasses
+import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,12 +14,13 @@ from helpers import (
     sample_frames,
 )
 
-from orbcheck.atlas import Ball, ChangeOfChart, FiniteMatrixGroup, OrbifoldAtlas
+from orbcheck.atlas import Ball, ChangeOfChart, Chart, FiniteMatrixGroup, OrbifoldAtlas
 from orbcheck.catalog import catalog_scenario, catalog_text
 from orbcheck import frame_bundle
 from orbcheck.cyclotomic import CycMatrix, CyclotomicNumber, vec
 from orbcheck.frame_bundle import (
     FrameClass,
+    UnitaryFrame,
     check_equivariance,
     check_lifted_action_free,
     cocycle_check,
@@ -168,13 +170,13 @@ EAGER_TEXTS = [catalog_text(name) for name in CATALOG_ATLASES] + [
 ]
 
 
-@pytest.mark.parametrize("text", EAGER_TEXTS, ids=[*CATALOG_ATLASES, "football:3-offset", "quaternion-offset"])
-def test_lazy_gluing_images_match_the_eager_lift(text):
-    # the pre-image reference M^H (g^H c - a), lifting only the choices
-    # that pass, against the package's walk, which lifts once per g: from
-    # each chart's identity, and again from every choice, so that classes
-    # with an offset and a non-identity frame are pulled back
-    atlas = build_atlas(parse_scenario(text))
+def _images_agree(atlas) -> tuple[int, int]:
+    """The pre-image reference M^H (g^H c - a), lifting only the choices
+    that pass, against the package's walk, which lifts once per g: from
+    each chart's identity, and again from every choice, so that classes
+    with an offset and a non-identity frame are pulled back.  Returns the
+    number of second-level images and of first-level choices whose frame
+    is no declared linear part."""
     seen = moved = 0
     for i, j in atlas.overlaps():
         firsts = gluing_images(atlas, identity_class(atlas, i), j)
@@ -187,6 +189,12 @@ def test_lazy_gluing_images_match_the_eager_lift(text):
         # choices lifted by a non-identity g carry a frame that is no declared linear part
         declared = {phi.linear for phi in atlas.changes_between(i, j)}
         moved += sum(c.representative.frame not in declared for c in firsts)
+    return seen, moved
+
+
+@pytest.mark.parametrize("text", EAGER_TEXTS, ids=[*CATALOG_ATLASES, "football:3-offset", "quaternion-offset"])
+def test_lazy_gluing_images_match_the_eager_lift(text):
+    seen, moved = _images_agree(build_atlas(parse_scenario(text)))
     assert seen and moved
 
 
@@ -205,8 +213,8 @@ def test_change_applies_only_inside_its_source_domain(football3):
 def test_change_whose_ball_misses_the_chart_has_no_choice():
     # B(1, 1/4) misses a chart A of radius 1/2, so no choice of A -> C applies
     scenario = catalog_scenario("football:3")
-    small = dataclasses.replace(scenario.charts[0], radius=Fraction(1, 2))
-    atlas = build_atlas(dataclasses.replace(scenario, charts=[small] + scenario.charts[1:]))
+    scenario.charts[0] = scenario.charts[0]._replace(radius=Fraction(1, 2))
+    atlas = build_atlas(scenario)
     assert list(gluing_images(atlas, identity_class(atlas, "A"), "C")) == []
     assert gluing_well_defined(atlas, "A", "C") == Verdict(False, "no change A->C meets the domain of A")
 
@@ -265,7 +273,7 @@ def test_cocycle_skips_classes_off_the_triple_overlap(football3):
     # shrink the A -> C ball to radius 1/32: each composite still meets
     # the direct choice by the same g, and no other
     narrowed = OrbifoldAtlas(football3.charts, [
-        dataclasses.replace(c, source_domain=Ball(c.source_domain.center, Fraction(1, 32)))
+        ChangeOfChart(c.source, c.target, c.linear, c.offset, Ball(c.source_domain.center, Fraction(1, 32)))
         if (c.source, c.target) == ("A", "C") else c
         for c in football3.changes
     ])
@@ -273,7 +281,7 @@ def test_cocycle_skips_classes_off_the_triple_overlap(football3):
     assert verdict == Verdict(True, "6 direct and 3 composite choices agree where they meet; a common point is certified")
     # an A -> C ball about -1 parts every composite from every direct choice
     apart = OrbifoldAtlas(football3.charts, [
-        dataclasses.replace(c, source_domain=Ball(vec(3, [-1]), Fraction(1, 4)))
+        ChangeOfChart(c.source, c.target, c.linear, c.offset, Ball(vec(3, [-1]), Fraction(1, 4)))
         if (c.source, c.target) == ("A", "C") else c
         for c in football3.changes
     ])
@@ -288,7 +296,7 @@ def test_cocycle_compares_only_meeting_pairs_of_different_classes(football3):
     one = Ball(vec(3, [1]), Fraction(1, 16))
     shift = ChangeOfChart("C", "B", CycMatrix.identity(3, 1), vec(3, [Fraction(1, 16)]),
                           Ball(vec(3, [Fraction(5, 4)]), Fraction(1, 8)))
-    direct = [dataclasses.replace(c, source_domain=one) for c in football3.changes_between("A", "B")]
+    direct = [ChangeOfChart(c.source, c.target, c.linear, c.offset, one) for c in football3.changes_between("A", "B")]
     via_c = football3.changes_between("A", "C")
     apart = OrbifoldAtlas(football3.charts, direct + via_c + [shift])
     verdict = cocycle_check(apart, "A", "C", "B")
@@ -420,22 +428,30 @@ def _triples(atlas):
     return sorted((i, j, k) for i, j in overlaps for j2, k in overlaps if j2 == j and (i, k) in overlaps)
 
 
+def _full_walks(atlas) -> list:
+    """The full walk's verdict on every triple, once ``cocycle_check`` is
+    seen to agree with it.  Precomposing with an element of Gamma_i
+    carries every (direct, composite) pair to one whose composite starts
+    at the first element, so a "differs" FAIL may name another pair of
+    the same orbit."""
+    out = []
+    for triple in _triples(atlas):
+        got, want = cocycle_check(atlas, *triple), cocycle_by_full_walk(atlas, *triple)
+        if " differs from " in want.detail:
+            assert not got.passed and " differs from " in got.detail, (triple, got, want)
+        else:
+            assert got == want, (triple, got, want)
+        out.append(want)
+    return out
+
+
 def test_cocycle_through_the_first_element_matches_the_full_walk():
-    # precomposing with an element of Gamma_i carries every (direct,
-    # composite) pair to one whose composite starts at the first element;
-    # a "differs" FAIL may name another pair of the same orbit
     differs = " differs from "
     fails = {"football:3-offset": differs, "quaternion-offset": differs, "quaternion-swap": differs,
              "football:3-apart": "empty triple overlap", "triangle": "no common point", "lens": "no common point"}
     for name, text in COCYCLE_TEXTS.items():
-        atlas = build_atlas(parse_scenario(text))
-        for triple in _triples(atlas):
-            got, want = cocycle_check(atlas, *triple), cocycle_by_full_walk(atlas, *triple)
+        for want in _full_walks(build_atlas(parse_scenario(text))):
             assert want.passed if name not in fails else fails[name] in want.detail, (name, want)
-            if differs in want.detail:
-                assert not got.passed and differs in got.detail, (name, got)
-            else:
-                assert got == want, name
 
 
 def test_every_region_the_walk_builds_meets_pairwise(monkeypatch):
@@ -457,6 +473,129 @@ def test_every_region_the_walk_builds_meets_pairwise(monkeypatch):
     for region in built:
         assert isinstance(region, frozenset)
         assert all(a.meets(b) for a, b in combinations(region, 2))
+
+
+# -- the Seifert corpus: seeded monomial atlases against the oracles --------
+#
+# A monomial matrix is (perm, exps): row i holds zeta_N^exps[i] in column
+# perm[i] and zeros elsewhere, so it is unitary by construction.
+
+
+def _mono(m, order: int) -> CycMatrix:
+    perm, exps = m
+    return CycMatrix(order, [[CyclotomicNumber.zeta(order, e) if c == p else 0 for c in range(len(perm))]
+                             for p, e in zip(perm, exps)])
+
+
+def _mono_group(gen, order: int) -> FiniteMatrixGroup:
+    """The cyclic group of a monomial matrix, closed on (perm, exps)."""
+    n = len(gen[0])
+    elements = [(tuple(range(n)), (0,) * n)]
+    while True:
+        (pa, ea), (pb, eb) = elements[-1], gen
+        step = (tuple(pb[p] for p in pa), tuple((e + eb[p]) % order for p, e in zip(pa, ea)))
+        if step == elements[0]:
+            return FiniteMatrixGroup(_mono(m, order) for m in elements)
+        elements.append(step)
+
+
+def _random_mono(rng, n: int, order: int):
+    return tuple(rng.sample(range(n), n)), tuple(rng.randrange(order) for _ in range(n))
+
+
+def _random_atlas(rng, order: int) -> OrbifoldAtlas:
+    """One to three charts of one dimension n <= 2 sharing a cyclic group
+    of order <= 4, and zero to two changes per ordered pair of charts,
+    self-overlaps included.  A change has a linear part in the group or,
+    one time in four, any monomial one; an offset 0 or, one time in four,
+    zeta^e / 16; and a ball of radius 1/4 or 1/2 about a point zeta^e q,
+    with q = 0, 1/2 or 1."""
+    n = rng.choice((1, 2))
+    group = _mono_group(_random_mono(rng, n, order), order)
+    while group.order > 4:
+        group = _mono_group(_random_mono(rng, n, order), order)
+    ids = "ABC"[:rng.randint(1, 3)]
+    charts = [Chart(cid, n, order, rng.choice((Fraction(2), Fraction(2), None)), group) for cid in ids]
+
+    def point(scale):
+        out = [0] * n
+        out[rng.randrange(n)] = CyclotomicNumber.zeta(order, rng.randrange(order)) * scale
+        return vec(order, out)
+
+    def linear():
+        return _mono(_random_mono(rng, n, order), order) if rng.random() < 1 / 4 else rng.choice(group)
+
+    changes = [
+        ChangeOfChart(s, t, linear(), point(Fraction(1, 16) if rng.random() < 1 / 4 else 0),
+                      Ball(point(rng.choice((0, Fraction(1, 2), 1))), rng.choice((Fraction(1, 4), Fraction(1, 2)))))
+        for s in ids for t in ids for _ in range(rng.choice((0, 0, 1, 2)))
+    ]
+    return OrbifoldAtlas(charts, changes)
+
+
+def _triangle(order: int, powers: tuple, radius: Fraction, turn: int) -> OrbifoldAtlas:
+    """Identity changes A -> B, A -> C, C -> B on balls of one radius r < 1
+    about zeta^p for p in ``powers``, all turned by zeta^turn.  The balls
+    meet pairwise, but when the origin lies in the centres' convex hull,
+    sum_i t_i c_i = 0, every point x has sum_i t_i |x - c_i|^2 = |x|^2 + 1
+    > r^2, so no point lies in all three."""
+    group = FiniteMatrixGroup.trivial(order, 1)
+    charts = [Chart(cid, 1, order, Fraction(2), group) for cid in "ABC"]
+    ident = CycMatrix.identity(order, 1)
+    return OrbifoldAtlas(charts, [
+        ChangeOfChart(s, t, ident, vec(order, [0]), Ball(vec(order, [CyclotomicNumber.zeta(order, p + turn)]), radius))
+        for (s, t), p in zip((("A", "B"), ("A", "C"), ("C", "B")), powers)
+    ])
+
+
+def test_seifert_corpus_matches_the_oracles():
+    # 24 seeded atlases over zeta_8 and zeta_12 (75 triples: 28 PASS, 32
+    # "differs" and 15 empty triple overlaps), then triangles that meet
+    # pairwise around the origin, which both sides FAIL until a common
+    # point of three balls is decided exactly
+    rng = random.Random(9)
+    kinds = Counter()
+    for order in (8, 12):
+        for _ in range(12):
+            atlas = _random_atlas(rng, order)
+            _images_agree(atlas)
+            kinds.update("PASS" if w.passed else "differs" if " differs from " in w.detail else w.detail.split(":")[0]
+                         for w in _full_walks(atlas))
+    assert set(kinds) == {"PASS", "differs", "empty triple overlap"} and min(kinds.values()) >= 10, kinds
+    for order, powers, radius in ((8, (0, 3, 5), Fraction(19, 20)), (12, (0, 4, 8), Fraction(9, 10))):
+        for turn in rng.sample(range(order), 2):
+            atlas = _triangle(order, powers, radius, turn)
+            balls = [c.source_domain for c in atlas.changes]
+            assert all(a.meets(b) for a, b in combinations(balls, 2))
+            [want] = _full_walks(atlas)
+            assert not want.passed and "no common point" in want.detail, want
+
+
+def test_hashed_records_compare_and_hash_by_value(football3):
+    # Ball, UnitaryFrame and FrameClass are named tuples: their fields are
+    # read-only, so a record cannot change its hash inside a frozenset
+    ball, twin = (Ball(vec(3, [1]), Fraction(1, 4)) for _ in range(2))
+    assert ball is not twin and ball == twin and hash(ball) == hash(twin)
+    assert len(frozenset({ball, twin})) == 1
+    group = football3.chart("A").group
+
+    def choice():
+        frame = UnitaryFrame("A", vec(3, [0]), CycMatrix(3, [[1]]))
+        return FrameClass("A", frame, FiniteMatrixGroup(tuple(group)), frozenset({Ball(vec(3, [1]), Fraction(1, 4))}), "g0")
+
+    first, second = choice(), choice()
+    assert first.group is not second.group and first.representative is not second.representative
+    assert first == second and hash(first) == hash(second) and len(frozenset({first, second})) == 1
+    assert first != first._replace(choice="g1")
+    with pytest.raises(AttributeError):
+        ball.radius = Fraction(1, 2)
+    with pytest.raises(AttributeError):
+        first.region = frozenset()
+    # a change compares its ball by value, not by identity
+    change = football3.changes_between("A", "B")[0]
+    copy = ChangeOfChart("A", "B", change.linear, change.offset, Ball(*change.source_domain))
+    assert copy.source_domain is not change.source_domain and copy.same_source_domain(change)
+    assert not copy.same_source_domain(ChangeOfChart("A", "B", change.linear, change.offset, ball._replace(radius=Fraction(1, 8))))
 
 
 def test_cocycle_decides_the_z64_atlas_in_few_ball_tests(monkeypatch):

@@ -1,7 +1,11 @@
 """Every name a module under src/orbcheck imports is used in that module,
-and no module imports numpy when it is itself imported."""
+no module imports numpy when it is itself imported, and start-up loads
+neither dataclasses nor inspect."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,8 +75,8 @@ def test_numpy_is_imported_only_inside_functions(path):
     assert "numpy" not in import_time_modules(path.read_text(encoding="utf-8"))
 
 
-def numpy_imports(source: str) -> list[tuple[str, int]]:
-    """(enclosing function, line) of every import of numpy, at any depth."""
+def imports_of(source: str, top: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of every import of package ``top``, at any depth."""
     found = []
 
     def walk(node, where):
@@ -81,7 +85,7 @@ def numpy_imports(source: str) -> list[tuple[str, int]]:
         names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
         if isinstance(node, ast.ImportFrom) and node.module and not node.level:
             names = [node.module]
-        if any(name.split(".")[0] == "numpy" for name in names):
+        if any(name.split(".")[0] == top for name in names):
             found.append((where, node.lineno))
         for child in ast.iter_child_nodes(node):
             walk(child, where)
@@ -92,7 +96,8 @@ def numpy_imports(source: str) -> list[tuple[str, int]]:
 
 def test_numpy_import_detection():
     source = "import numpy\ndef f():\n    from numpy.linalg import svd\n    def g():\n        import numpy as np\n"
-    assert numpy_imports(source) == [(None, 1), ("f", 3), ("g", 5)]
+    assert imports_of(source, "numpy") == [(None, 1), ("f", 3), ("g", 5)]
+    assert imports_of("import dataclasses as dc\nclass A:\n    from dataclasses import field\n", "dataclasses") == [(None, 1), (None, 3)]
 
 
 def test_numpy_is_imported_only_by_the_transverse_kahler_check():
@@ -100,9 +105,33 @@ def test_numpy_is_imported_only_by_the_transverse_kahler_check():
     found = [
         (path.name, where)
         for path in sorted(SRC.glob("*.py"))
-        for where, _ in numpy_imports(path.read_text(encoding="utf-8"))
+        for where, _ in imports_of(path.read_text(encoding="utf-8"), "numpy")
     ]
     assert found == [("foliated.py", "transverse_kahler_check")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    # records are named tuples or __slots__ classes: building a dataclass
+    # costs ~0.5 ms at import, and dataclasses loads inspect, ast and dis
+    assert imports_of(path.read_text(encoding="utf-8"), "dataclasses") == []
+
+
+def modules_after(statement: str) -> set:
+    """sys.modules of a fresh interpreter, with src on its path, after ``statement``."""
+    code = f"import sys\n{statement}\nprint(' '.join(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    return set(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout.split())
+
+
+def test_fresh_interpreter_guard_detects_dataclasses():
+    assert {"dataclasses", "inspect"} <= modules_after("import dataclasses")
+
+
+@pytest.mark.parametrize("module", ["orbcheck.pipeline", "orbcheck.cli"])
+def test_start_up_loads_neither_dataclasses_nor_inspect(module):
+    loaded = modules_after(f"import {module}")
+    assert module in loaded and not {"dataclasses", "inspect"} & loaded
 
 
 ROOT = SRC.parent.parent
