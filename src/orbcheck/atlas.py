@@ -76,18 +76,16 @@ def group_closure(generators: list[CycMatrix], cap: int) -> FiniteMatrixGroup:
 
 
 class Ball(NamedTuple):
-    """Origin- or center-offset ball with exact rational radius; None = all of C^n."""
+    """Origin- or center-offset ball with exact rational radius."""
 
     center: CycVector
-    radius: Optional[Fraction]
+    radius: Fraction
 
     def contains(self, point: CycVector) -> bool:
         return self.meets(Ball(point, Fraction(0)))
 
     def meets(self, other: "Ball") -> bool:
         """Closed balls meet iff |c - c'|^2 <= (r + r')^2, decided exactly."""
-        if self.radius is None or other.radius is None:
-            return True
         d2 = vec_norm_sq(vec_sub(self.center, other.center))
         return compare_real(d2, (self.radius + other.radius) ** 2) <= 0
 
@@ -102,9 +100,8 @@ class Chart(NamedTuple):
     group: FiniteMatrixGroup
 
     @property
-    def domain(self) -> Ball:
-        origin = vec(self.cyclotomic_order, [0] * self.n)
-        return Ball(origin, self.radius)
+    def origin(self) -> CycVector:
+        return vec(self.cyclotomic_order, [0] * self.n)
 
 
 class ChangeOfChart:
@@ -178,7 +175,7 @@ def image_containment(change: ChangeOfChart, target: Chart) -> Verdict:
         return Verdict(True, "target is all of C^n")
     if r > big_r:
         return Verdict(False, f"r = {r} > R = {big_r}")
-    inside = Ball(target.domain.center, big_r - r).contains(change.apply(change.source_domain.center))
+    inside = Ball(target.origin, big_r - r).contains(change.apply(change.source_domain.center))
     return Verdict(inside, f"|Uc+b|^2 {'<=' if inside else '>'} (R-r)^2 = {(big_r - r) ** 2}")
 
 

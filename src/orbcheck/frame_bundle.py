@@ -90,8 +90,8 @@ def identity_class(atlas: OrbifoldAtlas, chart_id: str) -> FrameClass:
     """The identity of chart i as a gluing choice: the origin frame
     (0, I), applying on the chart's ball when it is bounded."""
     chart = atlas.chart(chart_id)
-    frame = UnitaryFrame(chart_id, chart.domain.center, CycMatrix.identity(chart.cyclotomic_order, chart.n))
-    region = frozenset() if chart.radius is None else frozenset({chart.domain})
+    frame = UnitaryFrame(chart_id, chart.origin, CycMatrix.identity(chart.cyclotomic_order, chart.n))
+    region = frozenset() if chart.radius is None else frozenset({Ball(chart.origin, chart.radius)})
     return FrameClass(chart_id, frame, chart.group, region)
 
 
@@ -151,12 +151,11 @@ def common_point(balls: frozenset[Ball]) -> Optional[CycVector]:
     centre, or c + r/(r + r')(c' - c), which lies in both of two that meet.
     None is no proof of an empty intersection: three or more balls can
     share a point that is none of these candidates."""
-    bounded = [b for b in balls if b.radius is not None]
-    candidates = [b.center for b in bounded] + [
+    candidates = [b.center for b in balls] + [
         tuple(x + (y - x) * (a.radius / (a.radius + b.radius)) for x, y in zip(a.center, b.center))
-        for a, b in combinations(bounded, 2)
+        for a, b in combinations(balls, 2)
     ]
-    return next((p for p in candidates if all(b.contains(p) for b in bounded)), None)
+    return next((p for p in candidates if all(b.contains(p) for b in balls)), None)
 
 
 def cocycle_check(atlas: OrbifoldAtlas, i: str, j: str, k: str) -> Verdict:

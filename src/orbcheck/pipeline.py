@@ -158,8 +158,7 @@ _EXACT = Verdict(True, "max_dev=0.000e+00")  # an identity holds: no deviation a
 def run_taut_pipeline(scenario: Scenario, report: Report):
     """The taut suite, exact for all points.  A zero weight fails
     `taut.detM1`, naming the fixed set, and stops it."""
-    geo = scenario.geometry
-    fixed = _fixed_set(geo.weights)
+    fixed = _fixed_set(scenario.weights)
     if fixed is not None:
         report.check("taut.detM1", Verdict(False, fixed))
         return
@@ -167,7 +166,7 @@ def run_taut_pipeline(scenario: Scenario, report: Report):
     # point: each orbit's volume is the integral of 1 over the circle, 2 pi
     report.check("taut.detM1", _EXACT)
     report.check("taut.orbit_volume", _EXACT)
-    fields = fol.CircleAction(geo.weights).fundamental_fields()
+    fields = fol.CircleAction(scenario.weights).fundamental_fields()
     [[m0]] = fol.gram_matrix(fields)
     one = Polynomial.constant(m0.d, 1)
     for name, verdict in (

@@ -1,9 +1,9 @@
 """Line-oriented scenario files: named blocks of key = value entries.
 
-This module owns the scenario contract.  The parser checks single values,
-reports malformed input with line numbers and rejects unknown keys, so
-golden scenario texts stay unambiguous; ``Scenario.validate`` checks every
-rule that spans blocks.  The builders in ``pipeline`` check nothing again.
+This module owns the scenario contract.  The parser takes each key once,
+checks its value where it stands, rejects a key left over and builds each
+record once; ``Scenario.validate`` checks the rules that span blocks, and
+no block goes unread.  The builders in ``pipeline`` check nothing again.
 Values have one grammar: ``parse_number`` reads every number and its
 range, and ``_groups`` every bracketed list, so no number in the text
 can crash the parser or make it build something of that size.
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import MissingSection, ParseError, ShapeMismatch
 
@@ -39,30 +39,24 @@ class ChangeSection(NamedTuple):
     radius: Fraction
 
 
-class GeometrySection(NamedTuple):
-    weights: list[int]
-
-
-class ComplexSection:
+class ComplexSection(NamedTuple):
     """A plain complex (vertices, facets, vertex_order) or a product of two."""
 
-    __slots__ = ("id", "vertices", "facets", "vertex_order", "product")
+    id: str
+    vertices: int = 0
+    facets: Sequence[tuple[int, ...]] = ()
+    vertex_order: Optional[list[int]] = None
+    product: Optional[tuple[str, str]] = None
 
-    def __init__(self, id: str):
-        self.id, self.vertices, self.facets = id, 0, []
-        self.vertex_order: Optional[list[int]] = None
-        self.product: Optional[tuple[str, str]] = None
 
-
-class ActionSection:
+class ActionSection(NamedTuple):
     """group is "trivial", "product" or "cyclic:<k>", of order k."""
 
-    __slots__ = ("id", "group", "order", "maps", "factors")
-
-    def __init__(self, id: str, group: str):
-        self.id, self.group, self.order = id, group, 1
-        self.maps: Optional[list[int]] = None
-        self.factors: Optional[tuple[str, str]] = None
+    id: str
+    group: str
+    order: int = 1
+    maps: Optional[list[int]] = None
+    factors: Optional[tuple[str, str]] = None
 
 
 class QuotientSection(NamedTuple):
@@ -72,32 +66,28 @@ class QuotientSection(NamedTuple):
     product_sum: bool = False  # kahler = product-sum
 
 
-class Scenario:
-    __slots__ = ("name", "pipelines", "charts", "changes", "geometry", "complexes", "actions", "quotient")
-
-    def __init__(self):
-        self.name = ""
-        self.pipelines: list[str] = []
-        self.charts: list[ChartSection] = []
-        self.changes: list[ChangeSection] = []
-        self.geometry: Optional[GeometrySection] = None
-        self.complexes: dict[str, ComplexSection] = {}
-        self.actions: dict[str, ActionSection] = {}
-        self.quotient: Optional[QuotientSection] = None
+class Scenario(NamedTuple):
+    name: str
+    pipelines: list[str]
+    charts: list[ChartSection]
+    changes: list[ChangeSection]
+    weights: Optional[list[int]]  # of the taut suite's circle action
+    complexes: dict[str, ComplexSection]
+    actions: dict[str, ActionSection]
+    quotient: Optional[QuotientSection]
 
     def validate(self):
         if ("atlas" in self.pipelines or "seifert" in self.pipelines) and not self.charts:
             raise MissingSection("atlas/seifert pipelines require [chart] sections")
-        if "taut" in self.pipelines and self.geometry is None:
+        if "taut" in self.pipelines and self.weights is None:
             raise MissingSection("taut pipeline requires an [action] section")
         if "quotient" in self.pipelines:
             if self.quotient is None:
                 raise MissingSection("quotient presentation required")
             self._validate_quotient()
         n = self.charts[0].n if self.charts else None
-        chart_ids = set()
+        chart_ids = {c.id for c in self.charts}
         for c in self.charts:
-            chart_ids.add(c.id)
             for key in ("n", "cyclotomic_order"):
                 mine, first = getattr(c, key), getattr(self.charts[0], key)
                 if mine != first:
@@ -269,6 +259,14 @@ def _check_tol(text: str, line: int) -> None:
 
 _HEADER = re.compile(r"^\[([^\]]+)\]$")
 
+# the pipelines that read each kind of block; a block of any other kind is unknown
+_READERS = {
+    "scenario": KNOWN_PIPELINES,
+    **dict.fromkeys(("chart <id>", "change <id>"), ("atlas", "seifert")),
+    **dict.fromkeys(("action", "metric", "check taut"), ("taut",)),
+    **dict.fromkeys(("complex <id>", "action <id>", "quotient"), ("quotient",)),
+}
+
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario; raises ParseError with line numbers."""
@@ -290,166 +288,155 @@ def parse_scenario(text: str) -> Scenario:
         key, _, value = line.partition("=")
         current[2].append((lineno, key.strip(), value.strip()))
 
-    scenario = Scenario()
-    seen: set[str] = set()
+    name_line, name, pipelines, weights, quotient = None, "", [], None, None
+    charts, changes, complexes, actions = [], [], {}, {}
+    seen: dict[str, tuple[int, str]] = {}  # header -> (line, kind) where it is first declared
 
     for head_line, header, items in blocks:
         words = header.split()
-        kind = words[0] if words else ""  # a blank header [ ] is an unknown block
         header = " ".join(words)
-        if header in seen and kind != "change":  # redundant changes over one overlap are valid
+        kind = header if header in _READERS else f"{words[0]} <id>" if words else ""  # [ ] is an unknown block
+        if header in seen and kind != "change <id>":  # redundant changes over one overlap are valid
             raise ParseError(head_line, f"[{header}] is declared twice")
-        seen.add(header)
+        seen.setdefault(header, (head_line, kind))
         kv = {}
         for lineno, key, value in items:
             if key in kv:
                 raise ParseError(lineno, f"duplicate key {key!r}")
             kv[key] = (lineno, value)
 
-        def take(key, required=True, default=None):
+        def take(key):
+            """(line, text) of the key, taken out of the block; an optional key is taken only when ``key in kv``."""
             if key not in kv:
-                if required:
-                    raise ParseError(head_line, f"[{header}] missing key {key!r}")
-                return None, default
+                raise ParseError(head_line, f"[{header}] missing key {key!r}")
             return kv.pop(key)
 
-        def reject_unknown():
-            if kv:
-                lineno, _ = next(iter(kv.values()))
-                raise ParseError(lineno, f"unknown key {next(iter(kv))!r} in [{header}]")
+        def read(key, lo=None, hi=None, many=False, reader=None):
+            """The key's value: a number that parse_number names by the key, or what the reader makes of the text."""
+            line, value = take(key)
+            return parse_number(value, line, key, lo, hi, False, many) if reader is None else reader(value, line)
 
-        if header == "scenario":
-            ln, name = take("name")
-            ln, pipes = take("pipelines")
-            scenario.name = name
-            scenario.pipelines = [p.strip() for p in pipes.split(",") if p.strip()]
-            if not scenario.pipelines:
-                raise ParseError(ln, "pipelines names no pipeline")
-            twice = [p for i, p in enumerate(scenario.pipelines) if p in scenario.pipelines[:i]]
+        if kind == "scenario":
+            name_line, name = take("name")
+            line, value = take("pipelines")
+            pipelines = [p.strip() for p in value.split(",") if p.strip()]
+            if not pipelines:
+                raise ParseError(line, "pipelines names no pipeline")
+            twice = [p for i, p in enumerate(pipelines) if p in pipelines[:i]]
             if twice:
-                raise ParseError(ln, f"pipeline {twice[0]!r} is named twice")
-            unknown = [p for p in scenario.pipelines if p not in KNOWN_PIPELINES]
+                raise ParseError(line, f"pipeline {twice[0]!r} is named twice")
+            unknown = [p for p in pipelines if p not in KNOWN_PIPELINES]
             if unknown:
-                raise ParseError(ln, f"unknown pipeline {unknown[0]!r}")
-            reject_unknown()
-        elif kind == "chart":
+                raise ParseError(line, f"unknown pipeline {unknown[0]!r}")
+        elif kind == "chart <id>":
             if len(words) != 2:
                 raise ParseError(head_line, "chart header must be [chart <id>]")
-            ln, n = take("n")
-            n = parse_number(n, ln, "n", 1, CLOSURE_CAP)
-            ln, radius = take("radius")
-            rad = None if radius.strip() == "inf" else _parse_radius(radius, ln)
-            ln, order = take("cyclotomic_order")
-            order = parse_number(order, ln, "cyclotomic_order", 1, CLOSURE_CAP)
-            ln, gens = take("generators")
-            gen_list = []
-            for g in filter(str.strip, gens.split(";")):
-                gen_list.append(parse_matrix(g, ln))
-                if not _is_square(gen_list[-1], n):
-                    raise ParseError(ln, f"generator {len(gen_list)} must be {n}x{n}")
-            reject_unknown()
-            scenario.charts.append(ChartSection(words[1], n, rad, order, gen_list))
-        elif kind == "change":
+            n = read("n", 1, CLOSURE_CAP)
+            line, value = take("radius")
+            radius = None if value == "inf" else _parse_radius(value, line)
+            order = read("cyclotomic_order", 1, CLOSURE_CAP)
+            line, value = take("generators")
+            generators = []
+            for g in filter(str.strip, value.split(";")):
+                generators.append(parse_matrix(g, line))
+                if not _is_square(generators[-1], n):
+                    raise ParseError(line, f"generator {len(generators)} must be {n}x{n}")
+            charts.append(ChartSection(words[1], n, radius, order, generators))
+        elif kind == "change <id>":
             m = re.match(r"^change\s+(\S+)\s*->\s*(\S+)$", header)
             if not m:
                 raise ParseError(head_line, "change header must be [change <i> -> <j>]")
-            ln, linear = take("linear")
-            linear = parse_matrix(linear, ln)
-            ln, offset = take("offset")
-            offset = parse_vector(offset, ln)
-            ln, center = take("center")
-            center = parse_vector(center, ln)
-            ln, radius = take("radius")
-            radius = _parse_radius(radius, ln)
-            reject_unknown()
-            scenario.changes.append(
-                ChangeSection(m.group(1), m.group(2), linear, offset, center, radius)
-            )
-        elif header == "action":
-            ln, atype = take("type", required=False, default="circle")
-            if atype.strip() != "circle":
-                raise ParseError(ln, f"taut pipeline currently handles circle actions, got {atype.strip()!r}")
-            ln, weights = take("weights")
-            weights = parse_number(weights, ln, "weights", many=True)
+            linear = read("linear", reader=parse_matrix)
+            offset = read("offset", reader=parse_vector)
+            center = read("center", reader=parse_vector)
+            changes.append(ChangeSection(m.group(1), m.group(2), linear, offset, center, read("radius", reader=_parse_radius)))
+        elif kind == "action":
+            line, value = take("type") if "type" in kv else (head_line, "circle")
+            if value != "circle":
+                raise ParseError(line, f"taut pipeline currently handles circle actions, got {value!r}")
+            line, value = take("weights")
+            weights = parse_number(value, line, "weights", many=True)
             if len(weights) > CLOSURE_CAP:
-                raise ParseError(ln, f"weights must list at most {CLOSURE_CAP} weights, got {len(weights)}")
-            reject_unknown()
-            scenario.geometry = GeometrySection(weights)
-        elif header == "metric":
+                raise ParseError(line, f"weights must list at most {CLOSURE_CAP} weights, got {len(weights)}")
+        elif kind == "metric":
             # the taut suite reads one metric, u times the Euclidean one
-            ln, metric = take("kind", required=False, default="round")
-            if metric.strip() != "round":
-                raise ParseError(ln, f"unsupported metric kind {metric.strip()!r}")
-            reject_unknown()
-        elif header == "check taut":
+            line, value = take("kind") if "kind" in kv else (head_line, "round")
+            if value != "round":
+                raise ParseError(line, f"unsupported metric kind {value!r}")
+        elif kind == "check taut":
             # the generated benchmark texts carry these sampling keys; the taut
             # suite is exact, so they are range-checked and dropped
             for key in ("samples", "orbits", "nodes"):
-                ln, value = take(key, required=False, default="1")
-                parse_number(value, ln, key, 1)
-            ln, tol = take("tol", required=False, default="0")
-            _check_tol(tol, ln)
-            reject_unknown()
-        elif kind == "complex":
+                if key in kv:
+                    read(key, 1)
+            if "tol" in kv:
+                read("tol", reader=_check_tol)
+        elif kind == "complex <id>":
             if len(words) != 2:
                 raise ParseError(head_line, "complex header must be [complex <id>]")
-            section = ComplexSection(words[1])
             if "product" in kv:
-                ln, prod = take("product")
-                parts = [p.strip() for p in prod.split("*")]
+                line, value = take("product")
+                parts = tuple(p.strip() for p in value.split("*"))
                 if len(parts) != 2:
-                    raise ParseError(ln, "product must name two complexes: A * B")
-                section.product = (parts[0], parts[1])
+                    raise ParseError(line, "product must name two complexes: A * B")
+                complexes[words[1]] = ComplexSection(words[1], product=parts)
             else:
-                ln, v = take("vertices")
-                section.vertices = parse_number(v, ln, "vertices", 1)
-                ln, facets = take("facets")
-                section.facets = _parse_facets(facets, ln, section.vertices)
+                vertices = read("vertices", 1)
+                line, value = take("facets")
+                facets, order = _parse_facets(value, line, vertices), None
                 if "vertex_order" in kv:
-                    ln, vo = take("vertex_order")
-                    section.vertex_order = parse_number(vo, ln, "vertex_order", many=True)
-                    if sorted(section.vertex_order) != list(range(section.vertices)):
-                        raise ParseError(ln, f"vertex_order must permute 0..{section.vertices - 1}")
-            reject_unknown()
-            scenario.complexes[section.id] = section
-        elif kind == "action" and len(words) == 2:
-            ln, grp = take("group")
-            section = ActionSection(words[1], grp.strip())
-            if section.group == "product":
-                ln, factors = take("factors")
-                parts = [p.strip() for p in factors.split(",")]
-                if len(parts) != 2:
-                    raise ParseError(ln, "factors must name two actions")
-                section.factors = (parts[0], parts[1])
-            elif section.group != "trivial":
-                prefix, _, k = section.group.partition(":")
+                    line, value = take("vertex_order")
+                    order = parse_number(value, line, "vertex_order", many=True)
+                    if sorted(order) != list(range(vertices)):
+                        raise ParseError(line, f"vertex_order must permute 0..{vertices - 1}")
+                complexes[words[1]] = ComplexSection(words[1], vertices, facets, order)
+        elif kind == "action <id>" and len(words) == 2:
+            line, group = take("group")
+            order, maps, factors = 1, None, None
+            if group == "product":
+                line, value = take("factors")
+                factors = tuple(p.strip() for p in value.split(","))
+                if len(factors) != 2:
+                    raise ParseError(line, "factors must name two actions")
+            elif group != "trivial":
+                prefix, _, k = group.partition(":")
                 if prefix != "cyclic":
-                    raise ParseError(ln, "group must be trivial, product or cyclic:<k>")
-                section.order = parse_number(k, ln, "group order", 1, CLOSURE_CAP)
-                ln, maps = take("maps")
-                section.maps = parse_number(maps, ln, "maps", many=True)
-            reject_unknown()
-            scenario.actions[section.id] = section
-        elif header == "quotient":
-            ln, cx = take("complex")
-            ln, act = take("action")
-            ln, n = take("complex_dim_n")
+                    raise ParseError(line, "group must be trivial, product or cyclic:<k>")
+                order = parse_number(k, line, "group order", 1, CLOSURE_CAP)
+                maps = read("maps", many=True)
+            actions[words[1]] = ActionSection(words[1], group, order, maps, factors)
+        elif kind == "quotient":
+            _, cx = take("complex")
+            _, act = take("action")
             # a facet of 2n + 1 vertices closes to 2^(2n+1) faces, and
             # _validate_quotient ties every facet and factor to 2n
-            n = parse_number(n, ln, "complex_dim_n", hi=4)
-            ln, kahler = take("kahler", required=False)
-            if kahler not in (None, "product-sum"):
-                raise ParseError(ln, f"kahler must be product-sum, got {kahler!r}")
-            reject_unknown()
-            scenario.quotient = QuotientSection(cx.strip(), act.strip(), n, kahler is not None)
+            n = read("complex_dim_n", hi=4)
+            line, value = take("kahler") if "kahler" in kv else (head_line, None)
+            if value not in (None, "product-sum"):
+                raise ParseError(line, f"kahler must be product-sum, got {value!r}")
+            quotient = QuotientSection(cx, act, n, value is not None)
         else:
             raise ParseError(head_line, f"unknown block [{header}]")
+        if kv:
+            key, (line, _) = next(iter(kv.items()))
+            raise ParseError(line, f"unknown key {key!r} in [{header}]")
 
-    if scenario.geometry is None and seen & {"metric", "check taut"}:
-        raise MissingSection("[metric] and [check taut] require an [action] block")
-    if not scenario.name:
+    if name_line is None:
         raise ParseError(1, "missing [scenario] block with a name")
+    if not name:
+        raise ParseError(name_line, "name is empty")
+    scenario = Scenario(name, pipelines, charts, changes, weights, complexes, actions, quotient)
     scenario.validate()
+    named, reached = set(pipelines), set()  # reached: the complexes and actions that [quotient] reaches
+    if "quotient" in pipelines:
+        section, action = complexes[quotient.complex], actions[quotient.action]
+        reached = {f"complex {c}" for c in (section.id, *(section.product or ()))}
+        reached |= {f"action {a}" for a in (action.id, *(action.factors or ()))}
+    for header, (line, kind) in seen.items():
+        if named.isdisjoint(_READERS[kind]):
+            raise ParseError(line, f"[{header}] is read by no named pipeline, only by {' or '.join(_READERS[kind])}")
+        if kind in ("complex <id>", "action <id>") and header not in reached:
+            raise ParseError(line, f"[{header}] is not reached from [quotient]")
     return scenario
 
 

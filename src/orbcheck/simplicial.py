@@ -107,15 +107,15 @@ class ProductComplex(Cells):
             for k in range(self.dim + 1)
         }
         self.index = {k: {c: i for i, c in enumerate(cells)} for k, cells in self.simplices.items()}
-        self._coboundary = {}
+        self._coboundary, self._cofaces = {}, ()
 
     def _columns(self, k: int) -> list[dict]:
         """Columns of delta_k, read off the factors' columns: the column of
         sigma x tau, with dim sigma = p, holds [sigma':sigma] at sigma' x
         tau and (-1)^p [tau':tau] at sigma x tau'."""
         up, cols = self.index.get(k + 1), []
-        # each factor simplex's cofaces with their signs
-        left, right = (
+        # each factor simplex's cofaces with their signs, built once per product
+        left, right = self._cofaces = self._cofaces or tuple(
             {
                 s: [(f.simplices[p + 1][r], c) for r, c in col.items()]
                 for p in f.simplices

@@ -54,7 +54,7 @@ def test_ball_containment_exact():
     assert b.contains(vec(4, [1]))
     assert b.contains(vec(4, [Fraction(5, 4)]))  # boundary point
     assert not b.contains(vec(4, [Fraction(3, 2)]))
-    assert Ball(vec(4, [0]), None).contains(vec(4, [100]))
+    assert Ball(vec(4, [0]), Fraction(100)).contains(vec(4, [100]))  # boundary point far out
 
 
 def test_balls_meet_exactly():
@@ -62,7 +62,8 @@ def test_balls_meet_exactly():
     b = Ball(vec(4, [0]), Fraction(1, 2))
     assert b.meets(Ball(vec(4, [1]), Fraction(1, 2)))
     assert not b.meets(Ball(vec(4, [1]), Fraction(1, 3)))
-    assert b.meets(Ball(vec(4, [100]), None)) and Ball(vec(4, [100]), None).meets(b)
+    far = Ball(vec(4, [100]), Fraction(199, 2))  # tangent far out: 1/2 + 199/2 = 100
+    assert b.meets(far) and far.meets(b)
     z = CyclotomicNumber.zeta(8)
     near = Ball(vec(8, [1]), Fraction(3, 10))  # 2 - sqrt 2 = 0.586 < (3/10 + 1/2)^2 = 0.64
     assert near.meets(Ball(vec(8, [z]), Fraction(1, 2)))

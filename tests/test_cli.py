@@ -186,6 +186,13 @@ def _edit(name, old, new):
     return text.replace(old, new, 1)
 
 
+def _append(name, block):
+    """A catalog text with one more block after a blank line."""
+    from orbcheck.catalog import catalog_text
+
+    return f"{catalog_text(name)}\n{block}\n"
+
+
 @pytest.mark.parametrize(
     "text, argv, expect",
     [
@@ -235,7 +242,7 @@ def _edit(name, old, new):
         (_edit("weighted-hopf:1:2", "type = circle", "type = torus"), (), "line 7: taut pipeline currently handles circle actions"),
         (_edit("weighted-hopf:1:2", "kind = round", "kind = hello"), (), "line 11: unsupported metric kind 'hello'"),
         (_edit("weighted-hopf:1:2", "kind = round", "kind = flat"), (), "line 11: unsupported metric kind 'flat'"),
-        (_edit("weighted-hopf:1:2", "[action]\ntype = circle\nweights = 1, 2\n", ""), (), "[metric] and [check taut] require an [action] block"),
+        (_edit("weighted-hopf:1:2", "[action]\ntype = circle\nweights = 1, 2\n", ""), (), "error: MissingSection: taut pipeline requires an [action] section\n"),
         (_edit("torus7", "vertex_order = 1, 2, 3, 0, 4, 5, 6", "vertex_order = 1, 2, 3"), (), "line 9: vertex_order must permute 0..6"),
         (_edit("octahedron", "vertices = 6", "vertices = 9"), (), "line 8: vertex 6 lies in no facet"),
         (_edit("torus7", "facets = (0,1,3)", "facets = (0,0,3)"), (), "line 8: facet (0, 0, 3) repeats a vertex"),
@@ -265,6 +272,16 @@ def _edit(name, old, new):
         (_edit("weighted-hopf:1:2", "weights = 1, 2", "weights = " + ", ".join(["1"] * 800)), (), "line 8: weights must list at most 64 weights, got 800"),
         (SIMPLEX.format(vertices=19, facets="(" + ",".join(map(str, range(19))) + ")", complex="S", n=9), (), "line 19: complex_dim_n must be at most 4, got 9"),
         (SIMPLEX.format(vertices=6, facets="(0,1,2,3,4,5)", complex="P", n=5), (), "line 19: complex_dim_n must be at most 4, got 5"),
+        # a block that no named pipeline reads, or that [quotient] does not reach
+        (_append("torus7", "[action G]\ngroup = cyclic:2\nmaps = 9, 9"), (), "line 19: [action G] is not reached from [quotient]\n"),
+        (_append("torus7", "[complex Z]\nproduct = Q * R"), (), "line 19: [complex Z] is not reached from [quotient]\n"),
+        (_append("torus7", "[chart A]\nn = 1\nradius = 1\ncyclotomic_order = 1\ngenerators = [[2]]"), (),
+         "line 19: [chart A] is read by no named pipeline, only by atlas or seifert\n"),
+        (_append("quaternion-chart", "[quotient]\ncomplex = X\naction = Y\ncomplex_dim_n = 1"), (),
+         "line 24: [quotient] is read by no named pipeline, only by quotient\n"),
+        (_append("quaternion-chart", "[action]\nweights = 0, 0"), (), "line 24: [action] is read by no named pipeline, only by taut\n"),
+        (_edit("torus7", "name = torus7", "name ="), (), "parse error: line 3: name is empty\n"),
+        (_edit("torus7", "[scenario]\nname = torus7\npipelines = quotient\n", ""), (), "parse error: line 1: missing [scenario] block with a name\n"),
     ],
     ids=[
         "unknown-run-option",
@@ -337,6 +354,13 @@ def _edit(name, old, new):
         "weights-800",
         "simplex-19-vertices",
         "simplex-product-dim-10",
+        "action-not-reached",
+        "complex-not-reached",
+        "chart-without-atlas-or-seifert",
+        "quotient-without-quotient",
+        "action-without-taut",
+        "name-empty",
+        "scenario-block-missing",
     ],
 )
 def test_malformed_input_exits_two_without_traceback(tmp_path, capsys, text, argv, expect):
@@ -376,6 +400,43 @@ def test_a_repeated_block_exits_two_at_its_second_header(tmp_path, capsys, name,
     header = block.splitlines()[0]
     assert code == 2 and out == ""
     assert f"line {len(text.splitlines()) + 2}: {header} is declared twice" in err
+
+
+@pytest.mark.parametrize(
+    "name, header, key, required",
+    [
+        ("torus7", "[scenario]", "pipelines", True),
+        ("football:2", "[chart A]", "n", True),
+        ("football:2", "[change A -> C]", "linear", True),
+        ("weighted-hopf:1:2", "[action]", "weights", True),
+        ("weighted-hopf:1:2", "[metric]", "kind", False),
+        ("weighted-hopf:1:2", "[check taut]", "samples", False),
+        ("torus7", "[complex T]", "facets", True),
+        ("torus7", "[action I]", "group", True),
+        ("torus7", "[quotient]", "complex_dim_n", True),
+    ],
+    ids=["scenario", "chart", "change", "action", "metric", "check-taut", "complex", "action-id", "quotient"],
+)
+def test_every_block_names_the_line_of_a_key_error(name, header, key, required):
+    from orbcheck.catalog import catalog_text
+
+    lines = catalog_text(name).splitlines()
+    head = lines.index(header)
+    at = next(i for i in range(head + 1, len(lines)) if lines[i].partition("=")[0].strip() == key)
+
+    def error(edited):
+        with pytest.raises(ParseError) as exc:
+            parse_scenario("\n".join(edited) + "\n")
+        return str(exc.value)
+
+    after = lines[: at + 1]
+    assert error(after + ["shine = yes"] + lines[at + 1 :]) == f"line {at + 2}: unknown key 'shine' in {header}"
+    assert error(after + [lines[at]] + lines[at + 1 :]) == f"line {at + 2}: duplicate key {key!r}"
+    without = lines[:at] + lines[at + 1 :]
+    if required:
+        assert error(without) == f"line {head + 1}: {header} missing key {key!r}"
+    else:  # an optional key may be left out
+        parse_scenario("\n".join(without) + "\n")
 
 
 def test_redundant_changes_over_one_overlap_may_repeat_their_header():

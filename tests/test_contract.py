@@ -1,6 +1,7 @@
 """Contracts decided in one place: input errors are raised only by their
 owner module, every number in a scenario file is read by
-``scenario.parse_number``, a pivot column enters an echelon only through
+``scenario.parse_number``, a key left over in any scenario block is
+rejected by one check, every scenario record is a named tuple, a pivot column enters an echelon only through
 ``linalg.insert``, floats start only where the taut suite hands numbers
 to numpy, the quotient suite makes no walk whose result it already
 knows, every permutation sign is ``linalg.sort_sign``, every distance
@@ -132,6 +133,42 @@ def test_scenario_reads_every_number_in_one_routine():
     found = located((SRC / "scenario.py").read_text(encoding="utf-8"), _converts_text)
     assert {where for where, _ in found} == {"parse_number", "_check_tol"}, found
     assert sum(where == "_check_tol" for where, _ in found) == 1, found
+
+
+def _raises_unknown_key(node) -> bool:
+    """A raise statement whose exception holds the text "unknown key"."""
+    return isinstance(node, ast.Raise) and node.exc is not None and any(
+        isinstance(n, ast.Constant) and isinstance(n.value, str) and "unknown key" in n.value for n in ast.walk(node.exc)
+    )
+
+
+def test_unknown_key_detection():
+    source = (
+        "def f(kv, k):\n    if kv:\n        raise ParseError(1, f'unknown key {k!r}')\n"
+        "    def g():\n        raise ParseError(2, 'unknown key ' + k)\n    raise ParseError(3, 'unknown block')\n"
+    )
+    assert located(source, _raises_unknown_key) == [("f", 3), ("g", 5)]
+
+
+def test_scenario_rejects_unknown_keys_in_one_place():
+    # one check after the block dispatch, not one per kind of block
+    found = located((SRC / "scenario.py").read_text(encoding="utf-8"), _raises_unknown_key)
+    assert [where for where, _ in found] == ["parse_scenario"], found
+
+
+def _plain_class(node) -> bool:
+    """A class statement whose one base is not NamedTuple."""
+    return isinstance(node, ast.ClassDef) and [ast.unparse(b) for b in node.bases] not in (["NamedTuple"], ["typing.NamedTuple"])
+
+
+def test_plain_class_detection():
+    source = "class A(NamedTuple):\n    x: int\n\nclass B:\n    __slots__ = ()\n\nclass C(A, tuple):\n    pass\n"
+    assert located(source, _plain_class) == [(None, 4), (None, 7)]
+
+
+def test_scenario_records_are_named_tuples():
+    # each record is built once, at the end of its block: no __init__, no slots to fill
+    assert located((SRC / "scenario.py").read_text(encoding="utf-8"), _plain_class) == []
 
 
 def _is_float(node) -> bool:

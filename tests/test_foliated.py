@@ -211,7 +211,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def test_hopf3_golden_pins_the_three_weight_taut_bytes():
     scenario = parse_scenario((GOLDEN / "hopf3.scn").read_text())
-    assert scenario.geometry.weights == [1, 2, 3]
+    assert scenario.weights == [1, 2, 3]
     assert run_pipeline(scenario).to_machine() == (GOLDEN / "hopf3.machine").read_text()
 
 

@@ -205,7 +205,7 @@ def test_change_applies_only_inside_its_source_domain(football3):
     choices = list(gluing_images(football3, identity_class(football3, "A"), "C"))
     assert [c.choice for c in choices] == ["g0 A->C #1", "g1 A->C #1", "g2 A->C #1"]
     for g, c in zip(chart.group, choices):
-        assert c.region == {chart.domain, Ball(g.conjugate_transpose().apply(vec(3, [1])), Fraction(1, 4))}
+        assert c.region == {Ball(chart.origin, chart.radius), Ball(g.conjugate_transpose().apply(vec(3, [1])), Fraction(1, 4))}
         assert c.representative.basepoint == vec(3, [0]) and c.representative.frame == g
         assert c.group == football3.chart("C").group
 

@@ -46,7 +46,7 @@ def test_parse_matrix_nested():
 def test_minimal_scenario_roundtrip():
     s = parse_scenario(MINIMAL)
     assert s.name == "demo"
-    assert s.geometry.weights == [1, 2]
+    assert s.weights == [1, 2]
 
 
 def test_parse_errors_carry_line_numbers():
